@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from multiprocessing import Pool
 
-from .screening import hp_admissible
+from .screening import ADMISSIBILITY_SUMS, hp_admissible
 from .structure import (
     RANK,
     add,
@@ -36,7 +37,7 @@ from .structure import (
     norm_sq,
     to_ambient,
 )
-from .norms import infchar_ambient, spin_datum
+from .norms import infchar_ambient, spin_datum, weight_gram2
 from .weyl import dominant_rep
 
 NU_BOUND = 94                   # strict bound on |nu|^2 for the census
@@ -120,28 +121,6 @@ def _rationals(text: str, line_no: int, what: str) -> tuple:
         raise _err(line_no, f"{what}: bad rational in {text!r}") from None
 
 
-_GRAM2 = None
-
-
-def _zeta_gram2():
-    """Twice the Gram matrix of the fundamental weights; integral for E7."""
-    global _GRAM2
-    if _GRAM2 is None:
-        d = build_root_datum()
-        w = d.fundamental_weights
-        rows = []
-        for i in range(RANK):
-            row = []
-            for j in range(RANK):
-                q = 2 * inner(w[i], w[j])
-                if q.denominator != 1:
-                    raise AssertionError("doubled Gram matrix is not integral")
-                row.append(int(q))
-            rows.append(tuple(row))
-        _GRAM2 = tuple(rows)
-    return _GRAM2
-
-
 def _matmul(a, b):
     return tuple(tuple(sum(a[i][j] * b[j][k] for j in range(RANK))
                        for k in range(RANK)) for i in range(RANK))
@@ -156,7 +135,7 @@ def _check_involution(theta, ident: int, line_no: int) -> None:
     ident_mat = tuple(tuple(1 if i == k else 0 for k in range(RANK)) for i in range(RANK))
     if _matmul(theta, theta) != ident_mat:
         raise _err(line_no, f"kgb {ident}: matrix is not an involution")
-    g2 = _zeta_gram2()
+    g2 = weight_gram2()
     # theta^T (2G) theta = 2G, i.e. the involution is orthogonal for B
     tt = tuple(tuple(theta[j][i] for j in range(RANK)) for i in range(RANK))
     if _matmul(_matmul(tt, g2), theta) != g2:
@@ -373,7 +352,7 @@ def _split_part_forms(rec: KgbRecord):
     The (-1)-eigenspace of every shipped involution is spanned by pairwise
     orthogonal roots, so |nu|^2 = (1/2) * sum_j <Lambda, beta_j_vee>^2 and the
     census condition |nu|^2 < 94 becomes sum_j <Lambda, beta_j_vee>^2 <= 187
-    over integer vectors.  Anything else is rejected.
+    over integer vectors.  Anything else is rejected as a fixture error.
     """
     d = build_root_datum()
     neg = []
@@ -383,13 +362,13 @@ def _split_part_forms(rec: KgbRecord):
             neg.append(beta)
     dim_minus = (RANK - sum(rec.theta[i][i] for i in range(RANK))) // 2
     if len(neg) != dim_minus:
-        raise ValueError(
+        raise FixtureError(
             f"kgb {rec.id}: split part of dimension {dim_minus} is spanned by "
             f"{len(neg)} roots; census needs a root-spanned split part")
     for i in range(len(neg)):
         for j in range(i + 1, len(neg)):
             if inner(neg[i], neg[j]) != 0:
-                raise ValueError(f"kgb {rec.id}: negated roots are not orthogonal")
+                raise FixtureError(f"kgb {rec.id}: negated roots are not orthogonal")
     return [tuple(int(inner(b, w)) for w in d.fundamental_weights) for b in neg]
 
 
@@ -404,31 +383,36 @@ def _enum_involution(forms, coord_cap: int):
     cols = [tuple(forms[j][i] for j in range(r)) for i in range(RANK)]
     for i, col in enumerate(cols):
         if not any(col):
-            raise ValueError(
-                f"coordinate {i} is unconstrained; enumeration would not terminate")
+            raise FixtureError(
+                f"coordinate {i} is unconstrained by the split part; enumeration "
+                "would not terminate")
     out = []
-    c = [0] * RANK
-
-    def rec(i, ms):
-        if i == RANK:
-            out.append(tuple(c))
-            return
-        col = cols[i]
-        ci = 0
-        cur = ms
-        while sum(m * m for m in cur) <= _FORM_BOUND:
-            if ci > coord_cap:
-                raise ValueError(
-                    f"coordinate cap {coord_cap} is active; raise it to certify "
-                    "completeness")
-            c[i] = ci
-            rec(i + 1, cur)
-            ci += 1
-            cur = tuple(m + col[j] for j, m in enumerate(cur))
-        c[i] = 0
-
-    rec(0, (0,) * r)
+    _scan_coordinate(0, (0,) * r, cols, coord_cap, [0] * RANK, out)
     return out
+
+
+def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
+    """Coordinate i of the scan in _enum_involution; ms holds the pairings of
+    the prefix c[:i].  A module-level function rather than a nested one: a
+    nested function that calls itself is a reference cycle, which would keep
+    each involution's point list alive until the garbage collector's next
+    full pass."""
+    if i == RANK:
+        out.append(tuple(c))
+        return
+    col = cols[i]
+    ci = 0
+    cur = ms
+    while sum(m * m for m in cur) <= _FORM_BOUND:
+        if ci > coord_cap:
+            raise ValueError(
+                f"coordinate cap {coord_cap} is active; raise it to certify "
+                "completeness")
+        c[i] = ci
+        _scan_coordinate(i + 1, cur, cols, coord_cap, c, out)
+        ci += 1
+        cur = tuple(m + col[j] for j, m in enumerate(cur))
+    c[i] = 0
 
 
 def _phi_worker(args):
@@ -437,6 +421,18 @@ def _phi_worker(args):
     for forms in forms_list:
         found.update(_enum_involution(forms, coord_cap))
     return found
+
+
+@lru_cache(maxsize=1)
+def _census_zero_sets() -> frozenset[int]:
+    """Bit masks of the zero sets Z allowed in the census.  For a
+    nonnegative integer point, min(c) == 0 and hp_admissible(c) hold iff
+    Z is nonempty and contains none of the admissibility sums, since a sum
+    of nonnegative terms is positive iff one term is nonzero."""
+    return frozenset(
+        z for z in range(1, 1 << RANK)
+        if not any(all(z >> i & 1 for i in s) for s in ADMISSIBILITY_SUMS)
+    )
 
 
 def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
@@ -450,7 +446,7 @@ def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
     records = kgb.values() if isinstance(kgb, dict) else list(kgb)
     fs = [r for r in records if r.support == FULL_SUPPORT]
     if not fs:
-        raise ValueError("no fully supported involution records in fixture")
+        raise FixtureError("no fully supported involution records in fixture")
     seen = set()
     forms_list = []
     for r in fs:
@@ -465,7 +461,9 @@ def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
         union = set().union(*parts)
     else:
         union = _phi_worker((forms_list, coord_cap))
-    chars = sorted(c for c in union if min(c) == 0 and hp_admissible(c))
+    zero_sets = _census_zero_sets()
+    chars = sorted(
+        c for c in union if sum(1 << i for i, v in enumerate(c) if not v) in zero_sets)
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)

@@ -19,7 +19,6 @@ from . import atlas_ingest as ingest
 from .norms import (
     enumerate_by_height,
     infchar_ambient,
-    is_usmall,
     ktype_ambient,
     lambda_datum,
     lambda_norm_sq_fast,
@@ -114,6 +113,15 @@ def _load(kind: str, path: Path):
         raise FixtureMissing(f"{path}: {e}") from None
 
 
+def _phi_census(args, fdir: Path, kgb):
+    """enumerate_phi, with an involution the census cannot use reported as a
+    fixture error."""
+    try:
+        return ingest.enumerate_phi(kgb, coord_cap=args.coord_cap, jobs=args.jobs)
+    except ingest.FixtureError as e:
+        raise FixtureMissing(f"{fdir / 'kgb.txt'}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -136,7 +144,8 @@ def run_usmall(args, out) -> int:
 
 
 def run_certs(args, out) -> int:
-    entries = sorted(compute_certs(), key=lambda e: e.ktype)
+    census = enumerate_usmall_ktypes(jobs=args.jobs)
+    entries = sorted(compute_certs(census), key=lambda e: e.ktype)
     rows = [(fmt_vec(e.ktype), fmt_q(e.gap), fmt_q(e.lambda_norm_sq))
             for e in entries]
     emit(out, ("ktype", "gap", "lambda_norm_sq"), rows,
@@ -154,8 +163,7 @@ def run_omega(args, out) -> int:
 def run_phi(args, out) -> int:
     fdir = _fixture_dir(args)
     kgb = _load("kgb", fdir / "kgb.txt")
-    chars, partition = ingest.enumerate_phi(kgb, coord_cap=args.coord_cap,
-                                            jobs=args.jobs)
+    chars, partition = _phi_census(args, fdir, kgb)
     rows = [(str(k), str(len(partition[k]))) for k in sorted(partition)]
     emit(out, ("max_coordinate", "count"), rows,
          ("total", str(len(chars))), args.format)
@@ -256,7 +264,6 @@ def run_verify(args, out) -> int:
     string_counts = _load("dirac_counts", fdir / "dirac_counts.txt")
 
     d = build_root_datum()
-    state: dict = {}
     failures = 0
 
     def report(name, ok, detail):
@@ -278,7 +285,6 @@ def run_verify(args, out) -> int:
 
     # 3: u-small census
     census = enumerate_usmall_ktypes(jobs=args.jobs)
-    state["census"] = census
     report("usmall-census", len(census) == 21294, f"{len(census)} u-small K-types")
 
     # 4: certificate set
@@ -327,8 +333,7 @@ def run_verify(args, out) -> int:
     report("index-parity", ok, f"pairings {vals}, no cancellation")
 
     # 9: character census (fixture-gated)
-    chars, partition = ingest.enumerate_phi(kgb, coord_cap=args.coord_cap,
-                                            jobs=args.jobs)
+    chars, partition = _phi_census(args, fdir, kgb)
     sizes = tuple(len(partition[k]) for k in sorted(partition))
     ok = len(chars) == 178192 and sizes == CENSUS_PARTITION_SIZES \
         and set(partition.get(1, ())) == SMALLEST_CENSUS_SLICE
@@ -410,10 +415,11 @@ def run_verify(args, out) -> int:
             ok = False
     props.append(("involutions-square-to-one", ok))
 
+    # the census holds every u-small K-type, so membership decides it
     ok = True
     heights = enumerate_by_height(args.height_cap)
     for mu in heights:
-        if is_usmall(mu):
+        if mu in census:
             continue
         gap = Fraction(spin_sq12(mu), 12) - lambda_norm_sq_fast(mu)
         if gap > 79:

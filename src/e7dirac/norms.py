@@ -9,6 +9,35 @@ loops (tens of thousands of K-types against all 56 chambers) run on
 machine integers; tests pin the fast paths to the straightforward
 definitions.
 
+Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
+simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
+y_i = <mu + 2 rho_c, alpha'_i^vee>, and c_i = y_i - 1.  Since rho_j is the
+sum of the z_i, eta = mu + 2 rho_c - rho_j = sum c_i z_i, and its nearest
+point of the cone spanned by the z_i is sum x_i z_i with
+
+    x = argmin_{x >= 0} (c - x)^T G (c - x),   G = ((z_i, z_k)).
+
+G and the height steps d_i = (z_i, 2 rho_j) are Weyl-invariant, so they
+are the Gram matrix of zeta_1..zeta_7 and d = (zeta_i, 2 rho) =
+(34, 49, 66, 96, 75, 52, 27) in every chamber.  The projection is thus one
+integer problem with no chamber data: |lambda_a|^2 = x^T G x and the
+height (lambda_a, 2 rho_j) = d . x.  It is solved face by face with the
+integer adjugates of H_SS, H = 2G (see _lambda_kernel).
+
+Height invariance.  The height of a K-type may be read in any chamber
+where mu + 2 rho_c is dominant: lambda_a is the same point for all of them
+(lambda_datum asserts it) and lies in the closure of each, so every root
+separating two of them pairs to zero with lambda_a, and rho_j - rho_j',
+the sum of the roots positive for j and negative for j', is orthogonal to
+lambda_a.
+
+Scan pruning.  In the height scan a_k = sum_i y_i n_{k,i} - 2 with
+n_{k,i} = <z_i, gamma_k^vee> >= 0 (z_i is dominant for the chamber and
+the compact simple roots gamma_k are positive in every chamber).  With
+budget b left for the levels i..6, those levels raise a_k by at most
+b * max_{i' >= i} n_{k,i'} / d_{i'}; a branch where some a_k < 0 cannot
+reach 0 within that bound holds no K-type and is cut.
+
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.
 """
@@ -61,13 +90,15 @@ class _Tables:
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
     z4: tuple[int, ...]  # 4*(zeta, rho_n_j)
-    # lambda tables: 3*pair(mu, w_j alpha_i) = sum a_k tp[j][i][k] + g*pz[j][i]
-    tp: tuple[tuple[tuple[int, ...], ...], ...]
-    pz: tuple[tuple[int, ...], ...]
-    rc3: tuple[tuple[int, ...], ...]  # 3*pair(2 rho_c, w_j alpha_i)
+    # lambda tables: 3*pair(mu + 2 rho_c, w_j alpha_i) is row i of pair3[j]
+    # dotted with (a..f, g, 1): 3(varpi_k, w_j alpha_i), (zeta, w_j alpha_i)
+    # and 3(2 rho_c, w_j alpha_i)
+    pair3: tuple[tuple[tuple[int, ...], ...], ...]
+    # indices i with w_j alpha_i noncompact; only these rows can be negative,
+    # since mu + 2 rho_c pairs >= 2 with every compact positive root
+    walls: tuple[tuple[int, ...], ...]
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
-    weight_gram: tuple[tuple[Fraction, ...], ...]  # (zeta_i, zeta_k)
     gamma_zeta: tuple[tuple[int, ...], ...]  # compact simples in the zeta basis
 
 
@@ -84,9 +115,8 @@ def _tables() -> _Tables:
     norm12 = []
     w12 = []
     z4 = []
-    tp = []
-    pz = []
-    rc3 = []
+    pair3 = []
+    walls = []
     two_rho_c = scale(2, d.rho_c)
     for ch in chs:
         r = ch.rho_n_j
@@ -97,20 +127,18 @@ def _tables() -> _Tables:
         norm12.append(_int(12 * norm_sq(r), "12|rho_n|^2"))
         w12.append(tuple(_int(12 * inner(w, r), "12(varpi,rho_n)") for w in d.varpi))
         z4.append(_int(4 * inner(d.zeta, r), "4(zeta,rho_n)"))
-        tp.append(
+        pair3.append(
             tuple(
                 tuple(_int(3 * inner(w, a), "3(varpi,root)") for w in d.varpi)
+                + (_int(inner(d.zeta, a), "(zeta,root)"),
+                   _int(3 * inner(two_rho_c, a), "3(2rho_c,root)"))
                 for a in ch.simples
             )
         )
-        pz.append(tuple(_int(inner(d.zeta, a), "(zeta,root)") for a in ch.simples))
-        rc3.append(tuple(_int(3 * inner(two_rho_c, a), "3(2rho_c,root)") for a in ch.simples))
+        walls.append(tuple(i for i, row in enumerate(pair3[-1]) if row[6]))
     rc12 = tuple(_int(12 * inner(w, d.rho_c), "12(varpi,rho_c)") for w in d.varpi)
     gram12 = tuple(
         tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
-    )
-    weight_gram = tuple(
-        tuple(inner(a, b) for b in d.fundamental_weights) for a in d.fundamental_weights
     )
     gamma_zeta = tuple(
         tuple(_int(pair_coroot(g, a), "gamma coords") for a in d.simple_roots)
@@ -124,14 +152,34 @@ def _tables() -> _Tables:
         norm12_rho_n=tuple(norm12),
         w12=tuple(w12),
         z4=tuple(z4),
-        tp=tuple(tp),
-        pz=tuple(pz),
-        rc3=tuple(rc3),
+        pair3=tuple(pair3),
+        walls=tuple(walls),
         rc12=rc12,
         gram12=gram12,
-        weight_gram=weight_gram,
         gamma_zeta=gamma_zeta,
     )
+
+
+@lru_cache(maxsize=1)
+def weight_gram2() -> tuple[tuple[int, ...], ...]:
+    """H = 2 (zeta_i, zeta_k): twice the Gram matrix of the fundamental
+    weights, integral and entrywise positive for E7."""
+    d = build_root_datum()
+    w = d.fundamental_weights
+    gram = tuple(tuple(_int(2 * inner(a, b), "2 zeta gram") for b in w) for a in w)
+    assert all(x > 0 for row in gram for x in row), "BUG: weight Gram must be positive"
+    return gram
+
+
+@lru_cache(maxsize=1)
+def height_steps() -> tuple[int, ...]:
+    """d_i = (zeta_i, 2 rho), the height of each fundamental weight."""
+    d = build_root_datum()
+    steps = tuple(
+        _int(inner(z, scale(2, d.rho)), "height step") for z in d.fundamental_weights
+    )
+    assert steps == (34, 49, 66, 96, 75, 52, 27), f"BUG: height steps {steps}"
+    return steps
 
 
 def ktype_ambient(coords) -> Vec:
@@ -164,16 +212,16 @@ def norm12_ktype(coords) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cone projection
+# cone projection by definition (test oracle for the kernel below)
 
 
 @lru_cache(maxsize=None)
 def _gram_inverse(subset: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the fundamental-weight Gram matrix on a generator subset."""
-    g = _tables().weight_gram
+    g = weight_gram2()
     k = len(subset)
     aug = [
-        [g[subset[i]][subset[j]] for j in range(k)]
+        [Fraction(g[subset[i]][subset[j]], 2) for j in range(k)]
         + [Fraction(1) if j == i else Fraction(0) for j in range(k)]
         for i in range(k)
     ]
@@ -234,24 +282,35 @@ class LambdaDatum:
     witness_chamber: int
 
 
+def _allowable_pairings(coords):
+    """(j, y) for each chamber j where mu + 2 rho_c is dominant, in chamber
+    order, with y_i = <mu + 2 rho_c, alpha'_i^vee> over its simple roots."""
+    t = _tables()
+    a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
+    for j, rows in enumerate(t.pair3):
+        for i in t.walls[j]:
+            row = rows[i]
+            if (row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
+                    + row[4] * a4 + row[5] * a5 + row[6] * g + row[7]) < 0:
+                break
+        else:
+            y = [row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
+                 + row[4] * a4 + row[5] * a5 + row[6] * g + row[7] for row in rows]
+            assert all(v >= 0 and v % 3 == 0 for v in y), (
+                f"BUG: pairings {y} of {coords} + 2rho_c")
+            yield j, [v // 3 for v in y]
+
+
 def _allowable_chambers(coords) -> list[int]:
     """Chambers whose positive system makes mu + 2 rho_c dominant."""
-    t = _tables()
-    a = [int(v) for v in coords[:6]]
-    g = int(coords[6])
-    out = []
-    for j in range(56):
-        tpj, pzj, rcj = t.tp[j], t.pz[j], t.rc3[j]
-        ok = True
-        for i in range(RANK):
-            row = tpj[i]
-            val = sum(row[k] * a[k] for k in range(6)) + g * pzj[i] + rcj[i]
-            if val < 0:
-                ok = False
-                break
-        if ok:
-            out.append(j)
-    return out
+    return [j for j, _ in _allowable_pairings(coords)]
+
+
+def _witness_c(coords) -> list[int]:
+    """c = y - 1 in the first chamber where mu + 2 rho_c is dominant."""
+    for _, y in _allowable_pairings(coords):
+        return [v - 1 for v in y]
+    raise RuntimeError(f"BUG: no chamber makes {coords} + 2rho_c dominant")
 
 
 def _project_in_chamber(coords, j: int) -> Vec:
@@ -281,10 +340,104 @@ def lambda_datum(mu) -> LambdaDatum:
 
 
 def lambda_norm_sq_fast(mu) -> Fraction:
-    """Same value as lambda_datum(mu).lambda_norm_sq via the first allowable
-    chamber only (the equality across chambers is a tested invariant)."""
-    allow = _allowable_chambers(mu)
-    return norm_sq(_project_in_chamber(mu, allow[0]))
+    """Same value as lambda_datum(mu).lambda_norm_sq, from the integer
+    kernel in the first allowable chamber (the equality across chambers is
+    a tested invariant)."""
+    face, num, r = _lambda_kernel(_witness_c(mu))
+    return Fraction(sum(v * r[i] for i, v in zip(face.members, num)), 2 * face.det)
+
+
+# ---------------------------------------------------------------------------
+# integer lambda kernel
+
+
+@dataclass(frozen=True)
+class _Face:
+    members: tuple[int, ...]  # S, the support of a candidate minimizer
+    others: tuple[int, ...]  # the indices outside S
+    det: int  # det H_SS > 0
+    adj: tuple[tuple[int, ...], ...]  # adj(H_SS), rows and columns in S order
+
+
+@lru_cache(maxsize=None)
+def _face(mask: int) -> _Face:
+    """Integer solve data for the face S = {i : bit i of mask set}.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [H_SS | I]: every
+    division is exact, no pivot search is needed because H_SS is positive
+    definite, and the block ends as [det I | adj(H_SS)].  The adjugate is
+    certified by H_SS adj = det I before it is used.
+    """
+    h = weight_gram2()
+    members = tuple(i for i in range(RANK) if mask >> i & 1)
+    n = len(members)
+    aug = [
+        [h[i][k] for k in members] + [int(r == s) for s in range(n)]
+        for r, i in enumerate(members)
+    ]
+    det = 1
+    for p in range(n):
+        piv = aug[p][p]
+        assert piv > 0, "BUG: H is not positive definite"
+        for r in range(n):
+            if r != p:
+                f = aug[r][p]
+                aug[r] = [(piv * x - f * y) // det for x, y in zip(aug[r], aug[p])]
+        det = piv
+    adj = tuple(tuple(row[n:]) for row in aug)
+    for r, i in enumerate(members):
+        for s in range(n):
+            got = sum(h[i][k] * adj[t][s] for t, k in enumerate(members))
+            assert got == (det if r == s else 0), f"BUG: adjugate of face {members}"
+    others = tuple(i for i in range(RANK) if not mask >> i & 1)
+    return _Face(members=members, others=others, det=det, adj=adj)
+
+
+def _kkt_numerators(face: _Face, r: list[int]) -> list[int] | None:
+    """num = adj(H_SS) r_S if x_S = num / det satisfies the KKT conditions
+    of the face, else None: num >= 0, and (H(x - c))_k >= 0 outside S, which
+    is det * r_k <= H_kS num."""
+    rs = [r[i] for i in face.members]
+    num = [sum(a * b for a, b in zip(row, rs)) for row in face.adj]
+    if any(v < 0 for v in num):
+        return None
+    h = weight_gram2()
+    for k in face.others:
+        row = h[k]
+        if face.det * r[k] > sum(row[i] * v for i, v in zip(face.members, num)):
+            return None
+    return num
+
+
+def _lambda_kernel(c) -> tuple[_Face, list[int], list[int]]:
+    """Nearest cone point for eta = sum c_i z_i (see the module docstring):
+    the accepted face S, the numerators num with x_S = num / det(H_SS), and
+    r = Hc.  Then |lambda_a|^2 = num . r_S / (2 det), height = d_S . num / det.
+
+    Lemma: G is positive definite, so (c - x)^T G (c - x) is strictly convex
+    and its minimizer over x >= 0 is the one point satisfying the KKT
+    conditions; any accepted face yields it.  The face {i : c_i > 0} is
+    tried first (over the u-small census and the height scan it is always
+    the accepted one), then every face.
+    """
+    h = weight_gram2()
+    r = [sum(a * b for a, b in zip(row, c)) for row in h]
+    guess = sum(1 << i for i in range(RANK) if c[i] > 0)
+    for mask in (guess, *range(1 << RANK)):
+        face = _face(mask)
+        num = _kkt_numerators(face, r)
+        if num is not None:
+            return face, num, r
+    raise RuntimeError("BUG: no face satisfies the KKT conditions; G is positive definite")
+
+
+def _kernel_height(c) -> int:
+    face, num, _ = _lambda_kernel(c)
+    d = height_steps()
+    h, rem = divmod(sum(d[i] * v for i, v in zip(face.members, num)), face.det)
+    if rem or h < 0:
+        raise RuntimeError(f"BUG: height at c = {c} came out {h} + {rem}/{face.det}")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +561,7 @@ def dirac_inequality_holds(lam, mu) -> str:
 def atlas_height(mu) -> int:
     """Sum of the coroot pairings of lambda_a over the witness chamber's
     positive system; equals (lambda_a, 2 rho_j), always an integer."""
-    allow = _allowable_chambers(mu)
-    if not allow:
-        raise RuntimeError(f"BUG: no allowable chamber for {mu}")
-    j = allow[0]
-    ch = _tables().chambers[j]
-    lam = _project_in_chamber(mu, j)
-    h = inner(lam, scale(2, ch.rho_j))
-    if h.denominator != 1 or h < 0:
-        raise RuntimeError(f"BUG: height of {mu} came out {h}")
-    return int(h)
+    return _kernel_height(_witness_c(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +574,57 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     Scans each chamber's dominant cone: a K-type with height <= cap has, in
     any chamber where mu + 2 rho_c is dominant, coordinates y_i =
     pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + |2 rho|^2,
-    because projection only raises the pairing sum.  The scan is complete;
-    each candidate is then validated and measured exactly.
+    because projection only raises the pairing sum.  The scan is complete:
+    it cuts only branches that the prune bound (module docstring) shows to
+    hold no K-type.  A point is measured in the chamber that found it,
+    which the height invariance allows.
     """
     d = build_root_datum()
     t = _tables()
+    steps = height_steps()
     two_rho_norm = _int(2 * norm_sq(d.rho), "2|rho|^2")  # = 399
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
     for ch in t.chambers:
         dvals = [_int(inner(z, scale(2, ch.rho_j)), "weight height step") for z in ch.weights]
+        assert tuple(dvals) == steps, "BUG: height steps differ between chambers"
         # mu coordinates from y: a_k = sum y_i p6[i][k] - 2, g = sum y_i pz2[i]
         p6 = [
             [_int(pair_coroot(z, gmm), "weight/coroot") for gmm in d.compact_simple]
             for z in ch.weights
         ]
+        assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
         pz2 = [_int(2 * inner(z, d.zeta), "2(weight,zeta)") for z in ch.weights]
+        # reach[i][k] = max over levels i' >= i of n_{k,i'} / d_{i'}, as an
+        # integer (numerator, denominator); past the last level it is 0, so
+        # the cut there is the leaf condition a_k >= 0
+        reach = []
+        for i in range(RANK):
+            best = [
+                max(range(i, RANK), key=lambda m: Fraction(p6[m][k], dvals[m]))
+                for k in range(6)
+            ]
+            reach.append(tuple((p6[m][k], dvals[m]) for k, m in enumerate(best)))
+        reach.append(((0, 1),) * 6)
         y = [0] * RANK
         acc_a = [-2] * 6  # running a_k including the -2 rho_c shift
         acc_g = 0
 
         def descend(i: int, budget: int):
-            nonlocal acc_a, acc_g
+            nonlocal acc_g
+            for a, (num, den) in zip(acc_a, reach[i]):
+                if a < 0 and a * den + budget * num < 0:
+                    return
             if i == RANK:
-                if all(v >= 0 for v in acc_a):
-                    mu = tuple(acc_a) + (acc_g,)
-                    if mu not in out:
-                        assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
-                        if all(yv >= 1 for yv in y):
-                            h = budget_cap - budget - two_rho_norm
-                        else:
-                            h = atlas_height(mu)
-                        if h <= cap:
-                            out[mu] = h
+                mu = tuple(acc_a) + (acc_g,)
+                if mu not in out:
+                    assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
+                    if all(yv >= 1 for yv in y):
+                        h = budget_cap - budget - two_rho_norm
+                    else:
+                        h = _kernel_height([yv - 1 for yv in y])
+                    if h <= cap:
+                        out[mu] = h
                 return
             step = dvals[i]
             row = p6[i]

@@ -26,6 +26,7 @@ from .norms import (
     lambda_norm_sq_fast,
     norm12_ktype,
     spin_sq12,
+    weight_gram2,
 )
 from .structure import (
     add,
@@ -278,22 +279,10 @@ OMEGA_NORM_LO = Fraction(108)
 OMEGA_NORM_HI = Fraction(469, 2)
 
 
-@lru_cache(maxsize=1)
-def _weight_gram2() -> tuple[tuple[int, ...], ...]:
-    d = build_root_datum()
-    gram = [
-        [2 * inner(a, b) for b in d.fundamental_weights] for a in d.fundamental_weights
-    ]
-    for row in gram:
-        for x in row:
-            assert x.denominator == 1 and x > 0, "BUG: weight Gram must be positive"
-    return tuple(tuple(int(x) for x in row) for row in gram)
-
-
 def _omega_scan(first_values) -> list[tuple[int, ...]]:
     """Branch-and-bound over nonnegative coordinates with the leading
     coordinate restricted to the given values."""
-    gram = _weight_gram2()
+    gram = weight_gram2()
     hi2 = 469  # 2 * upper bound
     lo2 = 216  # 2 * lower bound
     out = []

@@ -3,8 +3,11 @@
 Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
 phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
 (every update divides exactly by the previous pivot), so there is no
-rounding anywhere and no Fraction overhead in the inner loop.  Bland's
-rule picks the entering and leaving variables, which rules out cycling.
+rounding anywhere and no Fraction overhead in the inner loop.  The
+entering variable follows Dantzig's rule (most negative reduced cost) for
+the first 50 pivots and Bland's rule (lowest index) after that, so a run
+that could cycle ends under Bland's rule, which rules cycling out.  The
+ratio test breaks ties by the lowest basic variable index.
 
 Artificial columns are withdrawn once they leave the basis; a zero-value
 solution has all artificials at zero anyway, so the answer is unaffected.

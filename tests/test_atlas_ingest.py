@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,9 @@ from e7dirac.atlas_ingest import (
     nu_from_involution,
     parse_fixture,
     verify_table_row,
+    _census_zero_sets,
 )
+from e7dirac.screening import hp_admissible
 from e7dirac.structure import RANK
 
 from frozen_values import PHI_COEFF_ONE
@@ -197,14 +200,26 @@ def test_phi_census_worker_pool_agrees(kgb):
 
 
 def test_phi_census_errors(kgb):
-    with pytest.raises(ValueError, match="no fully supported"):
+    with pytest.raises(FixtureError, match="no fully supported"):
         enumerate_phi([kgb[0]])
     with pytest.raises(ValueError, match="cap 0 is active"):
         enumerate_phi([kgb[3016]], coord_cap=0)
     neg_id = tuple(tuple(-v for v in row) for row in IDENTITY)
     rec = KgbRecord(id=9999, support=FULL_SUPPORT, theta=neg_id)
-    with pytest.raises(ValueError, match="root-spanned"):
+    with pytest.raises(FixtureError, match="root-spanned"):
         enumerate_phi([rec])
+    # the identity has an empty split part, which bounds no coordinate
+    rec = KgbRecord(id=9998, support=FULL_SUPPORT, theta=IDENTITY)
+    with pytest.raises(FixtureError, match="coordinate 0 is unconstrained"):
+        enumerate_phi([rec])
+
+
+def test_census_zero_sets_match_admissibility():
+    # the integer filter of the census against the Fraction-based definition
+    for c in product(range(3), repeat=RANK):
+        want = min(c) == 0 and hp_admissible(c)
+        got = sum(1 << i for i, v in enumerate(c) if not v) in _census_zero_sets()
+        assert got == want, f"BUG: census filter disagrees at {c}"
 
 
 # ---------------------------------------------------------------------------

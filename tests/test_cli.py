@@ -15,6 +15,8 @@ from e7dirac import cli
 from frozen_values import HD_TWELVE, PHI_COEFF_ONE
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures")
+IDENTITY_TEXT = ";".join(
+    ",".join(str(int(i == j)) for j in range(7)) for i in range(7))
 
 
 def run_cli(argv):
@@ -153,6 +155,36 @@ def test_corrupt_fixture_exits_3(tmp_path, monkeypatch):
     (tmp_path / "dirac_counts.txt").write_text("empty | 56\nbogus line\n")
     code, _ = run_main(["strings", "--fixtures", str(tmp_path)])
     assert code == 3
+
+
+def test_phi_unusable_involution_exits_3(tmp_path, capsys):
+    # the identity marked "full" has no split part to bound the census
+    (tmp_path / "kgb.txt").write_text(f"0 | full | {IDENTITY_TEXT}\n")
+    for extra in ([], ["--jobs", "2"]):
+        code, text = run_main(["phi", "--fixtures", str(tmp_path), *extra])
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unconstrained" in err and "Traceback" not in err
+
+
+def test_certs_jobs2_byte_identical(census, certs, monkeypatch):
+    # --jobs reaches the census behind certs; the serial run takes the
+    # session's serial census and its certificates instead of recomputing
+    jobs_seen = []
+    real = cli.enumerate_usmall_ktypes
+
+    def census_for(jobs=1):
+        jobs_seen.append(jobs)
+        return real(jobs=jobs) if jobs > 1 else census
+
+    monkeypatch.setattr(cli, "enumerate_usmall_ktypes", census_for)
+    pooled = run_cli(["certs", "--jobs", "2"])
+    monkeypatch.setattr(cli, "compute_certs", lambda c: certs if c is census else None)
+    serial = run_cli(["certs"])
+    assert jobs_seen == [2, 1]
+    assert pooled == serial, "BUG: --jobs 2 changes the certs output"
+    assert pooled[1].splitlines()[-1] == "# total\t71"
 
 
 def test_byte_identical_reruns(fixture_dir):

@@ -6,6 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e7dirac.norms import (
+    _allowable_chambers,
+    _kernel_height,
+    _lambda_kernel,
+    _project_in_chamber,
+    _witness_c,
     atlas_height,
     cone_project,
     dirac_inequality_holds,
@@ -17,7 +22,9 @@ from e7dirac.norms import (
     lambda_norm_sq_fast,
     norm12_ktype,
     spin_datum,
+    height_steps,
     spin_sq12,
+    weight_gram2,
 )
 from e7dirac.structure import (
     add,
@@ -158,6 +165,51 @@ def test_lambda_fast_agrees():
         assert lambda_norm_sq_fast(mu) == lambda_datum(mu).lambda_norm_sq
 
 
+def test_lambda_kernel_against_projection_over_census(census, chambers):
+    # the integer kernel against the Fraction cone projection in the witness
+    # chamber, for every u-small K-type; the first-guess face is the one
+    # accepted throughout, as the kernel's docstring states
+    assert len(census) == 21294
+    for mu in sorted(census):
+        j = _allowable_chambers(mu)[0]
+        lam = _project_in_chamber(mu, j)
+        assert lambda_norm_sq_fast(mu) == norm_sq(lam), f"BUG: lambda norm of {mu}"
+        assert atlas_height(mu) == inner(lam, scale(2, chambers[j].rho_j)), (
+            f"BUG: height of {mu}")
+        c = _witness_c(mu)
+        face, _, _ = _lambda_kernel(c)
+        assert face.members == tuple(i for i in range(7) if c[i] > 0), (
+            f"BUG: first-guess face rejected at {mu}")
+
+
+def test_lambda_kernel_fallback_faces(datum, chambers):
+    # random c, mostly far from the first-guess face, against the projection
+    # of eta = sum c_i zeta_i onto the base chamber's cone
+    rng = random.Random(47)
+    d2 = scale(2, datum.rho)
+    for _ in range(150):
+        c = [rng.randint(-6, 6) for _ in range(7)]
+        eta = to_ambient("zeta", c)
+        lam = cone_project(eta, chambers[0])
+        face, num, r = _lambda_kernel(c)
+        x = [Fraction(0)] * 7
+        for i, v in zip(face.members, num):
+            x[i] = Fraction(v, face.det)
+        assert to_ambient("zeta", x) == lam, f"BUG: kernel point at c = {c}"
+        assert _kernel_height(c) == inner(lam, d2)
+
+
+def test_kernel_tables_weyl_invariant(chambers):
+    # the Gram matrix and the height steps the kernel uses are those of
+    # every chamber's fundamental weights
+    gram2 = weight_gram2()
+    for ch in chambers:
+        for i, zi in enumerate(ch.weights):
+            assert inner(zi, scale(2, ch.rho_j)) == height_steps()[i]
+            for k, zk in enumerate(ch.weights):
+                assert 2 * inner(zi, zk) == gram2[i][k]
+
+
 # ---- spin ----
 
 
@@ -241,14 +293,50 @@ def test_height_frozen_values():
     assert atlas_height((0, 0, 0, 0, 0, 0, 27)) == 188
 
 
-def test_height_enumeration_small_cap():
+def test_height_enumeration_small_cap(chambers):
     table = enumerate_by_height(120)
     assert table[TRIVIAL] == 100
     assert (1, 0, 0, 0, 0, 0, 2) not in table
     assert min(table.values()) == 100
     for mu, h in table.items():
         assert is_k_type(mu)
-        assert atlas_height(mu) == h, f"BUG: cached height wrong for {mu}"
+        ld = lambda_datum(mu)
+        two_rho = scale(2, chambers[ld.witness_chamber].rho_j)
+        assert inner(ld.lambda_a, two_rho) == h, f"BUG: cached height wrong for {mu}"
+
+
+def _unpruned_scan(cap, datum, chambers):
+    """The height scan without pruning: every y of the budget simplex in
+    every chamber, heights from the cone projection in the witness chamber."""
+    budget_cap = cap + int(2 * norm_sq(datum.rho))
+    out = {}
+    for ch in chambers:
+        steps = [int(inner(z, scale(2, ch.rho_j))) for z in ch.weights]
+        # varpi coordinates of each z_i, so mu = sum y_i z_i - 2 rho_c is
+        # read off by integer sums
+        z_coords = [[int(v) for v in from_ambient("varpi", z)] for z in ch.weights]
+        shift = [int(v) for v in from_ambient("varpi", scale(2, datum.rho_c))]
+
+        def walk(i, budget, mu):
+            if i == 7:
+                if min(mu[:6]) >= 0 and mu not in out:
+                    ld = lambda_datum(mu)
+                    h = inner(ld.lambda_a, scale(2, chambers[ld.witness_chamber].rho_j))
+                    if h <= cap:
+                        out[mu] = h
+                return
+            while budget >= 0:
+                walk(i + 1, budget, mu)
+                budget -= steps[i]
+                mu = tuple(m + z for m, z in zip(mu, z_coords[i]))
+
+        walk(0, budget_cap, tuple(-v for v in shift))
+    return out
+
+
+def test_height_scan_pruning_is_complete(datum, chambers):
+    # the pruned scan finds exactly what the full walk of the simplex finds
+    assert enumerate_by_height(160) == _unpruned_scan(160, datum, chambers)
 
 
 def test_height_enumeration_nested_caps():
