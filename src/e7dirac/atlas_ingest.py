@@ -37,7 +37,7 @@ from .structure import (
     norm_sq,
     to_ambient,
 )
-from .norms import infchar_ambient, spin_datum, weight_gram2
+from .norms import infchar_ambient, spin_sq12_with_weights, weight_gram2
 from .weyl import dominant_rep
 
 NU_BOUND = 94                   # strict bound on |nu|^2 for the census
@@ -530,12 +530,12 @@ def verify_table_row(row: TableRow) -> TableRowReport:
     norm_bad = []
     witness_bad = []
     for mu in row.spin_lkts:
-        sd = spin_datum(mu)
-        if sd.spin_norm_sq != target:
-            norm_bad.append((mu, sd.spin_norm_sq))
+        spin12, prv_weights = spin_sq12_with_weights(mu)
+        if Fraction(spin12, 12) != target:
+            norm_bad.append((mu, Fraction(spin12, 12)))
             continue
         hit = False
-        for j, pw in sd.prv_weights.items():
+        for pw in prv_weights.values():
             wit = add(to_ambient("varpi", pw), d.rho_c)
             if tuple(dominant_rep(wit, "G")[0]) == dom_char:
                 hit = True

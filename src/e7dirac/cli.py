@@ -250,6 +250,27 @@ def _random_ktype(rng, span=4, gspan=5):
     return tuple(a) + (base + 3 * rng.randint(-gspan, gspan),)
 
 
+def _check_references(fdir: Path, kgb, params: dict, table) -> None:
+    """The cross-references verify relies on: every parameter file is
+    nonempty, every parameter and table line names a kgb record, and each
+    parameter's fs flag agrees with its record's support."""
+    for name, rows in params.items():
+        if not rows:
+            raise FixtureMissing(f"{fdir / name}: no parameters")
+        for p in rows:
+            rec = kgb.get(p.x)
+            if rec is None:
+                raise FixtureMissing(f"{fdir / name}: parameter x={p.x} has no kgb record")
+            if p.fully_supported != (rec.support == ingest.FULL_SUPPORT):
+                raise FixtureMissing(
+                    f"{fdir / name}: parameter x={p.x}: fs flag contradicts kgb support")
+    for row in table:
+        for x in (row.x, row.x_prime):
+            if x is not None and x not in kgb:
+                raise FixtureMissing(
+                    f"{fdir / 'table.txt'}: line {row.table_id} x={x} has no kgb record")
+
+
 def run_verify(args, out) -> int:
     from .norms import cone_project
     from .weyl import enumerate_chambers, spin_module_dimension_check
@@ -262,6 +283,11 @@ def run_verify(args, out) -> int:
     branch = _load("branching", fdir / "branching_2969.txt")
     table = _load("table", fdir / "table.txt")
     string_counts = _load("dirac_counts", fdir / "dirac_counts.txt")
+    _check_references(fdir, kgb, {
+        "params_1011108.txt": census_params,
+        "params_1111111.txt": big_params,
+        "params_1110111.txt": small_params,
+    }, table)
 
     d = build_root_datum()
     failures = 0

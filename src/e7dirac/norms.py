@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .simplex import lp_feasible
+from .simplex import FeasibilityOracle
 from .structure import (
     RANK,
     Vec,
@@ -98,6 +98,7 @@ class _Tables:
     # since mu + 2 rho_c pairs >= 2 with every compact positive root
     walls: tuple[tuple[int, ...], ...]
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
+    norm12_rho_c: int  # 12*|rho_c|^2 = 936
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
     gamma_zeta: tuple[tuple[int, ...], ...]  # compact simples in the zeta basis
 
@@ -137,6 +138,8 @@ def _tables() -> _Tables:
         )
         walls.append(tuple(i for i, row in enumerate(pair3[-1]) if row[6]))
     rc12 = tuple(_int(12 * inner(w, d.rho_c), "12(varpi,rho_c)") for w in d.varpi)
+    norm12_rho_c = _int(12 * norm_sq(d.rho_c), "12|rho_c|^2")
+    assert norm12_rho_c == 936, f"BUG: 12|rho_c|^2 = {norm12_rho_c}"
     gram12 = tuple(
         tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
     )
@@ -155,6 +158,7 @@ def _tables() -> _Tables:
         pair3=tuple(pair3),
         walls=tuple(walls),
         rc12=rc12,
+        norm12_rho_c=norm12_rho_c,
         gram12=gram12,
         gamma_zeta=gamma_zeta,
     )
@@ -451,14 +455,16 @@ class SpinDatum:
     prv_weights: dict  # chamber -> K-type coordinates of {mu - rho_n_j}
 
 
-def spin_sq12(coords) -> int:
-    """12 * spin_norm_sq as a machine integer; the census-loop kernel."""
+def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
+    """Per chamber j: 12 * |{mu - rho_n_j} + rho_c|^2 and the first six
+    coordinates of {mu - rho_n_j}, the K-dominant representative, found by
+    an integer walk on the pairings with the compact simple coroots."""
     t = _tables()
     a = [int(v) for v in coords[:6]]
     g = int(coords[6])
     m12 = norm12_ktype(coords)
     cartan = t.cartan6
-    best = None
+    out = []
     for j in range(56):
         rn = t.rho_n_zeta[j]
         p = [a[i] - rn[i] for i in range(6)]
@@ -480,10 +486,30 @@ def spin_sq12(coords) -> int:
             if a[i]:
                 dot12 += a[i] * w12j[i]
         x12 = m12 - 2 * dot12 + t.norm12_rho_n[j]
-        s12 = x12 + 2 * sum(p[i] * t.rc12[i] for i in range(6)) + 936
-        if best is None or s12 < best:
-            best = s12
-    return best
+        out.append((x12 + 2 * sum(p[i] * t.rc12[i] for i in range(6)) + t.norm12_rho_c, p))
+    return out
+
+
+def spin_sq12(coords) -> int:
+    """12 * spin_norm_sq as a machine integer; the census-loop kernel."""
+    return min(s12 for s12, _ in _spin_by_chamber(coords))
+
+
+def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """12 * spin_norm_sq and, for each achieving chamber j, the K-type
+    coordinates of {mu - rho_n_j}: the integer form of spin_datum's
+    spin_norm_sq and prv_weights.  The K-Weyl group fixes the central
+    coordinate, so it is g(mu) - g(rho_n_j), with g(rho_n_j) =
+    2 (zeta, rho_n_j) = z4 / 2."""
+    t = _tables()
+    per_chamber = _spin_by_chamber(coords)
+    best = min(s12 for s12, _ in per_chamber)
+    g = int(coords[6])
+    weights = {
+        j: tuple(p) + (g - t.z4[j] // 2,)
+        for j, (s12, p) in enumerate(per_chamber) if s12 == best
+    }
+    return best, weights
 
 
 def spin_datum(mu) -> SpinDatum:
@@ -511,18 +537,19 @@ def spin_datum(mu) -> SpinDatum:
 # u-small hull
 
 
-def _usmall_rows_rhs(coords):
+@lru_cache(maxsize=1)
+def usmall_oracle() -> FeasibilityOracle:
+    """The membership system of is_usmall, built on the first query: columns
+    are the 56 hull vertices and the 6 negated compact simple roots in the
+    fundamental-weight basis, plus the row sum t = 1; only b = (mu, 1) varies."""
     t = _tables()
-    mu_z = ktype_zeta_coords(coords)
-    rows = []
-    for k in range(RANK):
-        rows.append(
-            [t.usmall_vertex_zeta[j][k] for j in range(56)]
-            + [-t.gamma_zeta[i][k] for i in range(6)]
-        )
+    rows = [
+        [t.usmall_vertex_zeta[j][k] for j in range(56)]
+        + [-t.gamma_zeta[i][k] for i in range(6)]
+        for k in range(RANK)
+    ]
     rows.append([1] * 56 + [0] * 6)
-    rhs = mu_z + [1]
-    return rows, rhs
+    return FeasibilityOracle(rows)
 
 
 def is_usmall(mu) -> bool:
@@ -534,10 +561,10 @@ def is_usmall(mu) -> bool:
     vector and s nonnegative.  (One direction: each orbit point is dominated
     by its K-dominant representative, so any hull point is dominated by such
     a combination.  The other: a dominant point dominated by a hull point
-    lies in the hull of that point's orbit.)
+    lies in the hull of that point's orbit.)  The system's matrix is fixed,
+    so usmall_oracle settles most queries with a cached certificate.
     """
-    rows, rhs = _usmall_rows_rhs(mu)
-    return lp_feasible(rows, rhs)
+    return usmall_oracle().feasible(ktype_zeta_coords(mu) + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -643,4 +670,5 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
             acc_g -= count * zstep
 
         descend(0, budget_cap)
+        del descend  # a self-calling closure is a cycle that would keep `out` alive
     return out

@@ -7,10 +7,13 @@ The census enumerator is exact end to end: coordinate caps come from
 support-function values of the hull, cheap integer probes discard points
 separated by a fixed family of K-dominant directions (soundness: a
 K-dominant point of the hull pairs with any K-dominant direction at most
-at the support value), and every surviving candidate is settled by the
-membership LP or by dominance propagation from an already-settled point
-(the hull is closed downward under the dominance order, which is the same
-lemma the LP formulation rests on).
+at the support value), and every surviving candidate is settled by
+is_usmall or by dominance propagation from an already-settled point (the
+hull is closed downward under the dominance order, which is the same lemma
+the LP formulation rests on).  is_usmall answers from a cached exact
+certificate of an earlier LP (a verified basis or Farkas vector of the same
+fixed system) when one applies, and solves the membership LP otherwise: on
+the census 164 LPs leave 164 certificates that settle the other candidates.
 """
 
 from __future__ import annotations
@@ -135,11 +138,17 @@ def _census_tables():
         assert all(x.denominator == 1 for x in w12)
         probes.append((tuple(int(x) for x in w12), int(z4), int(h12)))
 
+    # norm ball: the norm is convex and W(k)-invariant, so no hull point is
+    # longer than the longest vertex, 2 rho_n of the base chamber
+    ball12 = 4 * max(t.norm12_rho_n)
+    assert ball12 == 4 * t.norm12_rho_n[0] == 5832, f"BUG: 12|2rho_n|^2 = {ball12}"
+
     # dominance functional (strictly positive on the compact positive roots)
     # and parent steps mu -> mu + gamma_i in coordinates
     cartan6 = t.cartan6
     return {
         "coord_cap": coord_cap,
+        "ball12": ball12,
         "g_range": (int(g_lo), int(g_hi)),
         "probes": tuple(probes),
         "rc12": t.rc12,
@@ -155,6 +164,7 @@ def _census_candidates():
     g_lo, g_hi = ct["g_range"]
     gram12 = ct["gram12"]
     probes = ct["probes"]
+    ball12 = ct["ball12"]
     out = []
     stack_a = [0] * 6
 
@@ -167,7 +177,7 @@ def _census_candidates():
             ) % 3
             g = g_lo + ((base - g_lo) % 3)
             while g <= g_hi:
-                if norm_acc + 2 * g * g <= 5832:  # 12 * |2 rho_n|^2 = 12 * 486
+                if norm_acc + 2 * g * g <= ball12:
                     for w12, z4, h12 in probes:
                         v12 = g * z4
                         for k in range(6):
@@ -187,13 +197,14 @@ def _census_candidates():
                 acc += a * (
                     2 * sum(row[k] * stack_a[k] for k in range(i)) + row[i] * a
                 )
-            if acc > 5832:
+            if acc > ball12:
                 stack_a[i] = 0
                 break
             scan(i + 1, acc)
         stack_a[i] = 0
 
     scan(0, 0)
+    del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 
 
@@ -277,14 +288,18 @@ def compute_certs(census: set[tuple[int, ...]] | None = None) -> set[CertsEntry]
 
 OMEGA_NORM_LO = Fraction(108)
 OMEGA_NORM_HI = Fraction(469, 2)
+# the window on the scale of weight_gram2, which holds twice the norms
+OMEGA_HI2 = int(2 * OMEGA_NORM_HI)
+OMEGA_LO2 = int(2 * OMEGA_NORM_LO)
+assert (OMEGA_LO2, OMEGA_HI2) == (2 * OMEGA_NORM_LO, 2 * OMEGA_NORM_HI) == (216, 469)
 
 
 def _omega_scan(first_values) -> list[tuple[int, ...]]:
     """Branch-and-bound over nonnegative coordinates with the leading
     coordinate restricted to the given values."""
     gram = weight_gram2()
-    hi2 = 469  # 2 * upper bound
-    lo2 = 216  # 2 * lower bound
+    hi2 = OMEGA_HI2
+    lo2 = OMEGA_LO2
     out = []
     coords = [0] * 7
 
@@ -307,13 +322,16 @@ def _omega_scan(first_values) -> list[tuple[int, ...]]:
         coords[i] = 0
 
     scan(0, 0)
+    del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 
 
 def enumerate_omega(jobs: int = 1) -> set[tuple[int, ...]]:
     """Dominant integral characters (nonnegative integer coordinates in the
     fundamental-weight basis) with squared norm in the screening window."""
-    cap = 469
+    # a coordinate c has c <= c^2 H_ii <= 2|lam|^2 (H = weight_gram2 is a
+    # positive integer matrix), so it is at most OMEGA_HI2
+    cap = OMEGA_HI2
     if jobs <= 1:
         return set(_omega_scan(range(cap + 1)))
     import multiprocessing

@@ -1,4 +1,4 @@
-"""Exact feasibility testing for small linear programs.
+"""Exact feasibility testing for small linear programs, with certificates.
 
 Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
 phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
@@ -11,30 +11,123 @@ ratio test breaks ties by the lowest basic variable index.
 
 Artificial columns are withdrawn once they leave the basis; a zero-value
 solution has all artificials at zero anyway, so the answer is unaffected.
+Artificials still basic (at zero) when phase 1 ends are pivoted out on any
+nonzero real entry of their row; the pivot is degenerate, so x does not
+change.  A row with no such entry is a redundant constraint.
+
+Every answer carries the certificate the final tableau already holds
+(D is the diagonal of row signs that makes the tableau's b nonnegative,
+den the current Bareiss denominator, den = det of the basis matrix):
+
+* feasible, with a basis B of real columns: M = det A_B^{-1}, read off the
+  artificial block of the tableau times D (BasisCertificate);
+* infeasible: y = -D (den 1 - obj_art) from the artificial part of the
+  phase-1 reduced-cost row, with y^T A the real part of that row, >= 0 at
+  the optimum, and y . b = the scaled objective value, < 0
+  (FarkasCertificate).
+
+A feasible system whose phase-1 basis keeps a redundant row carries none.
+FeasibilityOracle reuses verified certificates across right-hand sides.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+
+
+@dataclass(frozen=True)
+class BasisCertificate:
+    """Columns B of A and the integer M = det A_B^{-1} (det > 0); row k of
+    M belongs to column B[k]."""
+
+    columns: tuple[int, ...]
+    det: int
+    inverse: tuple[tuple[int, ...], ...]
+    feasible = True
+
+    def settles(self, rhs) -> bool:
+        """M b >= 0: then x_B = M b / det, zero elsewhere, solves Ax = b."""
+        for row in self.inverse:
+            if sum(map(mul, row, rhs)) < 0:
+                return False
+        return True
+
+    def verify(self, rows) -> bool:
+        """A_B M = det I, exactly."""
+        m = len(rows)
+        if self.det <= 0 or len(self.columns) != m or len(self.inverse) != m:
+            return False
+        for i, row in enumerate(rows):
+            a_b = [row[c] for c in self.columns]
+            for col in range(m):
+                got = sum(a * self.inverse[k][col] for k, a in enumerate(a_b))
+                if got != (self.det if i == col else 0):
+                    return False
+        return True
+
+
+@dataclass(frozen=True)
+class FarkasCertificate:
+    """A vector y with y^T A >= 0."""
+
+    y: tuple[int, ...]
+    feasible = False
+
+    def settles(self, rhs) -> bool:
+        """y . b < 0: then y^T A x >= 0 > y . b for every x >= 0."""
+        return sum(map(mul, self.y, rhs)) < 0
+
+    def verify(self, rows) -> bool:
+        """y^T A >= 0, exactly."""
+        if len(self.y) != len(rows):
+            return False
+        return all(sum(map(mul, self.y, col)) >= 0 for col in zip(*rows))
+
+
+Certificate = BasisCertificate | FarkasCertificate
 
 
 def lp_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
-    return lp_feasible_witness(rows, rhs) is not None
+    return lp_solve(rows, rhs)[0] is not None
 
 
 def lp_feasible_witness(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """A nonnegative exact solution of Ax = b, or None if there is none."""
+    return lp_solve(rows, rhs)[0]
+
+
+def _pivot(allrows: list[list[int]], prow: list[int], enter: int, denom: int) -> int:
+    """Bareiss pivot on prow[enter]; returns the new denominator."""
+    piv = prow[enter]
+    for row in allrows:
+        if row is prow:
+            continue
+        f = row[enter]
+        if f:
+            row[:] = [(piv * a - f * b) // denom for a, b in zip(row, prow)]
+        elif piv != denom:
+            row[:] = [(piv * a) // denom for a in row]
+    return piv
+
+
+def lp_solve(rows: list[list[int]], rhs: list[int]
+             ) -> tuple[list[Fraction] | None, Certificate | None]:
+    """A nonnegative exact solution of Ax = b or None, and the certificate
+    of the answer (None only for a feasible system with a redundant row)."""
     m = len(rows)
     if m == 0:
-        return []
+        return [], None
     n = len(rows[0])
     assert all(len(r) == n for r in rows), "BUG: ragged constraint matrix"
     assert len(rhs) == m
 
     # tableau rows: n real columns, m artificial columns, rhs column
+    signs = [-1 if b < 0 else 1 for b in rhs]
     tab: list[list[int]] = []
     for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
+        sign = signs[i]
         row = [sign * int(v) for v in rows[i]]
         row.extend(1 if j == i else 0 for j in range(m))
         row.append(sign * int(rhs[i]))
@@ -86,29 +179,85 @@ def lp_feasible_witness(rows: list[list[int]], rhs: list[int]) -> list[Fraction]
         if leave < 0:
             # objective unbounded below cannot happen in phase 1
             raise RuntimeError("BUG: phase-1 simplex claims an unbounded direction")
-        piv = tab[leave][enter]
-        leaving_var = basis[leave]
+        if basis[leave] >= n:
+            alive[basis[leave]] = False
         basis[leave] = enter
-        if leaving_var >= n:
-            alive[leaving_var] = False
-        prow = tab[leave]
-        for row in allrows:
-            if row is prow:
-                continue
-            f = row[enter]
-            if f:
-                row[:] = [(piv * a - f * b) // denom for a, b in zip(row, prow)]
-            elif piv != denom:
-                row[:] = [(piv * a) // denom for a in row]
-        denom = piv
+        denom = _pivot(allrows, tab[leave], enter, denom)
         pivots += 1
 
     if obj[last] != 0:
-        return None
+        # optimal with a positive artificial sum (denom > 0: every phase-1
+        # pivot is positive)
+        y = tuple(-s * (denom - obj[n + i]) for i, s in enumerate(signs))
+        return None, FarkasCertificate(y=y)
+
+    # drive the zero-valued artificials out of the basis
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j]), -1)
+            if enter >= 0:
+                basis[i] = enter
+                denom = _pivot(allrows, tab[i], enter, denom)
+
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(tab[i][n + m], denom)
-        elif tab[i][n + m] != 0:
-            return None  # artificial stuck in the basis at a nonzero value
-    return x
+            x[bi] = Fraction(tab[i][last], denom)
+    if any(bi >= n for bi in basis):
+        return x, None
+    sgn = 1 if denom > 0 else -1
+    inverse = tuple(
+        tuple(sgn * s * row[n + i] for i, s in enumerate(signs)) for row in tab
+    )
+    return x, BasisCertificate(columns=tuple(basis), det=sgn * denom, inverse=inverse)
+
+
+class FeasibilityOracle:
+    """Feasibility of {x >= 0 : Ax = b} for one fixed integer A and many b.
+
+    Lemma (basis).  If A_B M = det I with det > 0 and M b >= 0, then
+    x_B = M b / det and x = 0 off B is a nonnegative solution, so b is
+    feasible.
+    Lemma (Farkas).  If y^T A >= 0 and y . b < 0, then y^T A x >= 0 for
+    every x >= 0 while y . b < 0, so b is infeasible.
+
+    Certificates are kept in a move-to-front list and tried in order; the
+    first one that settles b gives the answer.  Otherwise the simplex
+    decides b, and its certificate is cached once it has been verified
+    exactly (A_B M = det I, or y^T A >= 0) and seen to settle that b.
+
+    Counters: basis_hits and farkas_hits (queries settled by a cached
+    certificate), lp_calls (simplex fallbacks), held (certificates cached).
+    """
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self.certificates: list[Certificate] = []
+        self.basis_hits = 0
+        self.farkas_hits = 0
+        self.lp_calls = 0
+
+    @property
+    def held(self) -> int:
+        return len(self.certificates)
+
+    def feasible(self, rhs) -> bool:
+        certs = self.certificates
+        for k, cert in enumerate(certs):
+            if cert.settles(rhs):
+                if k:
+                    del certs[k]
+                    certs.insert(0, cert)
+                if cert.feasible:
+                    self.basis_hits += 1
+                else:
+                    self.farkas_hits += 1
+                return cert.feasible
+        self.lp_calls += 1
+        x, cert = lp_solve(self.rows, rhs)
+        feasible = x is not None
+        if cert is not None:
+            if not (cert.feasible == feasible and cert.settles(rhs) and cert.verify(self.rows)):
+                raise RuntimeError(f"BUG: simplex certificate fails to verify for b = {rhs}")
+            certs.insert(0, cert)
+        return feasible

@@ -192,3 +192,28 @@ def test_byte_identical_reruns(fixture_dir):
     assert run_cli(argv) == run_cli(argv), "BUG: output not deterministic"
     argv = ["chambers"]
     assert run_cli(argv) == run_cli(argv)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("params_1111111.txt", "999999 | 1,1,1,1,1,1,1 | 4,0,0,0,0,4,1 | unitary,fs\n",
+     "x=999999 has no kgb record"),
+    ("params_1110111.txt", "# parameters: x | lambda | nu | flags\n", "no parameters"),
+])
+def test_verify_bad_cross_reference_exits_3(tmp_path, capsys, monkeypatch, name, text, message):
+    # checked right after loading: no criterion runs (the first would print
+    # a line) and the census is never reached
+    import shutil
+
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / name).write_text(text)
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran before the fixture check")
+
+    monkeypatch.setattr(cli, "enumerate_usmall_ktypes", no_census)
+    code, out = run_main(["verify", "--fixtures", str(fixtures)])
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err

@@ -24,8 +24,13 @@ from e7dirac.norms import (
     spin_datum,
     height_steps,
     spin_sq12,
+    spin_sq12_with_weights,
+    usmall_oracle,
     weight_gram2,
 )
+from e7dirac.atlas_ingest import parse_fixture
+from e7dirac.screening import _census_candidates
+from e7dirac.simplex import FeasibilityOracle, lp_feasible
 from e7dirac.structure import (
     add,
     build_root_datum,
@@ -236,6 +241,20 @@ def test_spin_kernel_agrees_with_definition():
         assert Fraction(spin_sq12(mu), 12) == spin_datum(mu).spin_norm_sq
 
 
+def test_spin_weights_kernel_agrees_with_definition(table_rows, fixture_dir):
+    # every spin LKT of the 40 table lines and every K-type of the branching
+    branch = parse_fixture("branching", (fixture_dir / "branching_2969.txt").read_text())
+    ktypes = {mu for row in table_rows for mu in row.spin_lkts}
+    ktypes |= {b.ktype for b in branch}
+    assert len(ktypes) > len(branch)
+    for mu in sorted(ktypes):
+        sd = spin_datum(mu)
+        s12, weights = spin_sq12_with_weights(mu)
+        assert Fraction(s12, 12) == sd.spin_norm_sq, f"BUG: spin norm of {mu}"
+        assert weights == sd.prv_weights, f"BUG: achieving weights of {mu}"
+        assert set(weights) == sd.achieving_chambers
+
+
 def test_spin_prv_weights_are_k_types():
     rng = random.Random(37)
     for _ in range(10):
@@ -268,6 +287,25 @@ def test_usmall_ball_bound(datum):
         else:
             seen_inside += 1
     assert seen_inside, "sample never landed in the ball; widen the generator"
+
+
+def test_usmall_oracle_matches_plain_lp_on_every_census_candidate(census):
+    # a cold oracle on the census system against one plain LP per candidate
+    oracle = FeasibilityOracle(usmall_oracle().rows)
+    rows = [list(row) for row in oracle.rows]
+    candidates = _census_candidates()
+    assert len(candidates) == 30235
+    inside = set()
+    for mu in candidates:
+        rhs = ktype_zeta_coords(mu) + [1]
+        got = oracle.feasible(rhs)
+        assert got == lp_feasible(rows, rhs), f"BUG: oracle disagrees with the LP at {mu}"
+        if got:
+            inside.add(mu)
+    assert inside == census
+    assert oracle.basis_hits + oracle.farkas_hits + oracle.lp_calls == len(candidates)
+    assert oracle.held == oracle.lp_calls < len(candidates) // 20
+    assert all(cert.verify(oracle.rows) for cert in oracle.certificates)
 
 
 # ---- Dirac inequality ----

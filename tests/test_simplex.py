@@ -5,7 +5,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e7dirac.simplex import lp_feasible, lp_feasible_witness
+from e7dirac.simplex import (
+    BasisCertificate,
+    FarkasCertificate,
+    FeasibilityOracle,
+    lp_feasible,
+    lp_feasible_witness,
+    lp_solve,
+)
 
 
 def solve_square(cols, rhs):
@@ -51,6 +58,43 @@ def check_witness(rows, rhs, x):
     assert all(v >= 0 for v in x), f"BUG: negative witness entry in {x}"
     for row, b in zip(rows, rhs):
         assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
+
+
+def rank(rows):
+    aug = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col] / aug[r][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    return r
+
+
+def check_certificate(rows, rhs):
+    """lp_solve agrees with the witness, and its certificate verifies and
+    settles the rhs it came from; only a rank-deficient feasible system
+    may come without one."""
+    x, cert = lp_solve(rows, rhs)
+    feasible = x is not None
+    assert x == lp_feasible_witness(rows, rhs)
+    if cert is None:
+        assert feasible and rank(rows) < len(rows), f"BUG: no certificate for {rows} {rhs}"
+        return feasible, cert
+    assert cert.feasible == feasible
+    assert cert.verify(rows), f"BUG: certificate fails to verify: {rows} {rhs} {cert}"
+    assert cert.settles(rhs)
+    if feasible:
+        assert isinstance(cert, BasisCertificate)
+        assert all(c < len(rows[0]) for c in cert.columns), "BUG: artificial in the basis"
+    else:
+        assert isinstance(cert, FarkasCertificate)
+    return feasible, cert
 
 
 def test_single_equation_feasible():
@@ -119,6 +163,7 @@ def test_random_nonnegative_combinations_are_feasible(data):
     x = lp_feasible_witness(rows, rhs)
     assert x is not None, f"BUG: constructed-feasible system reported infeasible {rows} {rhs}"
     check_witness(rows, rhs, x)
+    check_certificate(rows, rhs)
 
 
 def test_random_systems_witness_consistency():
@@ -134,6 +179,7 @@ def test_random_systems_witness_consistency():
         else:
             feasible_seen += 1
             check_witness(rows, rhs, x)
+        check_certificate(rows, rhs)
     assert feasible_seen and infeasible_seen, "BUG: sample should exercise both outcomes"
 
 
@@ -146,6 +192,51 @@ def test_against_basic_solution_enumeration():
         rhs = [rng.randint(-5, 5) for _ in range(m)]
         got = lp_feasible(rows, rhs)
         want = feasible_bruteforce(rows, rhs)
+        check_certificate(rows, rhs)
         if got != want:
             disagreements.append((rows, rhs, got, want))
     assert not disagreements, f"BUG: simplex disagrees with enumeration: {disagreements[:3]}"
+
+
+def test_zero_artificial_is_driven_out_of_the_basis():
+    # phase 1 ends after one pivot (x2 enters row 0) with the artificial of
+    # row 1 basic at zero; the clean-up pivots x3 in, on a positive and on a
+    # negative entry (the latter turns the Bareiss denominator negative)
+    for sign in (1, -1):
+        rows, rhs = [[1, 2, 0], [0, 0, sign]], [1, 0]
+        feasible, cert = check_certificate(rows, rhs)
+        assert feasible and cert.columns == (1, 2)
+        assert lp_feasible_witness(rows, rhs) == [0, Fraction(1, 2), 0]
+
+
+def test_redundant_row_leaves_no_basis_certificate():
+    assert lp_solve([[1, 1], [1, 1]], [1, 1])[1] is None
+    feasible, cert = check_certificate([[1, 1], [1, 1]], [10, 3])
+    assert not feasible and cert is not None
+
+
+def test_farkas_certificate_of_a_negative_target():
+    feasible, cert = check_certificate([[1, 2]], [-1])
+    assert not feasible and cert.y[0] > 0
+
+
+def test_certificates_reject_forged_data():
+    rows = [[2, 3], [1, 1]]
+    _, cert = lp_solve(rows, [7, 3])
+    assert not BasisCertificate(cert.columns, cert.det + 1, cert.inverse).verify(rows)
+    assert FarkasCertificate((1, -1)).verify(rows)
+    assert not FarkasCertificate((-1, 1)).verify(rows)
+
+
+def test_oracle_agrees_with_the_simplex():
+    rng = random.Random(77)
+    rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
+    rows.append([1] * 6)
+    oracle = FeasibilityOracle(rows)
+    queries = [[rng.randint(-4, 4) for _ in range(3)] + [1] for _ in range(400)]
+    for rhs in queries:
+        assert oracle.feasible(rhs) == lp_feasible(rows, rhs), f"BUG: oracle at {rhs}"
+    assert oracle.basis_hits + oracle.farkas_hits + oracle.lp_calls == len(queries)
+    assert oracle.basis_hits and oracle.farkas_hits, "BUG: sample should hit both kinds"
+    assert oracle.held <= oracle.lp_calls < len(queries) // 4
+    assert all(cert.verify(oracle.rows) for cert in oracle.certificates)
