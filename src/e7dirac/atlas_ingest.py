@@ -183,6 +183,19 @@ def parse_fixture(kind: str, stream):
     raise ValueError(f"unknown fixture kind: {kind!r}")
 
 
+def read_fixture(kind: str, path):
+    """parse_fixture on one file; an unreadable or malformed file is a
+    FixtureError that names it."""
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise FixtureError(f"cannot read fixture {path}: {e}") from None
+    try:
+        return parse_fixture(kind, text)
+    except FixtureError as e:
+        raise FixtureError(f"{path}: {e}") from None
+
+
 def _parse_kgb(stream):
     out = {}
     for no, line in _iter_lines(stream):
@@ -345,6 +358,13 @@ def infinitesimal_char(p: AtlasParameter, rec: KgbRecord) -> tuple:
 # census of infinitesimal characters
 
 
+@lru_cache(maxsize=1)
+def _positive_root_coords() -> tuple[tuple[int, ...], ...]:
+    """zeta-basis coordinates of the positive roots, in datum order."""
+    return tuple(tuple(int(c) for c in from_ambient("zeta", beta))
+                 for beta in build_root_datum().positive_roots)
+
+
 def _split_part_forms(rec: KgbRecord):
     """Coefficient rows of the linear forms <Lambda, beta_vee> for the positive
     roots beta negated by the involution.
@@ -356,8 +376,7 @@ def _split_part_forms(rec: KgbRecord):
     """
     d = build_root_datum()
     neg = []
-    for beta in d.positive_roots:
-        coords = tuple(int(c) for c in from_ambient("zeta", beta))
+    for beta, coords in zip(d.positive_roots, _positive_root_coords()):
         if apply_theta(rec.theta, coords) == tuple(-c for c in coords):
             neg.append(beta)
     dim_minus = (RANK - sum(rec.theta[i][i] for i in range(RANK))) // 2

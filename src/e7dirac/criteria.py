@@ -1,0 +1,369 @@
+"""The paper's acceptance criteria, and the one copy of the counts they
+check.
+
+CRITERIA is the ordered list of (name, fn).  Each fn(ctx) returns
+(ok, detail), where detail is the line `e7dirac verify` prints after
+"PASS name: " or "FAIL name: ".  `verify` and tests/test_acceptance.py both
+loop over this list.  Everything is exact arithmetic, no tolerances.
+
+A Context holds the fixture data, loaded and cross-checked once, and
+computes the census, certificates, norm window and character census on
+first use.  A malformed or inconsistent fixture raises FixtureError, which
+the command line turns into exit code 3.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import cached_property
+from pathlib import Path
+
+from . import atlas_ingest as ingest
+from .norms import (
+    cone_project,
+    dirac_inequality_holds,
+    enumerate_by_height,
+    infchar_ambient,
+    is_usmall,
+    ktype_ambient,
+    lambda_datum,
+    lambda_norm_sq_fast,
+    norm12_ktype,
+    spin_sq12,
+)
+from .screening import (
+    MIN_CERT_GAP,
+    OMEGA_NORM_HI,
+    OMEGA_NORM_LO,
+    compute_certs,
+    dirac_candidate_gammas,
+    dirac_index_no_cancellation,
+    enumerate_omega,
+    enumerate_usmall_ktypes,
+    spin_lkts,
+)
+from .structure import (
+    RANK,
+    build_root_datum,
+    contragredient,
+    fmt_q,
+    fmt_vec,
+    from_ambient,
+    inner,
+    norm_sq,
+    sub,
+    to_ambient,
+)
+from .weyl import enumerate_chambers, spin_module_dimension_check
+
+# ---------------------------------------------------------------------------
+# the paper's counts
+
+CHAMBER_COUNT = 56
+USMALL_CENSUS_SIZE = 21294
+CERT_COUNT = 71
+OMEGA_SIZE = 4676
+
+# the character census, by largest coordinate 1..13
+CHARACTER_CENSUS_SIZE = 178192
+CENSUS_PARTITION_SIZES = (23, 921, 7817, 27246, 42088, 39685, 28107, 17649,
+                          9042, 4022, 1359, 220, 13)
+
+# the complete size-1 slice of the character census
+SMALLEST_CENSUS_SLICE = frozenset([
+    (0, 0, 1, 1, 1, 1, 1), (0, 1, 1, 0, 1, 1, 1), (0, 1, 1, 1, 0, 1, 1),
+    (0, 1, 1, 1, 1, 0, 1), (0, 1, 1, 1, 1, 1, 0), (0, 1, 1, 1, 1, 1, 1),
+    (1, 0, 0, 1, 1, 1, 1), (1, 0, 1, 1, 0, 1, 0), (1, 0, 1, 1, 0, 1, 1),
+    (1, 0, 1, 1, 1, 0, 1), (1, 0, 1, 1, 1, 1, 0), (1, 0, 1, 1, 1, 1, 1),
+    (1, 1, 0, 1, 0, 1, 1), (1, 1, 0, 1, 1, 0, 1), (1, 1, 0, 1, 1, 1, 0),
+    (1, 1, 0, 1, 1, 1, 1), (1, 1, 1, 0, 1, 0, 1), (1, 1, 1, 0, 1, 1, 0),
+    (1, 1, 1, 0, 1, 1, 1), (1, 1, 1, 1, 0, 1, 0), (1, 1, 1, 1, 0, 1, 1),
+    (1, 1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 1, 0),
+])
+
+# the twelve Dirac-cohomology weights at the character [1,1,1,0,1,1,1]
+TWELVE_CANDIDATES = frozenset([
+    (1, 0, 0, 0, 0, 0, 11), (0, 0, 0, 0, 0, 1, -11),
+    (2, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 2, -1),
+    (0, 0, 0, 0, 1, 0, 5), (0, 0, 1, 0, 0, 0, -5),
+    (0, 0, 0, 0, 0, 0, 15), (0, 0, 0, 0, 0, 0, -15),
+    (0, 1, 0, 0, 0, 0, 9), (0, 1, 0, 0, 0, 0, -9),
+    (1, 0, 0, 0, 0, 1, 3), (1, 0, 0, 0, 0, 1, -3),
+])
+SCALAR_PAIR = frozenset([(0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 0, -3)])
+
+# parameters, |nu|^2 <= 399/2 and |nu|^2 < 94 among the fully supported
+FUNNEL = (525, 246, 218, 29)
+# the branching table at [1,0,1,1,0,1,0]: K-types, least spin norm, HD != 0
+BRANCHING = (157, Fraction(159, 2), False)
+# |nu|^2 of the largest and of the smallest example parameter
+NU_NORMS = (Fraction(371, 2), 97)
+TABLE_ROWS = 73
+# string counts N_i by support size, and their total
+STRING_SUMS = (56, 84, 102, 133, 164, 181, 158)
+STRING_TOTAL = 878
+
+PARAMS_FILES = ("params_1011108.txt", "params_1111111.txt", "params_1110111.txt")
+
+
+# ---------------------------------------------------------------------------
+# fixture data
+
+
+def check_references(fdir: Path, kgb, params: dict, table=()) -> None:
+    """The cross-references the checks rely on: every parameter file is
+    nonempty, every parameter and table line names a kgb record, and each
+    parameter's fs flag agrees with its record's support."""
+    for name, rows in params.items():
+        if not rows:
+            raise ingest.FixtureError(f"{fdir / name}: no parameters")
+        for p in rows:
+            rec = kgb.get(p.x)
+            if rec is None:
+                raise ingest.FixtureError(
+                    f"{fdir / name}: parameter x={p.x} has no kgb record")
+            if p.fully_supported != (rec.support == ingest.FULL_SUPPORT):
+                raise ingest.FixtureError(
+                    f"{fdir / name}: parameter x={p.x}: fs flag contradicts kgb support")
+    for row in table:
+        for x in (row.x, row.x_prime):
+            if x is not None and x not in kgb:
+                raise ingest.FixtureError(
+                    f"{fdir / 'table.txt'}: line {row.table_id} x={x} has no kgb record")
+
+
+def phi_census(fdir: Path, kgb, coord_cap: int, jobs: int):
+    """enumerate_phi, with an involution the census cannot use reported as a
+    fixture error against kgb.txt."""
+    try:
+        return ingest.enumerate_phi(kgb, coord_cap=coord_cap, jobs=jobs)
+    except ingest.FixtureError as e:
+        raise ingest.FixtureError(f"{fdir / 'kgb.txt'}: {e}") from None
+
+
+class Context:
+    """The fixture files of one directory, read and cross-checked on
+    construction, and the heavy enumerations, computed on first use."""
+
+    def __init__(self, fdir, jobs: int = 1, height_cap: int = 400, coord_cap: int = 64):
+        self.fdir = Path(fdir)
+        self.jobs, self.height_cap, self.coord_cap = jobs, height_cap, coord_cap
+        self.kgb = ingest.read_fixture("kgb", self.fdir / "kgb.txt")
+        self.params = {name: ingest.read_fixture("params", self.fdir / name)
+                       for name in PARAMS_FILES}
+        self.branch = ingest.read_fixture("branching", self.fdir / "branching_2969.txt")
+        self.table = ingest.read_fixture("table", self.fdir / "table.txt")
+        self.string_counts = ingest.read_fixture("dirac_counts", self.fdir / "dirac_counts.txt")
+        check_references(self.fdir, self.kgb, self.params, self.table)
+
+    @cached_property
+    def census(self):
+        return enumerate_usmall_ktypes(jobs=self.jobs)
+
+    @cached_property
+    def certs(self):
+        return compute_certs(self.census)
+
+    @cached_property
+    def omega(self):
+        return enumerate_omega(jobs=self.jobs)
+
+    @cached_property
+    def phi(self):
+        return phi_census(self.fdir, self.kgb, self.coord_cap, self.jobs)
+
+
+# ---------------------------------------------------------------------------
+# the criteria
+
+
+def chamber_census(ctx):
+    d = build_root_datum()
+    chambers = enumerate_chambers()
+    ok = (len(chambers) == CHAMBER_COUNT and chambers[0].rho_j == d.rho
+          and len({ch.rho_j for ch in chambers}) == CHAMBER_COUNT
+          and all(inner(ch.rho_n_j, a) >= 0 for ch in chambers for a in d.compact_simple))
+    return ok, f"{len(chambers)} chambers, rho^(0) = ({fmt_vec(chambers[0].rho_j)})"
+
+
+def spin_module_dimension(ctx):
+    ok = spin_module_dimension_check()
+    return ok, f"sum of 56 summand dims = 2^27 is {ok}"
+
+
+def usmall_census(ctx):
+    return len(ctx.census) == USMALL_CENSUS_SIZE, f"{len(ctx.census)} u-small K-types"
+
+
+def certificate_set(ctx):
+    ok = len(ctx.certs) == CERT_COUNT and all(
+        e.ktype in ctx.census and e.gap >= MIN_CERT_GAP and 14 <= e.lambda_norm_sq <= 49
+        for e in ctx.certs)
+    return ok, f"{len(ctx.certs)} certificates"
+
+
+def norm_window_characters(ctx):
+    ok = len(ctx.omega) == OMEGA_SIZE and all(
+        all(isinstance(c, int) and c >= 0 for c in lam)
+        and OMEGA_NORM_LO <= norm_sq(infchar_ambient(lam)) <= OMEGA_NORM_HI
+        for lam in ctx.omega)
+    return ok, f"{len(ctx.omega)} characters in the window"
+
+
+def norm_spot_checks(ctx):
+    d = build_root_datum()
+    checks = [
+        (norm_sq(d.rho), Fraction(399, 2)),
+        (inner(d.rho, d.highest_root), 17),
+        (Fraction(spin_sq12((0, 0, 0, 0, 0, 0, -12)), 12), Fraction(231, 2)),
+        (Fraction(spin_sq12((0, 0, 0, 0, 0, 0, -24)), 12), Fraction(159, 2)),
+        (norm_sq(infchar_ambient((1, 0, 1, 1, 0, 1, 0))), 78),
+    ]
+    return (all(a == b for a, b in checks),
+            "; ".join(f"{fmt_q(a)}={fmt_q(b)}" for a, b in checks))
+
+
+def cohomology_candidates(ctx):
+    lam = (1, 1, 1, 0, 1, 1, 1)
+    ok = TWELVE_CANDIDATES <= set(dirac_candidate_gammas(lam).gammas)
+    ok = ok and set(dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1)).gammas) == SCALAR_PAIR
+    family = [((0, 0, 0, 0, 0, n, -12 - 2 * n), 1) for n in range(21)]
+    _, achievers, hd = spin_lkts(family, lam)
+    ok = ok and hd and sorted(mu[5] for mu, _ in achievers) == list(range(6)) \
+        and all(dirac_inequality_holds(lam, mu) == "equality" for mu, _ in achievers)
+    return ok, (f"12 candidate weights present, scalar pair present, "
+                f"{len(achievers)} family achievers")
+
+
+def index_parity(ctx):
+    d = build_root_datum()
+    lkt = (0, 0, 0, 0, 0, 0, 3)
+    spins = [(0, 0, 0, 0, 0, 1, 25), (4, 0, 0, 0, 0, 1, 9), (0, 0, 0, 0, 0, 5, -7)]
+    vals = [abs(int(inner(sub(ktype_ambient(mu), ktype_ambient(lkt)), d.zeta)))
+            for mu in spins]
+    ok = vals == [11, 3, 5] and dirac_index_no_cancellation(lkt, spins)
+    return ok, f"pairings {vals}, no cancellation"
+
+
+def character_census(ctx):
+    chars, partition = ctx.phi
+    sizes = tuple(len(partition[k]) for k in sorted(partition))
+    ok = len(chars) == CHARACTER_CENSUS_SIZE and sizes == CENSUS_PARTITION_SIZES \
+        and set(partition.get(1, ())) == SMALLEST_CENSUS_SLICE
+    return ok, f"{len(chars)} characters, slice sizes {sizes}"
+
+
+def screening_examples(ctx):
+    funnel = ingest.hj_filter(ctx.params["params_1011108.txt"], ctx.kgb)
+    min_spin, _, hd = spin_lkts([(b.ktype, b.mult) for b in ctx.branch],
+                                (1, 0, 1, 1, 0, 1, 0))
+    big = ctx.params["params_1111111.txt"]
+    small = ctx.params["params_1110111.txt"]
+    nu_big = ingest.norm_sq_nu(ingest.nu_from_involution((1,) * RANK, ctx.kgb[big[0].x]))
+    nu_small = ingest.norm_sq_nu(small[0].nu)
+    ok = funnel == FUNNEL and (len(ctx.branch), min_spin, hd) == BRANCHING \
+        and (nu_big, nu_small) == NU_NORMS \
+        and all(p.unitary for p in small) and len(small) == 2
+    return ok, (f"funnel {funnel}; branching ({len(ctx.branch)}, {fmt_q(min_spin)}, "
+                f"{'true' if hd else 'false'}); extreme nu norms "
+                f"{fmt_q(nu_big)}, {fmt_q(nu_small)}")
+
+
+def table_verification(ctx):
+    bad = [(row.table_id, row.x) for row in ctx.table
+           if not ingest.verify_table_row(row).passed]
+    n_rows = sum(r.row_count() for r in ctx.table)
+    return (not bad and n_rows == TABLE_ROWS,
+            f"{n_rows} rows over {len(ctx.table)} lines" + (f", failing {bad}" if bad else ""))
+
+
+def string_counts(ctx):
+    subsets, by_size, total = ingest.count_strings(ctx.string_counts)
+    ok = subsets[frozenset()] == STRING_SUMS[0] and by_size == STRING_SUMS \
+        and total == STRING_TOTAL
+    return ok, f"N_i = {by_size}, total {total}"
+
+
+def _random_ktype(rng, span=4, gspan=5):
+    a = [rng.randint(0, span) for _ in range(6)]
+    base = 2 * a[0] + 3 * a[1] + 4 * a[2] + 6 * a[3] + 5 * a[4] + 4 * a[5]
+    return tuple(a) + (base + 3 * rng.randint(-gspan, gspan),)
+
+
+def property_suite(ctx):
+    rng = random.Random(20260822)
+    sample = [_random_ktype(rng) for _ in range(500)]
+    chambers = enumerate_chambers()
+    props = []
+
+    # projection onto a chamber cone is idempotent
+    ok = True
+    for mu in sample[:40]:
+        for ch in (chambers[0], chambers[17], chambers[55]):
+            p1 = cone_project(ktype_ambient(mu), ch)
+            ok = ok and cone_project(p1, ch) == p1
+    props.append(("projection-idempotent", ok))
+
+    # the minimizing distance does not depend on which chamber witnesses it
+    props.append(("lambda-chamber-independent", all(
+        lambda_datum(mu).lambda_norm_sq == lambda_norm_sq_fast(mu) for mu in sample)))
+
+    # the dual K-type has the same three norms
+    def norms(mu):
+        return lambda_norm_sq_fast(mu), spin_sq12(mu), norm12_ktype(mu)
+
+    props.append(("contragredient-invariant", all(
+        norms(contragredient(mu)) == norms(mu) for mu in sample[:200])))
+
+    props.append(("basis-round-trip", all(
+        tuple(int(c) for c in from_ambient(basis, to_ambient(basis, mu))) == mu
+        for mu in sample[:100] for basis in ("zeta", "varpi"))))
+
+    # every fixture involution squares to one; a split part that is not
+    # root-spanned and pairwise orthogonal is a fixture error
+    ident = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
+    ok = True
+    for rec in ctx.kgb.values():
+        sq = tuple(tuple(sum(rec.theta[i][j] * rec.theta[j][k] for j in range(RANK))
+                         for k in range(RANK)) for i in range(RANK))
+        ok = ok and sq == ident
+        try:
+            ingest._split_part_forms(rec)
+        except ingest.FixtureError as e:
+            raise ingest.FixtureError(f"{ctx.fdir / 'kgb.txt'}: {e}") from None
+    props.append(("involutions-square-to-one", ok))
+
+    # outside the u-small cone the spin-vs-lambda gap stays below the
+    # certificate threshold up to the height cap; the census holds every
+    # u-small K-type, so membership decides it, and it must agree with the
+    # membership LP at every scan point
+    ok, worst = True, 0
+    for mu in enumerate_by_height(ctx.height_cap):
+        member = mu in ctx.census
+        ok = ok and member == is_usmall(mu)
+        if not member:
+            gap = Fraction(spin_sq12(mu), 12) - lambda_norm_sq_fast(mu)
+            worst = max(worst, gap)
+            ok = ok and gap <= 79
+    props.append(("ularge-gap-bounded", ok and worst > 0))
+
+    return (all(p_ok for _, p_ok in props),
+            "; ".join(f"{name} {'ok' if p_ok else 'FAILED'}" for name, p_ok in props))
+
+
+CRITERIA = [
+    ("chamber-census", chamber_census),
+    ("spin-module-dimension", spin_module_dimension),
+    ("usmall-census", usmall_census),
+    ("certificate-set", certificate_set),
+    ("norm-window-characters", norm_window_characters),
+    ("norm-spot-checks", norm_spot_checks),
+    ("cohomology-candidates", cohomology_candidates),
+    ("index-parity", index_parity),
+    ("character-census", character_census),
+    ("screening-examples", screening_examples),
+    ("table-verification", table_verification),
+    ("string-counts", string_counts),
+    ("property-suite", property_suite),
+]

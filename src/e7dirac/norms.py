@@ -49,10 +49,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .simplex import FeasibilityOracle
+from .simplex import FeasibilityOracle, _pivot
 from .structure import (
     RANK,
     Vec,
+    _solve,
     add,
     build_root_datum,
     from_ambient,
@@ -221,24 +222,12 @@ def norm12_ktype(coords) -> int:
 
 @lru_cache(maxsize=None)
 def _gram_inverse(subset: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the fundamental-weight Gram matrix on a generator subset."""
+    """Inverse of the fundamental-weight Gram matrix on a generator subset
+    (symmetric, so its columns, which _solve returns, are its rows)."""
     g = weight_gram2()
-    k = len(subset)
-    aug = [
-        [Fraction(g[subset[i]][subset[j]], 2) for j in range(k)]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        p = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[p] = aug[p], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
+    matrix = [[Fraction(g[i][j], 2) for j in subset] for i in subset]
+    identity = [[Fraction(int(i == j)) for j in range(len(subset))] for i in range(len(subset))]
+    return tuple(_solve(matrix, identity))
 
 
 _SUBSETS = [
@@ -367,10 +356,10 @@ class _Face:
 def _face(mask: int) -> _Face:
     """Integer solve data for the face S = {i : bit i of mask set}.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [H_SS | I]: every
-    division is exact, no pivot search is needed because H_SS is positive
-    definite, and the block ends as [det I | adj(H_SS)].  The adjugate is
-    certified by H_SS adj = det I before it is used.
+    Fraction-free Gauss-Jordan elimination (Bareiss, the simplex's pivot) on
+    [H_SS | I]: every division is exact, no pivot search is needed because
+    H_SS is positive definite, and the block ends as [det I | adj(H_SS)].
+    The adjugate is certified by H_SS adj = det I before it is used.
     """
     h = weight_gram2()
     members = tuple(i for i in range(RANK) if mask >> i & 1)
@@ -381,13 +370,8 @@ def _face(mask: int) -> _Face:
     ]
     det = 1
     for p in range(n):
-        piv = aug[p][p]
-        assert piv > 0, "BUG: H is not positive definite"
-        for r in range(n):
-            if r != p:
-                f = aug[r][p]
-                aug[r] = [(piv * x - f * y) // det for x, y in zip(aug[r], aug[p])]
-        det = piv
+        assert aug[p][p] > 0, "BUG: H is not positive definite"
+        det = _pivot(aug, aug[p], p, det)
     adj = tuple(tuple(row[n:]) for row in aug)
     for r, i in enumerate(members):
         for s in range(n):

@@ -27,7 +27,6 @@ from .norms import (
     is_usmall,
     ktype_ambient,
     lambda_norm_sq_fast,
-    norm12_ktype,
     spin_sq12,
     weight_gram2,
 )
@@ -96,7 +95,8 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
 
 @lru_cache(maxsize=1)
 def _census_tables():
-    """Caps, probe directions, and integer pairing data for the census."""
+    """Caps, the norm ball, the g-range and the probe directions of the
+    census; the integer pairing tables come from norms._tables()."""
     d = build_root_datum()
     t = _tables()
     chambers = enumerate_chambers()
@@ -143,17 +143,11 @@ def _census_tables():
     ball12 = 4 * max(t.norm12_rho_n)
     assert ball12 == 4 * t.norm12_rho_n[0] == 5832, f"BUG: 12|2rho_n|^2 = {ball12}"
 
-    # dominance functional (strictly positive on the compact positive roots)
-    # and parent steps mu -> mu + gamma_i in coordinates
-    cartan6 = t.cartan6
     return {
         "coord_cap": coord_cap,
         "ball12": ball12,
         "g_range": (int(g_lo), int(g_hi)),
         "probes": tuple(probes),
-        "rc12": t.rc12,
-        "gram12": t.gram12,
-        "cartan6": cartan6,
     }
 
 
@@ -162,7 +156,7 @@ def _census_candidates():
     ct = _census_tables()
     cap = ct["coord_cap"]
     g_lo, g_hi = ct["g_range"]
-    gram12 = ct["gram12"]
+    gram12 = _tables().gram12
     probes = ct["probes"]
     ball12 = ct["ball12"]
     out = []
@@ -213,9 +207,11 @@ def _decide_usmall_chunk(candidates) -> set[tuple[int, ...]]:
     settled before children, so a child can inherit membership without an
     LP; inheritance is only a shortcut, any candidate with an unseen parent
     just pays for its own LP, which keeps chunked runs exact."""
-    ct = _census_tables()
-    rc12 = ct["rc12"]
-    cartan6 = ct["cartan6"]
+    # dominance functional (strictly positive on the compact positive roots)
+    # and parent steps mu -> mu + gamma_i in coordinates
+    t = _tables()
+    rc12 = t.rc12
+    cartan6 = t.cartan6
     ordered = sorted(
         candidates, key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu)
     )
@@ -392,22 +388,17 @@ def spin_lkts(ktypes, lam):
     return min_spin, achievers, min_spin == lam_sq
 
 
-# Scale on B(mu_i - mu, zeta) for the index parity test.  The pairing is
-# used raw (scale one, absolute value); the validation triple in the test
-# suite pins this choice.
-INDEX_PAIRING_SCALE = Fraction(1)
-
-
 def dirac_index_no_cancellation(lkt, spin_lkt_set) -> bool:
-    """True when the central pairings of all spin LKTs against the LKT are
-    integers of one parity, so the index cannot lose terms to signs."""
+    """True when the central pairings (mu_i - mu, zeta) of all spin LKTs
+    against the LKT, taken raw, are integers of one parity, so the index
+    cannot lose terms to signs."""
     if not spin_lkt_set:
         raise ValueError("empty spin LKT set")
     d = build_root_datum()
     base = ktype_ambient(lkt)
     parities = set()
     for mu in spin_lkt_set:
-        val = inner(sub(ktype_ambient(mu), base), d.zeta) * INDEX_PAIRING_SCALE
+        val = inner(sub(ktype_ambient(mu), base), d.zeta)
         if val.denominator != 1:
             raise ValueError(f"pairing of {mu} against the lowest K-type is not integral")
         parities.add(abs(int(val)) % 2)

@@ -75,6 +75,15 @@ def reflect(v: Vec, root: Vec) -> Vec:
     return sub(v, scale(pair_coroot(v, root), root))
 
 
+def fmt_q(q) -> str:
+    """An exact rational as p/q (or p)."""
+    return str(Fraction(q))
+
+
+def fmt_vec(v) -> str:
+    return ",".join(fmt_q(c) for c in v)
+
+
 ZERO = tuple(Fraction(0) for _ in range(DIM_AMBIENT))
 
 # Simple roots alpha_1..alpha_7.  Nodes 1..6 generate the e6 factor of k;
@@ -98,11 +107,11 @@ def in_span(v: Vec) -> bool:
     return inner(v, SPAN_COMPLEMENT) == 0
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination; returns the solutions for several right sides."""
+def _solve(matrix, rhs: list[list[Fraction]]) -> list[Vec]:
+    """Gaussian elimination on a nonsingular matrix; returns the solution of
+    matrix x = r for each right-hand side r in rhs."""
     n = len(matrix)
-    aug = [row[:] + [r[i] for r in rhs] for i, row in enumerate(matrix)]
-    width = len(aug[0])
+    aug = [list(row) + [r[i] for r in rhs] for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -112,14 +121,7 @@ def _solve(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[r][n + k] for r in range(n)] for k in range(len(rhs))]
-
-
-def _solve_weights(constraints: list[Vec], targets: list[list[Fraction]]) -> list[Vec]:
-    """Solve (x, c_i) = t_i for each target column; constraints must be a basis."""
-    matrix = [[c for c in row] for row in constraints]
-    sols = _solve(matrix, targets)
-    return [tuple(s) for s in sols]
+    return [tuple(aug[r][n + k] for r in range(n)) for k in range(len(rhs))]
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def build_root_datum() -> RootDatum:
     # Fundamental weights: (zeta_i, alpha_j^vee) = delta_ij inside the span.
     unit = [[Fraction(int(i == j)) for j in range(RANK)] + [Fraction(0)] for i in range(RANK)]
     constraints = list(SIMPLE_ROOTS) + [SPAN_COMPLEMENT]
-    fundamental = _solve_weights(constraints, unit)
+    fundamental = _solve(constraints, unit)
     zeta = fundamental[6]
     assert zeta == vec(0, 0, 0, 0, 0, 1, -_HALF, _HALF), f"BUG: zeta = {zeta}"
 
@@ -197,7 +199,7 @@ def build_root_datum() -> RootDatum:
         for i in range(COMPACT_RANK)
     ]
     constraints6 = list(SIMPLE_ROOTS[:COMPACT_RANK]) + [zeta, SPAN_COMPLEMENT]
-    varpi = _solve_weights(constraints6, unit6)
+    varpi = _solve(constraints6, unit6)
 
     datum = RootDatum(
         simple_roots=SIMPLE_ROOTS,

@@ -2,25 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from e7dirac.atlas_ingest import enumerate_phi, parse_fixture
-from e7dirac.screening import compute_certs, enumerate_omega, enumerate_usmall_ktypes
+from e7dirac import criteria
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.fixture(scope="session")
-def census():
-    return enumerate_usmall_ktypes()
-
-
-@pytest.fixture(scope="session")
-def certs(census):
-    return compute_certs(census)
-
-
-@pytest.fixture(scope="session")
-def omega():
-    return enumerate_omega()
 
 
 @pytest.fixture(scope="session")
@@ -31,20 +15,42 @@ def fixture_dir():
 
 
 @pytest.fixture(scope="session")
-def kgb(fixture_dir):
-    return parse_fixture("kgb", (fixture_dir / "kgb.txt").read_text())
+def ctx(fixture_dir):
+    """The one criteria context of the session: fixtures read once, and
+    each enumeration computed at most once."""
+    return criteria.Context(fixture_dir)
 
 
 @pytest.fixture(scope="session")
-def census_params(fixture_dir):
-    return parse_fixture("params", (fixture_dir / "params_1011108.txt").read_text())
+def census(ctx):
+    return ctx.census
 
 
 @pytest.fixture(scope="session")
-def table_rows(fixture_dir):
-    return parse_fixture("table", (fixture_dir / "table.txt").read_text())
+def certs(ctx):
+    return ctx.certs
 
 
 @pytest.fixture(scope="session")
-def phi_census(kgb):
-    return enumerate_phi(kgb)
+def omega(ctx):
+    return ctx.omega
+
+
+@pytest.fixture(scope="session")
+def kgb(ctx):
+    return ctx.kgb
+
+
+@pytest.fixture(scope="session")
+def census_params(ctx):
+    return ctx.params["params_1011108.txt"]
+
+
+@pytest.fixture(scope="session")
+def table_rows(ctx):
+    return ctx.table
+
+
+@pytest.fixture(scope="session")
+def phi_census(ctx):
+    return ctx.phi

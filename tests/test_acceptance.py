@@ -1,268 +1,16 @@
-"""Contract checks for the finished pipeline.
-
-One test per acceptance criterion, in order.  Each prints a single
-PASS/FAIL line (visible with -s, or in the captured output on failure); the
-asserts carry the details.  Everything here is exact arithmetic, no
-tolerances.
+"""Contract checks for the finished pipeline: one test per acceptance
+criterion of e7dirac.criteria, in order, the same list `e7dirac verify`
+runs.  Each test fails with the criterion's detail line; `-v` shows one
+PASS/FAIL line per criterion.
 """
-
-import functools
-import sys
-from fractions import Fraction
 
 import pytest
 
-from e7dirac import atlas_ingest as ingest
-from e7dirac.norms import (
-    cone_project,
-    dirac_inequality_holds,
-    enumerate_by_height,
-    infchar_ambient,
-    is_usmall,
-    ktype_ambient,
-    lambda_datum,
-    lambda_norm_sq_fast,
-    norm12_ktype,
-    spin_sq12,
-)
-from e7dirac.screening import (
-    MIN_CERT_GAP,
-    dirac_candidate_gammas,
-    dirac_index_no_cancellation,
-    spin_lkts,
-)
-from e7dirac.structure import (
-    RANK,
-    build_root_datum,
-    contragredient,
-    from_ambient,
-    inner,
-    norm_sq,
-    sub,
-    to_ambient,
-)
-from e7dirac.weyl import enumerate_chambers, spin_module_dimension_check
-from frozen_values import HD_TWELVE, PHI_COEFF_ONE
-
-CENSUS_PARTITION_SIZES = (23, 921, 7817, 27246, 42088, 39685, 28107, 17649,
-                          9042, 4022, 1359, 220, 13)
+from e7dirac import criteria
 
 
-def criterion(n, name):
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            try:
-                fn(*args, **kwargs)
-            except pytest.skip.Exception:
-                print(f"SKIP criterion {n:>2} ({name})", file=sys.stderr)
-                raise
-            except BaseException:
-                print(f"FAIL criterion {n:>2} ({name})", file=sys.stderr)
-                raise
-            print(f"PASS criterion {n:>2} ({name})", file=sys.stderr)
-        return wrapper
-    return deco
-
-
-@criterion(1, "chamber-census")
-def test_chamber_census():
-    d = build_root_datum()
-    chambers = enumerate_chambers()
-    assert len(chambers) == 56, f"BUG: {len(chambers)} chambers"
-    assert chambers[0].rho_j == d.rho
-    assert len({ch.rho_j for ch in chambers}) == 56, "BUG: repeated chamber"
-    for ch in chambers:
-        for a in d.compact_simple:
-            assert inner(ch.rho_n_j, a) >= 0, \
-                f"BUG: rho_n^({ch.index}) not dominant for K"
-
-
-@criterion(2, "spin-module-dimension")
-def test_spin_module_dimension():
-    assert spin_module_dimension_check(), \
-        "BUG: chamber summand dimensions do not add up to 2^27"
-
-
-@criterion(3, "usmall-census")
-def test_usmall_census(census):
-    assert len(census) == 21294, f"BUG: census has {len(census)} members"
-
-
-@criterion(4, "certificate-set")
-def test_certificate_set(census, certs):
-    assert len(certs) == 71, f"BUG: {len(certs)} certificates"
-    for e in certs:
-        assert e.ktype in census
-        assert e.gap >= MIN_CERT_GAP, f"BUG: {e.ktype} gap {e.gap}"
-        assert 14 <= e.lambda_norm_sq <= 49, \
-            f"BUG: {e.ktype} lambda norm {e.lambda_norm_sq}"
-
-
-@criterion(5, "norm-window-characters")
-def test_norm_window_characters(omega):
-    assert len(omega) == 4676, f"BUG: window has {len(omega)} characters"
-    for lam in omega:
-        assert all(isinstance(c, int) and c >= 0 for c in lam), \
-            f"BUG: {lam} not dominant integral"
-        n = norm_sq(infchar_ambient(lam))
-        assert Fraction(108) <= n <= Fraction(469, 2), \
-            f"BUG: {lam} has norm {n}"
-
-
-@criterion(6, "norm-spot-checks")
-def test_norm_spot_checks():
-    d = build_root_datum()
-    assert norm_sq(d.rho) == Fraction(399, 2)
-    assert inner(d.rho, d.highest_root) == 17
-    assert Fraction(spin_sq12((0, 0, 0, 0, 0, 0, -12)), 12) == Fraction(231, 2)
-    assert Fraction(spin_sq12((0, 0, 0, 0, 0, 0, -24)), 12) == Fraction(159, 2)
-    assert norm_sq(infchar_ambient((1, 0, 1, 1, 0, 1, 0))) == 78
-
-
-@criterion(7, "cohomology-candidates")
-def test_cohomology_candidates():
-    big = dirac_candidate_gammas((1, 1, 1, 0, 1, 1, 1))
-    assert HD_TWELVE <= set(big.gammas), \
-        f"BUG: missing {HD_TWELVE - set(big.gammas)}"
-
-    pair = dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1))
-    assert set(pair.gammas) == {(0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 0, -3)}, \
-        f"BUG: scalar-module candidates are {sorted(pair.gammas)}"
-
-    lam = (1, 1, 1, 0, 1, 1, 1)
-    family = [((0, 0, 0, 0, 0, n, -12 - 2 * n), 1) for n in range(21)]
-    _, achievers, hd = spin_lkts(family, lam)
-    assert hd, "BUG: family should have nonvanishing index"
-    assert sorted(mu[5] for mu, _ in achievers) == [0, 1, 2, 3, 4, 5], \
-        f"BUG: achievers {sorted(mu for mu, _ in achievers)}"
-    for mu, _ in achievers:
-        assert dirac_inequality_holds(lam, mu) == "equality"
-
-
-@criterion(8, "index-parity")
-def test_index_parity():
-    d = build_root_datum()
-    lkt = (0, 0, 0, 0, 0, 0, 3)
-    spins = [(0, 0, 0, 0, 0, 1, 25), (4, 0, 0, 0, 0, 1, 9),
-             (0, 0, 0, 0, 0, 5, -7)]
-    base = ktype_ambient(lkt)
-    vals = [abs(int(inner(sub(ktype_ambient(mu), base), d.zeta)))
-            for mu in spins]
-    assert vals == [11, 3, 5], f"BUG: center pairings {vals}"
-    assert dirac_index_no_cancellation(lkt, spins)
-
-
-@criterion(9, "character-census")
-def test_character_census(phi_census):
-    chars, partition = phi_census
-    assert len(chars) == 178192, f"BUG: {len(chars)} characters"
-    sizes = tuple(len(partition[k]) for k in sorted(partition))
-    assert sizes == CENSUS_PARTITION_SIZES, f"BUG: partition {sizes}"
-    assert set(partition[1]) == PHI_COEFF_ONE, "BUG: size-1 slice differs"
-
-
-@criterion(10, "screening-examples")
-def test_screening_examples(fixture_dir, kgb, census_params):
-    assert ingest.hj_filter(census_params, kgb) == (525, 246, 218, 29)
-
-    branch = ingest.parse_fixture(
-        "branching", (fixture_dir / "branching_2969.txt").read_text())
-    min_spin, _, hd = spin_lkts([(b.ktype, b.mult) for b in branch],
-                                (1, 0, 1, 1, 0, 1, 0))
-    assert (len(branch), min_spin, hd) == (157, Fraction(159, 2), False), \
-        f"BUG: branching screen gives ({len(branch)}, {min_spin}, {hd})"
-
-    big = ingest.parse_fixture(
-        "params", (fixture_dir / "params_1111111.txt").read_text())
-    nu = ingest.nu_from_involution((1,) * RANK, kgb[big[0].x])
-    assert ingest.norm_sq_nu(nu) == Fraction(371, 2)
-
-    small = ingest.parse_fixture(
-        "params", (fixture_dir / "params_1110111.txt").read_text())
-    assert len(small) == 2 and all(p.unitary for p in small)
-    assert ingest.norm_sq_nu(small[0].nu) == 97
-
-
-@criterion(11, "table-verification")
-def test_table_verification(table_rows):
-    bad = []
-    for row in table_rows:
-        rep = ingest.verify_table_row(row)
-        if not rep.passed:
-            bad.append((row.table_id, row.x,
-                        [name for name, ok in rep.checks if not ok]))
-    assert not bad, f"BUG: failing rows {bad}"
-    assert sum(r.row_count() for r in table_rows) == 73
-
-
-@criterion(12, "string-counts")
-def test_string_counts(fixture_dir):
-    counts = ingest.parse_fixture(
-        "dirac_counts", (fixture_dir / "dirac_counts.txt").read_text())
-    subsets, by_size, total = ingest.count_strings(counts)
-    assert subsets[frozenset()] == 56
-    assert by_size == (56, 84, 102, 133, 164, 181, 158), f"BUG: {by_size}"
-    assert total == 878, f"BUG: total {total}"
-
-
-@criterion(13, "property-suite")
-def test_property_suite(kgb):
-    import random
-
-    rng = random.Random(20260822)
-
-    def rand_ktype():
-        a = [rng.randint(0, 4) for _ in range(6)]
-        base = 2 * a[0] + 3 * a[1] + 4 * a[2] + 6 * a[3] + 5 * a[4] + 4 * a[5]
-        return tuple(a) + (base + 3 * rng.randint(-5, 5),)
-
-    sample = [rand_ktype() for _ in range(500)]
-    chambers = enumerate_chambers()
-
-    # projection onto a chamber cone is idempotent
-    for mu in sample[:40]:
-        eta = ktype_ambient(mu)
-        for ch in (chambers[0], chambers[17], chambers[55]):
-            p1 = cone_project(eta, ch)
-            assert cone_project(p1, ch) == p1, \
-                f"BUG: projection not idempotent at {mu}, chamber {ch.index}"
-
-    # the minimizing distance does not depend on which chamber witnesses it
-    for mu in sample:
-        assert lambda_datum(mu).lambda_norm_sq == lambda_norm_sq_fast(mu), \
-            f"BUG: lambda norm mismatch at {mu}"
-
-    # dual K-type has the same three norms
-    for mu in sample[:200]:
-        cmu = contragredient(mu)
-        assert lambda_norm_sq_fast(cmu) == lambda_norm_sq_fast(mu)
-        assert spin_sq12(cmu) == spin_sq12(mu)
-        assert norm12_ktype(cmu) == norm12_ktype(mu)
-
-    # coordinate round trips
-    for mu in sample[:100]:
-        for basis in ("zeta", "varpi"):
-            back = from_ambient(basis, to_ambient(basis, mu))
-            assert tuple(int(c) for c in back) == mu
-
-    # every fixture involution squares to one and preserves the form,
-    # with a root-spanned, pairwise-orthogonal -1 eigenspace
-    ident = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
-    for rec in kgb.values():
-        sq = tuple(
-            tuple(sum(rec.theta[i][j] * rec.theta[j][k] for j in range(RANK))
-                  for k in range(RANK)) for i in range(RANK))
-        assert sq == ident, f"BUG: record {rec.id} does not square to one"
-        ingest._split_part_forms(rec)  # raises if the split part is bad
-
-    # outside the u-small cone the spin-vs-lambda gap stays below the
-    # certificate threshold up to height 400
-    worst = 0
-    for mu in enumerate_by_height(400):
-        if is_usmall(mu):
-            continue
-        gap = Fraction(spin_sq12(mu), 12) - lambda_norm_sq_fast(mu)
-        worst = max(worst, gap)
-        assert gap <= 79, f"BUG: u-large {mu} has gap {gap}"
-    assert worst > 0, "BUG: no u-large K-type seen below the height cap"
+@pytest.mark.parametrize("name, check", criteria.CRITERIA,
+                         ids=[name for name, _ in criteria.CRITERIA])
+def test_criterion(ctx, name, check):
+    ok, detail = check(ctx)
+    assert ok, f"{name}: {detail}"

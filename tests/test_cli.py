@@ -6,12 +6,11 @@ check the exit-code contract.
 """
 
 import io
-import os
 from pathlib import Path
 
 import pytest
 
-from e7dirac import cli
+from e7dirac import cli, criteria
 from frozen_values import HD_TWELVE, PHI_COEFF_ONE
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures")
@@ -28,7 +27,7 @@ def run_cli(argv):
 
 
 def run_main(argv):
-    """Through main(), so FixtureMissing handling is exercised too."""
+    """Through main(), so the FixtureError handling is exercised too."""
     import contextlib
 
     out = io.StringIO()
@@ -119,8 +118,10 @@ def test_dirac_candidates_scalar_pair():
 
 
 def test_inline_census_slice_matches_frozen():
-    # the verifier carries its own copy of the 23 size-1 census members
-    assert cli.SMALLEST_CENSUS_SLICE == PHI_COEFF_ONE
+    # the criteria carry their own copies of the 23 size-1 census members and
+    # of the twelve candidate weights; the frozen copies are the reference
+    assert criteria.SMALLEST_CENSUS_SLICE == PHI_COEFF_ONE
+    assert criteria.TWELVE_CANDIDATES == HD_TWELVE
 
 
 def test_unknown_subcommand_exits_2():
@@ -194,6 +195,22 @@ def test_byte_identical_reruns(fixture_dir):
     assert run_cli(argv) == run_cli(argv)
 
 
+def _fixtures_with(tmp_path, name, text):
+    """A copy of the fixture directory with one file replaced."""
+    import shutil
+
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / name).write_text(text)
+    return fixtures
+
+
+def _assert_fixture_error(code, out, err, message):
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("params_1111111.txt", "999999 | 1,1,1,1,1,1,1 | 4,0,0,0,0,4,1 | unitary,fs\n",
      "x=999999 has no kgb record"),
@@ -202,18 +219,34 @@ def test_byte_identical_reruns(fixture_dir):
 def test_verify_bad_cross_reference_exits_3(tmp_path, capsys, monkeypatch, name, text, message):
     # checked right after loading: no criterion runs (the first would print
     # a line) and the census is never reached
-    import shutil
-
-    fixtures = tmp_path / "fixtures"
-    shutil.copytree(FIXTURES, fixtures)
-    (fixtures / name).write_text(text)
+    fixtures = _fixtures_with(tmp_path, name, text)
 
     def no_census(*args, **kwargs):
         raise AssertionError("the census ran before the fixture check")
 
-    monkeypatch.setattr(cli, "enumerate_usmall_ktypes", no_census)
+    monkeypatch.setattr(criteria, "enumerate_usmall_ktypes", no_census)
     code, out = run_main(["verify", "--fixtures", str(fixtures)])
-    err = capsys.readouterr().err
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert message in err and "Traceback" not in err
+    _assert_fixture_error(code, out, capsys.readouterr().err, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    # x=1 is a kgb record without full support
+    ("1 | 1,0,1,1,1,0,8 | -11/2,-11/2,11/2,0,0,0,11/2 | fs\n",
+     "x=1: fs flag contradicts kgb support"),
+    ("999999 | 1,0,1,1,1,0,8 | -11/2,-11/2,11/2,0,0,0,11/2 | fs\n",
+     "x=999999 has no kgb record"),
+])
+def test_hj_example_bad_cross_reference_exits_3(tmp_path, capsys, text, message):
+    fixtures = _fixtures_with(tmp_path, "params_1011108.txt", text)
+    code, out = run_main(["hj-example", "--fixtures", str(fixtures)])
+    _assert_fixture_error(code, out, capsys.readouterr().err, message)
+
+
+def test_verify_failing_criterion_exits_1(fixture_dir, monkeypatch):
+    monkeypatch.setattr(criteria, "CRITERIA", [
+        ("passes", lambda ctx: (True, "as it should")),
+        ("fails", lambda ctx: (False, "as it must")),
+    ])
+    code, out = run_main(["verify", "--fixtures", str(fixture_dir)])
+    assert code == 1
+    assert out == "PASS passes: as it should\nFAIL fails: as it must\n"

@@ -29,6 +29,7 @@ from e7dirac.norms import (
     weight_gram2,
 )
 from e7dirac.atlas_ingest import parse_fixture
+from e7dirac.criteria import _random_ktype as random_ktype
 from e7dirac.screening import _census_candidates
 from e7dirac.simplex import FeasibilityOracle, lp_feasible
 from e7dirac.structure import (
@@ -48,13 +49,6 @@ from e7dirac.structure import (
 from e7dirac.weyl import dominant_rep, enumerate_chambers
 
 TRIVIAL = (0, 0, 0, 0, 0, 0, 0)
-
-
-def random_ktype(rng, span=4, gspan=5):
-    a = [rng.randint(0, span) for _ in range(6)]
-    base = 2 * a[0] + 3 * a[1] + 4 * a[2] + 6 * a[3] + 5 * a[4] + 4 * a[5]
-    g = base + 3 * rng.randint(-gspan, gspan)
-    return tuple(a) + (g,)
 
 
 ktype_strategy = st.builds(

@@ -20,15 +20,14 @@ from pathlib import Path
 
 from e7dirac.atlas_ingest import (
     FULL_SUPPORT,
-    count_strings,
-    enumerate_phi,
-    hj_filter,
+    NU_BOUND,
+    OLD_NU_BOUND,
     infinitesimal_char,
     norm_sq_nu,
     nu_from_involution,
     parse_fixture,
-    verify_table_row,
 )
+from e7dirac.criteria import BRANCHING, CRITERIA, FUNNEL, NU_NORMS, STRING_SUMS, Context
 from e7dirac.norms import enumerate_by_height, spin_sq12
 from e7dirac.screening import hp_admissible
 from e7dirac.structure import (
@@ -143,17 +142,15 @@ BRANCH_CHAR = (1, 0, 1, 1, 0, 1, 0)
 BRANCH_LAMBDA = (1, 0, 1, 1, 0, 3, 1)
 BRANCH_NU = ("0", "0", "0", "0", "0", "4", "0")
 BRANCH_HEIGHT_CAP = 248
-BRANCH_COUNT = 157
-BRANCH_MIN_SPIN12 = 954  # 12 * (159/2)
+BRANCH_COUNT = BRANCHING[0]
+BRANCH_MIN_SPIN12 = int(12 * BRANCHING[1])
 
 CENSUS_CHAR = (1, 0, 1, 1, 1, 0, 8)
-CENSUS_FILE_COUNTS = (525, 246, 218, 29)
 
 # string counts: the empty support, the seven corank-one supports, and
 # by-size totals for the intermediate sizes
-N_EMPTY = 56
+N_EMPTY = STRING_SUMS[0]
 N_BY_MISSING = {0: 50, 1: 34, 2: 2, 3: 0, 4: 4, 5: 6, 6: 62}
-N_BY_SIZE = (56, 84, 102, 133, 164, 181, 158)
 # per-subset splits for sizes 1..5, assigned to subsets in lexicographic
 # order; each list sums to the by-size total
 SIZE_SPLITS = {
@@ -163,10 +160,6 @@ SIZE_SPLITS = {
     4: [5] * 24 + [4] * 11,
     5: [9] * 13 + [8] * 8,
 }
-
-PHI_TOTAL = 178192
-PHI_PARTITION = (23, 921, 7817, 27246, 42088, 39685, 28107, 17649, 9042,
-                 4022, 1359, 220, 13)
 
 
 def orth_root_sets(d):
@@ -379,13 +372,13 @@ def write_census_params(d, fs_sets, non_fs_sets, set_to_id):
     new, mid, high = [], [], []
     for s in fs_sets:
         q = norm_sq(proj_minus(d, char_amb, s))
-        if q < 94:
+        if q < NU_BOUND:
             new.append(s)
-        elif q <= Fraction(399, 2):
+        elif q <= OLD_NU_BOUND:
             mid.append(s)
         else:
             high.append(s)
-    total, fs_count, old_count, new_count = CENSUS_FILE_COUNTS
+    total, fs_count, old_count, new_count = FUNNEL
     need_mid = old_count - new_count
     need_high = fs_count - old_count
     assert len(new) >= new_count and len(mid) >= need_mid and len(high) >= need_high, \
@@ -472,47 +465,25 @@ def check_everything(d):
                     f"BUG: {name} x={p.x} nu not reproduced"
     print("params nu reproduction: ok")
 
-    counts = hj_filter(params_files["params_1011108"], kgb)
-    assert counts == CENSUS_FILE_COUNTS, f"BUG: hj counts {counts}"
-    print(f"hj filter: {counts}")
-
     p_triv = params_files["params_1111111"][0]
-    q = norm_sq_nu(nu_from_involution(
-        infinitesimal_char(p_triv, kgb[p_triv.x]), kgb[p_triv.x]))
-    assert q == Fraction(371, 2), f"BUG: big-parameter |nu|^2 = {q}"
+    assert infinitesimal_char(p_triv, kgb[p_triv.x]) == BIG_CHAR
     for p in params_files["params_1110111"]:
-        assert norm_sq_nu(p.nu) == 97, "BUG: smallest-parameter |nu|^2"
+        assert norm_sq_nu(p.nu) == NU_NORMS[1], "BUG: smallest-parameter |nu|^2"
         assert infinitesimal_char(p, kgb[p.x]) == (1, 1, 1, 0, 1, 1, 1)
     assert nu_from_involution(BIG_CHAR, kgb[0]) == (Fraction(0),) * RANK
-    print("nu examples: ok")
-
-    rows = parse_fixture("table", (OUT / "table.txt").read_text())
-    assert sum(r.row_count() for r in rows) == 73, "BUG: table row count"
-    for r in rows:
-        report = verify_table_row(r)
-        assert report.passed, f"BUG: table row {r.table_id}/{r.x}: {report.checks}"
-    print(f"table: {len(rows)} lines, {sum(r.row_count() for r in rows)} rows verified")
+    print("infinitesimal characters: ok")
 
     branch = parse_fixture("branching", (OUT / "branching_2969.txt").read_text())
-    assert len(branch) == BRANCH_COUNT
-    spins = [spin_sq12(b.ktype) for b in branch]
-    assert min(spins) == BRANCH_MIN_SPIN12
     assert all(b.height <= BRANCH_HEIGHT_CAP for b in branch)
-    print(f"branching: {len(branch)} rows, min spin12 {min(spins)}")
 
-    counts = parse_fixture("dirac_counts", (OUT / "dirac_counts.txt").read_text())
-    _, by_size, total = count_strings(counts)
-    assert by_size == N_BY_SIZE, f"BUG: string sums {by_size}"
-    assert total == 878, f"BUG: string total {total}"
-    print(f"strings: {by_size} total {total}")
-
-    chars, partition = enumerate_phi(kgb)
-    assert len(chars) == PHI_TOTAL, f"BUG: census size {len(chars)}"
-    sizes = tuple(len(partition[k]) for k in sorted(partition))
-    assert sizes == PHI_PARTITION, f"BUG: census partition {sizes}"
-    assert CENSUS_CHAR in partition[8]
+    # the paper's counts, by the acceptance criteria e7dirac verify runs
+    ctx = Context(OUT)
+    for name, check in CRITERIA:
+        ok, detail = check(ctx)
+        assert ok, f"BUG: {name}: {detail}"
+        print(f"{name}: {detail}")
+    assert CENSUS_CHAR in ctx.phi[1][8]
     assert hp_admissible(CENSUS_CHAR)
-    print(f"census: {len(chars)} characters, partition {sizes}")
 
 
 def main():
