@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from multiprocessing import Pool
+from operator import not_
 
 from .screening import ADMISSIBILITY_SUMS, hp_admissible
 from .structure import (
@@ -435,22 +436,31 @@ def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
 
 
 def _phi_worker(args):
+    """The census points of a list of involutions: each involution's scan,
+    cut by the zero-set filter before it joins the union.  The filter tests
+    one point at a time, so filtering each scan and then taking the union
+    gives the same set as filtering the union; the raw points of one
+    involution are freed as soon as its scan is filtered, and a pool worker
+    returns only census points."""
     forms_list, coord_cap = args
+    zero_sets = _census_zero_sets()
     found = set()
     for forms in forms_list:
-        found.update(_enum_involution(forms, coord_cap))
+        found.update(c for c in _enum_involution(forms, coord_cap)
+                     if tuple(map(not_, c)) in zero_sets)
     return found
 
 
 @lru_cache(maxsize=1)
-def _census_zero_sets() -> frozenset[int]:
-    """Bit masks of the zero sets Z allowed in the census.  For a
-    nonnegative integer point, min(c) == 0 and hp_admissible(c) hold iff
-    Z is nonempty and contains none of the admissibility sums, since a sum
-    of nonnegative terms is positive iff one term is nonzero."""
+def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
+    """The zero sets Z allowed in the census, as the patterns
+    tuple(map(not_, c)) of the points c they come from.  For a nonnegative
+    integer point, min(c) == 0 and hp_admissible(c) hold iff Z is nonempty
+    and contains none of the admissibility sums, since a sum of nonnegative
+    terms is positive iff one term is nonzero."""
     return frozenset(
-        z for z in range(1, 1 << RANK)
-        if not any(all(z >> i & 1 for i in s) for s in ADMISSIBILITY_SUMS)
+        z for z in product((False, True), repeat=RANK)
+        if any(z) and not any(all(z[i] for i in s) for s in ADMISSIBILITY_SUMS)
     )
 
 
@@ -458,6 +468,10 @@ def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
     """Census of the integral infinitesimal characters admitted by the fully
     supported involutions: admissible coordinates, smallest coordinate zero,
     and |nu|^2 < 94 for at least one fully supported record.
+
+    The admissibility and zero-coordinate filter runs in _phi_worker, on
+    each involution's scan before the union, serially and in every pool
+    worker alike (exactness: see there), so no raw union is ever held.
 
     Returns (sorted tuple of coordinate vectors, partition dict keyed by the
     largest coordinate).
@@ -480,9 +494,7 @@ def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
         union = set().union(*parts)
     else:
         union = _phi_worker((forms_list, coord_cap))
-    zero_sets = _census_zero_sets()
-    chars = sorted(
-        c for c in union if sum(1 << i for i, v in enumerate(c) if not v) in zero_sets)
+    chars = sorted(union)
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)

@@ -264,6 +264,7 @@ def screening_examples(ctx):
     nu_small = ingest.norm_sq_nu(small[0].nu)
     ok = funnel == FUNNEL and (len(ctx.branch), min_spin, hd) == BRANCHING \
         and (nu_big, nu_small) == NU_NORMS \
+        and all(ingest.norm_sq_nu(p.nu) == nu_small for p in small) \
         and all(p.unitary for p in small) and len(small) == 2
     return ok, (f"funnel {funnel}; branching ({len(ctx.branch)}, {fmt_q(min_spin)}, "
                 f"{'true' if hd else 'false'}); extreme nu norms "

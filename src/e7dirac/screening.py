@@ -14,6 +14,26 @@ the LP formulation rests on).  is_usmall answers from a cached exact
 certificate of an earlier LP (a verified basis or Farkas vector of the same
 fixed system) when one applies, and solves the membership LP otherwise: on
 the census 164 LPs leave 164 certificates that settle the other candidates.
+
+The candidate scan runs over mu = (a_1..a_6, g), the a-coordinates depth
+first and g last.  A probe (w12, z4, h12) keeps mu when
+v = sum_k a_k w12_k + g z4 <= h12; the scan carries the slack h12 - v of
+the a-prefix down the recursion.  Two facts make it exact:
+
+- Monotone pruning.  Every w12_k >= 0 (asserted in _census_candidates), so
+  the a-part of v never decreases when a coordinate grows or a deeper one
+  is set.  A probe with z4 == 0 that is exceeded at coordinate a is
+  exceeded for every larger a and every descendant: the loop breaks there,
+  as it does when the norm 12|mu|^2 leaves the ball.
+- Leaf interval.  With the a-part fixed (norm term N, probe a-sums v), the
+  g that pass are the integers of one interval, the intersection of
+  [g_lo, g_hi], the ball N + 2g^2 <= ball12, i.e.
+  |g| <= isqrt((ball12 - N) // 2), and for each probe with z4 != 0
+  g <= (h12 - v) // z4 when z4 > 0, or g >= -((h12 - v) // -z4) when
+  z4 < 0 (floor division; the second is the ceiling of (v - h12) / -z4).
+  The leaf steps through it by 3 from the first g in the residue class
+  that makes mu a K-type.  Both forms are exact integer rewritings of the
+  per-point tests, so the scan keeps the same points in the same order.
 """
 
 from __future__ import annotations
@@ -21,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
+from operator import sub as int_sub
 
 from .norms import (
     _tables,
@@ -152,52 +174,57 @@ def _census_tables():
 
 
 def _census_candidates():
-    """All K-types passing caps, the norm ball, and the probe directions."""
+    """All K-types passing caps, the norm ball, and the probe directions, in
+    lexicographic order.  The probe slacks h12 - v are carried down the scan:
+    a probe without g-part prunes like the norm ball, and at a leaf the
+    admissible g form one integer interval (module docstring)."""
     ct = _census_tables()
     cap = ct["coord_cap"]
     g_lo, g_hi = ct["g_range"]
     gram12 = _tables().gram12
     probes = ct["probes"]
     ball12 = ct["ball12"]
+    # monotone pruning: a larger a-coordinate never raises a probe's slack
+    assert all(x >= 0 for w12, _, _ in probes for x in w12)
+    flat = [p for p in probes if p[1] == 0]
+    bounds = [p for p in probes if p[1] != 0]
+    flat_cols = [tuple(w12[i] for w12, _, _ in flat) for i in range(6)]
+    bound_cols = [tuple(w12[i] for w12, _, _ in bounds) for i in range(6)]
+    z4s = tuple(z4 for _, z4, _ in bounds)
     out = []
     stack_a = [0] * 6
 
-    def scan(i: int, norm_acc: int):
-        # norm_acc = 12 * |sum of the first i varpi terms|^2
+    def scan(i: int, norm_acc: int, flat_slack, bound_slack):
+        # norm_acc = 12 * |sum of the first i varpi terms|^2; the slacks are
+        # h12 minus the probe sums of the same prefix
         if i == 6:
-            base = (
-                2 * stack_a[0] + 3 * stack_a[1] + 4 * stack_a[2]
-                + 6 * stack_a[3] + 5 * stack_a[4] + 4 * stack_a[5]
-            ) % 3
-            g = g_lo + ((base - g_lo) % 3)
-            while g <= g_hi:
-                if norm_acc + 2 * g * g <= ball12:
-                    for w12, z4, h12 in probes:
-                        v12 = g * z4
-                        for k in range(6):
-                            if stack_a[k]:
-                                v12 += stack_a[k] * w12[k]
-                        if v12 > h12:
-                            break
-                    else:
-                        out.append(tuple(stack_a) + (g,))
-                g += 3
+            r = isqrt((ball12 - norm_acc) // 2)
+            hi, lo = min(g_hi, r), max(g_lo, -r)
+            for s, z4 in zip(bound_slack, z4s):
+                if z4 > 0:
+                    hi = min(hi, s // z4)
+                else:
+                    lo = max(lo, -(s // -z4))
+            base = (2 * stack_a[0] + stack_a[2] + 2 * stack_a[4] + stack_a[5]) % 3
+            prefix = tuple(stack_a)
+            for g in range(lo + (base - lo) % 3, hi + 1, 3):
+                out.append(prefix + (g,))
             return
+        row = gram12[i]
+        cross = 2 * sum(row[k] * stack_a[k] for k in range(i))
+        fcol, bcol = flat_cols[i], bound_cols[i]
         for a in range(cap + 1):
-            stack_a[i] = a
-            acc = norm_acc
-            if a:
-                row = gram12[i]
-                acc += a * (
-                    2 * sum(row[k] * stack_a[k] for k in range(i)) + row[i] * a
-                )
-            if acc > ball12:
-                stack_a[i] = 0
+            acc = norm_acc + a * (cross + row[i] * a)
+            if acc > ball12 or min(flat_slack) < 0:
                 break
-            scan(i + 1, acc)
+            stack_a[i] = a
+            scan(i + 1, acc, flat_slack, bound_slack)
+            flat_slack = tuple(map(int_sub, flat_slack, fcol))
+            bound_slack = tuple(map(int_sub, bound_slack, bcol))
         stack_a[i] = 0
 
-    scan(0, 0)
+    top = tuple(h12 for _, _, h12 in flat), tuple(h12 for _, _, h12 in bounds)
+    scan(0, 0, *top)
     del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 

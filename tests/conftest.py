@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from e7dirac import criteria
+from e7dirac.atlas_ingest import FULL_SUPPORT
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,3 +55,15 @@ def table_rows(ctx):
 @pytest.fixture(scope="session")
 def phi_census(ctx):
     return ctx.phi
+
+
+@pytest.fixture(scope="session")
+def phi_slice(kgb):
+    """Every 40th distinct fully supported involution of kgb.txt, in file
+    order: 20 records, a phi census of a few seconds."""
+    seen, distinct = set(), []
+    for rec in kgb.values():
+        if rec.support == FULL_SUPPORT and rec.theta not in seen:
+            seen.add(rec.theta)
+            distinct.append(rec)
+    return distinct[::40]

@@ -4,6 +4,10 @@ runs.  Each test fails with the criterion's detail line; `-v` shows one
 PASS/FAIL line per criterion.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from e7dirac import criteria
@@ -14,3 +18,15 @@ from e7dirac import criteria
 def test_criterion(ctx, name, check):
     ok, detail = check(ctx)
     assert ok, f"{name}: {detail}"
+
+
+def test_screening_examples_checks_every_small_nu(ctx):
+    # a wrong |nu|^2 on the second smallest parameter fails the criterion,
+    # and the detail line, which names only the first, is unchanged
+    first, second = ctx.params["params_1110111.txt"]
+    wrong = replace(second, nu=(Fraction(0),) * len(second.nu))
+    stub = SimpleNamespace(kgb=ctx.kgb, branch=ctx.branch,
+                           params={**ctx.params, "params_1110111.txt": [first, wrong]})
+    ok, detail = criteria.screening_examples(stub)
+    assert not ok, "BUG: a wrong nu on the second parameter passes"
+    assert detail == criteria.screening_examples(ctx)[1]

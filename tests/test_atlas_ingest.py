@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import product
+from operator import not_
 
 import pytest
 
+from e7dirac import criteria
 from e7dirac.atlas_ingest import (
     FULL_SUPPORT,
     AtlasParameter,
@@ -18,6 +20,9 @@ from e7dirac.atlas_ingest import (
     parse_fixture,
     verify_table_row,
     _census_zero_sets,
+    _enum_involution,
+    _phi_worker,
+    _split_part_forms,
 )
 from e7dirac.screening import hp_admissible
 from e7dirac.structure import RANK
@@ -182,21 +187,28 @@ def test_nu_reproduction_all_params_files(kgb, fixture_dir, census_params):
 
 def test_phi_census_counts(phi_census):
     chars, partition = phi_census
-    assert len(chars) == 178192, f"BUG: census size {len(chars)}"
+    assert len(chars) == criteria.CHARACTER_CENSUS_SIZE, f"BUG: census size {len(chars)}"
     sizes = {k: len(v) for k, v in partition.items()}
-    assert sizes == {1: 23, 2: 921, 3: 7817, 4: 27246, 5: 42088, 6: 39685,
-                     7: 28107, 8: 17649, 9: 9042, 10: 4022, 11: 1359,
-                     12: 220, 13: 13}, f"BUG: partition {sizes}"
+    assert sizes == dict(enumerate(criteria.CENSUS_PARTITION_SIZES, start=1)), \
+        f"BUG: partition {sizes}"
     assert set(partition[1]) == set(PHI_COEFF_ONE), "BUG: smallest census slice"
     assert CENSUS_CHAR in set(partition[8]), "BUG: example character missing"
     assert all(min(c) == 0 for c in chars), "BUG: census member with no zero"
 
 
-def test_phi_census_worker_pool_agrees(kgb):
-    fs = [r for r in kgb.values() if r.support == FULL_SUPPORT][:6]
-    solo = enumerate_phi(fs, jobs=1)
-    pooled = enumerate_phi(fs, jobs=2)
+def test_phi_census_worker_pool_agrees(phi_slice):
+    solo = enumerate_phi(phi_slice, jobs=1)
+    pooled = enumerate_phi(phi_slice, jobs=2)
     assert solo == pooled, "BUG: worker pool changes the census"
+
+
+def test_phi_worker_filters_each_scan(phi_slice):
+    # the worker keeps exactly the scanned points with a zero coordinate that
+    # pass the Fraction-based admissibility test
+    forms_list = [_split_part_forms(rec) for rec in phi_slice[:2]]
+    want = {c for forms in forms_list for c in _enum_involution(forms, 64)
+            if min(c) == 0 and hp_admissible(c)}
+    assert want and _phi_worker((forms_list, 64)) == want
 
 
 def test_phi_census_errors(kgb):
@@ -218,7 +230,7 @@ def test_census_zero_sets_match_admissibility():
     # the integer filter of the census against the Fraction-based definition
     for c in product(range(3), repeat=RANK):
         want = min(c) == 0 and hp_admissible(c)
-        got = sum(1 << i for i, v in enumerate(c) if not v) in _census_zero_sets()
+        got = tuple(map(not_, c)) in _census_zero_sets()
         assert got == want, f"BUG: census filter disagrees at {c}"
 
 
@@ -227,7 +239,7 @@ def test_census_zero_sets_match_admissibility():
 
 
 def test_hj_filter_counts(census_params, kgb):
-    assert hj_filter(census_params, kgb) == (525, 246, 218, 29), \
+    assert hj_filter(census_params, kgb) == criteria.FUNNEL, \
         "BUG: screening funnel counts"
     assert hj_filter([], kgb) == (0, 0, 0, 0)
     fake = AtlasParameter(x=0, lam=(0,) * RANK, nu=(Fraction(0),) * RANK,
@@ -277,8 +289,8 @@ def test_count_strings(fixture_dir):
     counts = parse_fixture("dirac_counts", (fixture_dir / "dirac_counts.txt").read_text())
     assert len(counts) == 127, f"BUG: {len(counts)} subsets"
     _, by_size, total = count_strings(counts)
-    assert by_size == (56, 84, 102, 133, 164, 181, 158), f"BUG: sums {by_size}"
-    assert total == 878, f"BUG: total {total}"
+    assert by_size == criteria.STRING_SUMS, f"BUG: sums {by_size}"
+    assert total == criteria.STRING_TOTAL, f"BUG: total {total}"
     short = dict(counts)
     del short[frozenset({0, 1})]
     with pytest.raises(ValueError, match="missing subset"):

@@ -57,25 +57,47 @@ def test_chambers_pretty_format():
     assert "\t" not in text
 
 
-def test_phi_partition(fixture_dir):
+def test_phi_partition(fixture_dir, ctx, monkeypatch):
+    # the session context holds the census of the same kgb.txt; the CLI's
+    # own call of enumerate_phi is covered by the slice run below
+    census, calls = ctx.phi, []
+
+    def session_census(fdir, kgb, coord_cap, jobs):
+        calls.append((fdir, kgb, coord_cap, jobs))
+        return census
+
+    monkeypatch.setattr(criteria, "phi_census", session_census)
     code, text = run_cli(["phi", "--fixtures", str(fixture_dir)])
+    assert calls == [(fixture_dir, ctx.kgb, 64, 1)]
     assert code == 0
     lines = text.splitlines()
-    assert lines[1] == "1\t23"
-    assert lines[-2] == "13\t13"
-    assert lines[-1] == "# total\t178192"
+    sizes = criteria.CENSUS_PARTITION_SIZES
+    assert lines[1] == f"1\t{sizes[0]}" == "1\t23"
+    assert lines[-2] == f"{len(sizes)}\t{sizes[-1]}" == "13\t13"
+    assert lines[-1] == f"# total\t{criteria.CHARACTER_CENSUS_SIZE}"
+
+
+def test_phi_jobs2_byte_identical_on_slice(tmp_path, phi_slice):
+    # the original kgb.txt lines of the slice's involutions
+    keep = {rec.id for rec in phi_slice}
+    lines = [raw for raw in Path(FIXTURES, "kgb.txt").read_text().splitlines()
+             if raw.split("#", 1)[0].strip()
+             and int(raw.split("|", 1)[0]) in keep]
+    assert len(lines) == len(phi_slice)
+    (tmp_path / "kgb.txt").write_text("\n".join(lines) + "\n")
+    serial = run_main(["phi", "--fixtures", str(tmp_path)])
+    pooled = run_main(["phi", "--fixtures", str(tmp_path), "--jobs", "2"])
+    assert serial[0] == 0 and serial[1].startswith("#max_coordinate\tcount\n")
+    assert pooled == serial, "BUG: --jobs 2 changes the phi output"
 
 
 def test_hj_example(fixture_dir):
     code, text = run_cli(["hj-example", "--fixtures", str(fixture_dir)])
     assert code == 0
     body = dict(line.split("\t") for line in text.splitlines()[1:])
-    assert body == {
-        "parameters": "525",
-        "fully_supported": "246",
-        "nu_norm_sq_le_399/2": "218",
-        "nu_norm_sq_lt_94": "29",
-    }, f"BUG: funnel counts wrong: {body}"
+    keys = ("parameters", "fully_supported", "nu_norm_sq_le_399/2", "nu_norm_sq_lt_94")
+    assert body == dict(zip(keys, map(str, criteria.FUNNEL))), \
+        f"BUG: funnel counts wrong: {body}"
 
 
 def test_spin_lkt(fixture_dir):
@@ -91,11 +113,8 @@ def test_strings(fixture_dir):
     code, text = run_cli(["strings", "--fixtures", str(fixture_dir)])
     assert code == 0
     lines = text.splitlines()
-    assert lines[1:8] == [
-        "N_0\t56", "N_1\t84", "N_2\t102", "N_3\t133",
-        "N_4\t164", "N_5\t181", "N_6\t158",
-    ]
-    assert lines[-1] == "# total\t878"
+    assert lines[1:8] == [f"N_{i}\t{n}" for i, n in enumerate(criteria.STRING_SUMS)]
+    assert lines[-1] == f"# total\t{criteria.STRING_TOTAL}"
 
 
 def test_dirac_candidates_default_char():
@@ -149,7 +168,7 @@ def test_env_fallback(fixture_dir, monkeypatch):
     monkeypatch.setenv("DIRAC_FIXTURES", str(fixture_dir))
     code, text = run_main(["strings"])
     assert code == 0
-    assert text.splitlines()[-1] == "# total\t878"
+    assert text.splitlines()[-1] == f"# total\t{criteria.STRING_TOTAL}"
 
 
 def test_corrupt_fixture_exits_3(tmp_path, monkeypatch):
@@ -185,7 +204,7 @@ def test_certs_jobs2_byte_identical(census, certs, monkeypatch):
     serial = run_cli(["certs"])
     assert jobs_seen == [2, 1]
     assert pooled == serial, "BUG: --jobs 2 changes the certs output"
-    assert pooled[1].splitlines()[-1] == "# total\t71"
+    assert pooled[1].splitlines()[-1] == f"# total\t{criteria.CERT_COUNT}"
 
 
 def test_byte_identical_reruns(fixture_dir):

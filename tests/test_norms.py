@@ -29,6 +29,7 @@ from e7dirac.norms import (
     weight_gram2,
 )
 from e7dirac.atlas_ingest import parse_fixture
+from e7dirac.criteria import USMALL_CENSUS_SIZE
 from e7dirac.criteria import _random_ktype as random_ktype
 from e7dirac.screening import _census_candidates
 from e7dirac.simplex import FeasibilityOracle, lp_feasible
@@ -168,7 +169,7 @@ def test_lambda_kernel_against_projection_over_census(census, chambers):
     # the integer kernel against the Fraction cone projection in the witness
     # chamber, for every u-small K-type; the first-guess face is the one
     # accepted throughout, as the kernel's docstring states
-    assert len(census) == 21294
+    assert len(census) == USMALL_CENSUS_SIZE
     for mu in sorted(census):
         j = _allowable_chambers(mu)[0]
         lam = _project_in_chamber(mu, j)

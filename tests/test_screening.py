@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from e7dirac import criteria
 from e7dirac.norms import (
+    _tables,
     dirac_inequality_holds,
     infchar_ambient,
     is_usmall,
@@ -15,6 +17,8 @@ from e7dirac.norms import (
 from e7dirac.screening import (
     ADMISSIBILITY_SUMS,
     MIN_CERT_GAP,
+    _census_candidates,
+    _census_tables,
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
     enumerate_omega,
@@ -95,8 +99,58 @@ def test_lemma32_witness_all_selectors():
 # ---- u-small census ----
 
 
+def _reference_candidates():
+    """The census candidates by the per-point tests: every K-type of the
+    scan, every g in its residue class, the norm ball and each probe sum
+    tested on its own.  No slack is carried and no g-interval is formed."""
+    ct = _census_tables()
+    cap = ct["coord_cap"]
+    g_lo, g_hi = ct["g_range"]
+    gram12 = _tables().gram12
+    probes = ct["probes"]
+    ball12 = ct["ball12"]
+    out = []
+    stack_a = [0] * 6
+
+    def scan(i, norm_acc):
+        if i == 6:
+            base = (
+                2 * stack_a[0] + 3 * stack_a[1] + 4 * stack_a[2]
+                + 6 * stack_a[3] + 5 * stack_a[4] + 4 * stack_a[5]
+            ) % 3
+            g = g_lo + ((base - g_lo) % 3)
+            while g <= g_hi:
+                if norm_acc + 2 * g * g <= ball12 and all(
+                        g * z4 + sum(a * w for a, w in zip(stack_a, w12)) <= h12
+                        for w12, z4, h12 in probes):
+                    out.append(tuple(stack_a) + (g,))
+                g += 3
+            return
+        for a in range(cap + 1):
+            stack_a[i] = a
+            row = gram12[i]
+            acc = norm_acc + a * (2 * sum(row[k] * stack_a[k] for k in range(i)) + row[i] * a)
+            if acc > ball12:
+                break
+            scan(i + 1, acc)
+        stack_a[i] = 0
+
+    scan(0, 0)
+    del scan
+    return out
+
+
+def test_census_candidates_match_per_point_reference():
+    # soundness of the monotone pruning and of the leaf g-interval: the same
+    # candidates, element for element and in the same order
+    got = _census_candidates()
+    want = _reference_candidates()
+    assert len(want) == 30235
+    assert got == want, "BUG: the pruned scan changes the candidate list"
+
+
 def test_census_count(census):
-    assert len(census) == 21294, f"BUG: census has {len(census)} members"
+    assert len(census) == criteria.USMALL_CENSUS_SIZE, f"BUG: census has {len(census)} members"
 
 
 def test_census_contains_trivial_and_certs(census):
@@ -152,7 +206,7 @@ def test_certs_closed_under_contragredient(certs):
 
 
 def test_omega_count(omega):
-    assert len(omega) == 4676, f"BUG: window has {len(omega)} characters"
+    assert len(omega) == criteria.OMEGA_SIZE, f"BUG: window has {len(omega)} characters"
 
 
 def test_omega_membership_examples(omega):
