@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from multiprocessing import Pool
 from operator import not_
 
 from .screening import ADMISSIBILITY_SUMS, hp_admissible
@@ -92,6 +91,12 @@ class TableRow:
 
 class FixtureError(ValueError):
     pass
+
+
+class CoordinateCapError(ValueError):
+    """A census coordinate reached the coordinate cap, so the scan cannot
+    certify completeness: the cap is too small, the fixture is not at
+    fault."""
 
 
 def _err(line_no: int, msg: str) -> FixtureError:
@@ -264,6 +269,8 @@ def _parse_branching(stream):
         if not is_k_type(ktype):
             raise _err(no, f"branching: {ktype} is not a K-type weight")
         out.append(BranchRow(mult=mult, ktype=ktype, height=height))
+    if not out:
+        raise FixtureError("branching: no K-types")
     return out
 
 
@@ -425,7 +432,7 @@ def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
     cur = ms
     while sum(m * m for m in cur) <= _FORM_BOUND:
         if ci > coord_cap:
-            raise ValueError(
+            raise CoordinateCapError(
                 f"coordinate cap {coord_cap} is active; raise it to certify "
                 "completeness")
         c[i] = ci
@@ -435,14 +442,12 @@ def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
     c[i] = 0
 
 
-def _phi_worker(args):
+def _census_points(forms_list, coord_cap: int) -> set[tuple[int, ...]]:
     """The census points of a list of involutions: each involution's scan,
     cut by the zero-set filter before it joins the union.  The filter tests
     one point at a time, so filtering each scan and then taking the union
-    gives the same set as filtering the union; the raw points of one
-    involution are freed as soon as its scan is filtered, and a pool worker
-    returns only census points."""
-    forms_list, coord_cap = args
+    gives the same set as filtering the union, and the raw points of one
+    involution are freed as soon as its scan is filtered."""
     zero_sets = _census_zero_sets()
     found = set()
     for forms in forms_list:
@@ -464,14 +469,14 @@ def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
     )
 
 
-def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
+def enumerate_phi(kgb, coord_cap: int = 64):
     """Census of the integral infinitesimal characters admitted by the fully
     supported involutions: admissible coordinates, smallest coordinate zero,
     and |nu|^2 < 94 for at least one fully supported record.
 
-    The admissibility and zero-coordinate filter runs in _phi_worker, on
-    each involution's scan before the union, serially and in every pool
-    worker alike (exactness: see there), so no raw union is ever held.
+    The admissibility and zero-coordinate filter runs in _census_points, on
+    each involution's scan before the union (exactness: see there), so no
+    raw union is ever held.
 
     Returns (sorted tuple of coordinate vectors, partition dict keyed by the
     largest coordinate).
@@ -487,14 +492,7 @@ def enumerate_phi(kgb, coord_cap: int = 64, jobs: int = 1):
             continue
         seen.add(r.theta)
         forms_list.append(_split_part_forms(r))
-    if jobs > 1:
-        chunks = [forms_list[i::jobs] for i in range(jobs)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_phi_worker, [(ch, coord_cap) for ch in chunks])
-        union = set().union(*parts)
-    else:
-        union = _phi_worker((forms_list, coord_cap))
-    chars = sorted(union)
+    chars = sorted(_census_points(forms_list, coord_cap))
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)
@@ -593,7 +591,7 @@ def count_strings(counts):
             if frozenset(combo) not in counts:
                 missing.append(combo)
     if missing:
-        raise ValueError(f"dirac_counts: missing subset {list(missing[0])}")
+        raise FixtureError(f"dirac_counts: missing subset {list(missing[0])}")
     sums = [0] * RANK
     for s, n in counts.items():
         sums[len(s)] += n

@@ -1,8 +1,9 @@
 """Command-line front end: prints the engine's tables and counts as TSV or
 aligned text, plus a one-shot verification suite over criteria.CRITERIA.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 missing,
-unreadable or inconsistent fixture data (any FixtureError).  Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+--coord-cap too small to certify the census), 3 missing, unreadable or
+inconsistent fixture data (any FixtureError).  Output is
 deterministic: canonical sort order, exact rationals (p/q), no floating
 point.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import atlas_ingest as ingest
 from . import criteria
-from .norms import infchar_ambient
+from .norms import infchar_norm_sq
 from .screening import (
     compute_certs,
     dirac_candidate_gammas,
@@ -24,7 +25,7 @@ from .screening import (
     enumerate_usmall_ktypes,
     spin_lkts,
 )
-from .structure import RANK, fmt_q, fmt_vec, norm_sq
+from .structure import RANK, fmt_q, fmt_vec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,14 +88,14 @@ def run_chambers(args, out) -> int:
 
 
 def run_usmall(args, out) -> int:
-    census = enumerate_usmall_ktypes(jobs=args.jobs)
+    census = enumerate_usmall_ktypes()
     rows = [(fmt_vec(mu),) for mu in sorted(census)]
     emit(out, ("ktype",), rows, ("total", str(len(rows))), args.format)
     return EXIT_OK
 
 
 def run_certs(args, out) -> int:
-    census = enumerate_usmall_ktypes(jobs=args.jobs)
+    census = enumerate_usmall_ktypes()
     entries = sorted(compute_certs(census), key=lambda e: e.ktype)
     rows = [(fmt_vec(e.ktype), fmt_q(e.gap), fmt_q(e.lambda_norm_sq))
             for e in entries]
@@ -104,8 +105,8 @@ def run_certs(args, out) -> int:
 
 
 def run_omega(args, out) -> int:
-    chars = sorted(enumerate_omega(jobs=args.jobs))
-    rows = [(fmt_vec(c), fmt_q(norm_sq(infchar_ambient(c)))) for c in chars]
+    chars = sorted(enumerate_omega())
+    rows = [(fmt_vec(c), fmt_q(infchar_norm_sq(c))) for c in chars]
     emit(out, ("inf_char", "norm_sq"), rows, ("total", str(len(rows))), args.format)
     return EXIT_OK
 
@@ -113,7 +114,7 @@ def run_omega(args, out) -> int:
 def run_phi(args, out) -> int:
     fdir = _fixture_dir(args)
     kgb = ingest.read_fixture("kgb", fdir / "kgb.txt")
-    chars, partition = criteria.phi_census(fdir, kgb, args.coord_cap, args.jobs)
+    chars, partition = criteria.phi_census(fdir, kgb, args.coord_cap)
     rows = [(str(k), str(len(partition[k]))) for k in sorted(partition)]
     emit(out, ("max_coordinate", "count"), rows,
          ("total", str(len(chars))), args.format)
@@ -169,8 +170,8 @@ def run_strings(args, out) -> int:
 
 
 def run_verify(args, out) -> int:
-    ctx = criteria.Context(_fixture_dir(args), jobs=args.jobs,
-                           height_cap=args.height_cap, coord_cap=args.coord_cap)
+    ctx = criteria.Context(_fixture_dir(args), height_cap=args.height_cap,
+                           coord_cap=args.coord_cap)
     failures = 0
     for name, check in criteria.CRITERIA:
         ok, detail = check(ctx)
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--coord-cap", type=_positive, default=64, metavar="N",
                         help="safety cap on census coordinates")
     common.add_argument("--jobs", type=_positive, default=1, metavar="N",
-                        help="worker processes for the heavy enumerations")
+                        help="accepted for compatibility; has no effect")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     table = [
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     except ingest.FixtureError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FIXTURE
+    except ingest.CoordinateCapError as e:
+        print(f"error: --coord-cap: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -133,11 +133,11 @@ def check_references(fdir: Path, kgb, params: dict, table=()) -> None:
                     f"{fdir / 'table.txt'}: line {row.table_id} x={x} has no kgb record")
 
 
-def phi_census(fdir: Path, kgb, coord_cap: int, jobs: int):
+def phi_census(fdir: Path, kgb, coord_cap: int):
     """enumerate_phi, with an involution the census cannot use reported as a
     fixture error against kgb.txt."""
     try:
-        return ingest.enumerate_phi(kgb, coord_cap=coord_cap, jobs=jobs)
+        return ingest.enumerate_phi(kgb, coord_cap=coord_cap)
     except ingest.FixtureError as e:
         raise ingest.FixtureError(f"{fdir / 'kgb.txt'}: {e}") from None
 
@@ -146,9 +146,9 @@ class Context:
     """The fixture files of one directory, read and cross-checked on
     construction, and the heavy enumerations, computed on first use."""
 
-    def __init__(self, fdir, jobs: int = 1, height_cap: int = 400, coord_cap: int = 64):
+    def __init__(self, fdir, height_cap: int = 400, coord_cap: int = 64):
         self.fdir = Path(fdir)
-        self.jobs, self.height_cap, self.coord_cap = jobs, height_cap, coord_cap
+        self.height_cap, self.coord_cap = height_cap, coord_cap
         self.kgb = ingest.read_fixture("kgb", self.fdir / "kgb.txt")
         self.params = {name: ingest.read_fixture("params", self.fdir / name)
                        for name in PARAMS_FILES}
@@ -159,7 +159,7 @@ class Context:
 
     @cached_property
     def census(self):
-        return enumerate_usmall_ktypes(jobs=self.jobs)
+        return enumerate_usmall_ktypes()
 
     @cached_property
     def certs(self):
@@ -167,11 +167,11 @@ class Context:
 
     @cached_property
     def omega(self):
-        return enumerate_omega(jobs=self.jobs)
+        return enumerate_omega()
 
     @cached_property
     def phi(self):
-        return phi_census(self.fdir, self.kgb, self.coord_cap, self.jobs)
+        return phi_census(self.fdir, self.kgb, self.coord_cap)
 
 
 # ---------------------------------------------------------------------------

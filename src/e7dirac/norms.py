@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .simplex import FeasibilityOracle, _pivot
 from .structure import (
@@ -193,6 +194,13 @@ def ktype_ambient(coords) -> Vec:
 
 def infchar_ambient(coords) -> Vec:
     return to_ambient("zeta", coords)
+
+
+def infchar_norm_sq(coords) -> Fraction:
+    """|lam|^2 for lam = sum c_i zeta_i: c^T H c / 2 with H = weight_gram2(),
+    in integers, where norm_sq(infchar_ambient(c)) takes Fractions."""
+    h = weight_gram2()
+    return Fraction(sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, h)), 2)
 
 
 def ktype_zeta_coords(coords) -> list[int]:

@@ -229,18 +229,19 @@ def _census_candidates():
     return out
 
 
-def _decide_usmall_chunk(candidates) -> set[tuple[int, ...]]:
-    """Settle a candidate list.  Parents (one compact simple root up) are
+def enumerate_usmall_ktypes() -> set[tuple[int, ...]]:
+    """Every K-type inside the orbit hull of the 56 per-chamber sums of
+    noncompact positive roots.  Parents (one compact simple root up) are
     settled before children, so a child can inherit membership without an
-    LP; inheritance is only a shortcut, any candidate with an unseen parent
-    just pays for its own LP, which keeps chunked runs exact."""
+    LP."""
     # dominance functional (strictly positive on the compact positive roots)
     # and parent steps mu -> mu + gamma_i in coordinates
     t = _tables()
     rc12 = t.rc12
     cartan6 = t.cartan6
     ordered = sorted(
-        candidates, key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu)
+        _census_candidates(),
+        key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu),
     )
     decided: set[tuple[int, ...]] = set()
     for mu in ordered:
@@ -254,26 +255,6 @@ def _decide_usmall_chunk(candidates) -> set[tuple[int, ...]]:
         if inherited or is_usmall(mu):
             decided.add(mu)
     return decided
-
-
-def enumerate_usmall_ktypes(jobs: int = 1) -> set[tuple[int, ...]]:
-    """Every K-type inside the orbit hull of the 56 per-chamber sums of
-    noncompact positive roots."""
-    candidates = _census_candidates()
-    if jobs <= 1:
-        return _decide_usmall_chunk(candidates)
-    # partition by leading coordinate; workers share only the cached tables
-    chunks: dict[int, list] = {}
-    for mu in candidates:
-        chunks.setdefault(mu[0] % jobs, []).append(mu)
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_decide_usmall_chunk, [chunks[k] for k in sorted(chunks)])
-    out: set[tuple[int, ...]] = set()
-    for part in parts:
-        out |= part
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +298,25 @@ OMEGA_LO2 = int(2 * OMEGA_NORM_LO)
 assert (OMEGA_LO2, OMEGA_HI2) == (2 * OMEGA_NORM_LO, 2 * OMEGA_NORM_HI) == (216, 469)
 
 
-def _omega_scan(first_values) -> list[tuple[int, ...]]:
-    """Branch-and-bound over nonnegative coordinates with the leading
-    coordinate restricted to the given values."""
+def enumerate_omega() -> set[tuple[int, ...]]:
+    """Dominant integral characters (nonnegative integer coordinates in the
+    fundamental-weight basis) with squared norm in the screening window, by
+    branch-and-bound over the coordinates."""
     gram = weight_gram2()
     hi2 = OMEGA_HI2
     lo2 = OMEGA_LO2
-    out = []
+    out = set()
     coords = [0] * 7
 
     def scan(i: int, acc: int):
-        # acc = 2 * |prefix|^2; positive Gram entries make it monotone
+        # acc = 2 * |prefix|^2; positive Gram entries make it monotone, and a
+        # coordinate c has c <= c^2 H_ii <= 2|lam|^2 (H = weight_gram2 is a
+        # positive integer matrix), so it is at most OMEGA_HI2
         if i == 7:
             if acc >= lo2:
-                out.append(tuple(coords))
+                out.add(tuple(coords))
             return
-        values = first_values if i == 0 else range(hi2 + 1)
-        for c in values:
+        for c in range(hi2 + 1):
             coords[i] = c
             step = acc
             if c:
@@ -346,25 +329,6 @@ def _omega_scan(first_values) -> list[tuple[int, ...]]:
 
     scan(0, 0)
     del scan  # a self-calling closure is a cycle that would keep `out` alive
-    return out
-
-
-def enumerate_omega(jobs: int = 1) -> set[tuple[int, ...]]:
-    """Dominant integral characters (nonnegative integer coordinates in the
-    fundamental-weight basis) with squared norm in the screening window."""
-    # a coordinate c has c <= c^2 H_ii <= 2|lam|^2 (H = weight_gram2 is a
-    # positive integer matrix), so it is at most OMEGA_HI2
-    cap = OMEGA_HI2
-    if jobs <= 1:
-        return set(_omega_scan(range(cap + 1)))
-    import multiprocessing
-
-    slices = [range(r, cap + 1, jobs) for r in range(jobs)]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_omega_scan, slices)
-    out: set[tuple[int, ...]] = set()
-    for part in parts:
-        out.update(part)
     return out
 
 

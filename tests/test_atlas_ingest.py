@@ -19,9 +19,9 @@ from e7dirac.atlas_ingest import (
     nu_from_involution,
     parse_fixture,
     verify_table_row,
+    _census_points,
     _census_zero_sets,
     _enum_involution,
-    _phi_worker,
     _split_part_forms,
 )
 from e7dirac.screening import hp_admissible
@@ -196,19 +196,13 @@ def test_phi_census_counts(phi_census):
     assert all(min(c) == 0 for c in chars), "BUG: census member with no zero"
 
 
-def test_phi_census_worker_pool_agrees(phi_slice):
-    solo = enumerate_phi(phi_slice, jobs=1)
-    pooled = enumerate_phi(phi_slice, jobs=2)
-    assert solo == pooled, "BUG: worker pool changes the census"
-
-
 def test_phi_worker_filters_each_scan(phi_slice):
-    # the worker keeps exactly the scanned points with a zero coordinate that
-    # pass the Fraction-based admissibility test
+    # the filtered union keeps exactly the scanned points with a zero
+    # coordinate that pass the Fraction-based admissibility test
     forms_list = [_split_part_forms(rec) for rec in phi_slice[:2]]
     want = {c for forms in forms_list for c in _enum_involution(forms, 64)
             if min(c) == 0 and hp_admissible(c)}
-    assert want and _phi_worker((forms_list, 64)) == want
+    assert want and _census_points(forms_list, 64) == want
 
 
 def test_phi_census_errors(kgb):

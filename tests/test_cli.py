@@ -5,6 +5,7 @@ calls in the other test modules; here we drive the cheap ones end to end and
 check the exit-code contract.
 """
 
+import argparse
 import io
 from pathlib import Path
 
@@ -62,13 +63,13 @@ def test_phi_partition(fixture_dir, ctx, monkeypatch):
     # own call of enumerate_phi is covered by the slice run below
     census, calls = ctx.phi, []
 
-    def session_census(fdir, kgb, coord_cap, jobs):
-        calls.append((fdir, kgb, coord_cap, jobs))
+    def session_census(fdir, kgb, coord_cap):
+        calls.append((fdir, kgb, coord_cap))
         return census
 
     monkeypatch.setattr(criteria, "phi_census", session_census)
     code, text = run_cli(["phi", "--fixtures", str(fixture_dir)])
-    assert calls == [(fixture_dir, ctx.kgb, 64, 1)]
+    assert calls == [(fixture_dir, ctx.kgb, 64)]
     assert code == 0
     lines = text.splitlines()
     sizes = criteria.CENSUS_PARTITION_SIZES
@@ -188,23 +189,42 @@ def test_phi_unusable_involution_exits_3(tmp_path, capsys):
         assert "unconstrained" in err and "Traceback" not in err
 
 
-def test_certs_jobs2_byte_identical(census, certs, monkeypatch):
-    # --jobs reaches the census behind certs; the serial run takes the
-    # session's serial census and its certificates instead of recomputing
-    jobs_seen = []
-    real = cli.enumerate_usmall_ktypes
+def _one_error_line(capsys, argv, code, needle):
+    got, text = run_main(argv)
+    err = capsys.readouterr().err
+    assert got == code and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err
 
-    def census_for(jobs=1):
-        jobs_seen.append(jobs)
-        return real(jobs=jobs) if jobs > 1 else census
 
-    monkeypatch.setattr(cli, "enumerate_usmall_ktypes", census_for)
-    pooled = run_cli(["certs", "--jobs", "2"])
-    monkeypatch.setattr(cli, "compute_certs", lambda c: certs if c is census else None)
-    serial = run_cli(["certs"])
-    assert jobs_seen == [2, 1]
-    assert pooled == serial, "BUG: --jobs 2 changes the certs output"
-    assert pooled[1].splitlines()[-1] == f"# total\t{criteria.CERT_COUNT}"
+def test_strings_incomplete_counts_exits_3(tmp_path, capsys):
+    (tmp_path / "dirac_counts.txt").write_text("empty | 56\n")
+    _one_error_line(capsys, ["strings", "--fixtures", str(tmp_path)], 3,
+                    "missing subset")
+
+
+def test_spin_lkt_empty_branching_exits_3(tmp_path, capsys):
+    (tmp_path / "branching_2969.txt").write_text("# no rows\n")
+    _one_error_line(capsys, ["spin-lkt", "--fixtures", str(tmp_path)], 3,
+                    f"{tmp_path / 'branching_2969.txt'}: branching: no K-types")
+
+
+def test_phi_coord_cap_too_small_exits_2(tmp_path, capsys):
+    # one fully supported involution; its first coordinate runs past cap 1
+    line = next(raw for raw in Path(FIXTURES, "kgb.txt").read_text().splitlines()
+                if "| full |" in raw.split("#", 1)[0])
+    (tmp_path / "kgb.txt").write_text(line + "\n")
+    _one_error_line(capsys, ["phi", "--fixtures", str(tmp_path), "--coord-cap", "1"],
+                    2, "--coord-cap")
+
+
+def test_jobs_accepted_by_every_subcommand():
+    # --jobs has no effect, but scripts that pass it keep parsing
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 10
+    for name in sub.choices:
+        assert parser.parse_args([name, "--jobs", "2"]).jobs == 2
 
 
 def test_byte_identical_reruns(fixture_dir):

@@ -8,6 +8,7 @@ from e7dirac.norms import (
     _tables,
     dirac_inequality_holds,
     infchar_ambient,
+    infchar_norm_sq,
     is_usmall,
     ktype_ambient,
     lambda_norm_sq_fast,
@@ -21,8 +22,6 @@ from e7dirac.screening import (
     _census_tables,
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
-    enumerate_omega,
-    enumerate_usmall_ktypes,
     hp_admissible,
     lemma32_witness,
     spin_lkts,
@@ -171,10 +170,6 @@ def test_census_closed_under_contragredient(census):
         assert contragredient(mu) in census, f"BUG: contragredient of {mu} missing"
 
 
-def test_census_jobs_partition_agrees(census):
-    assert enumerate_usmall_ktypes(jobs=2) == census
-
-
 # ---- certificates ----
 
 
@@ -218,11 +213,8 @@ def test_omega_norms_in_window(omega):
     for lam in omega:
         n = norm_sq(infchar_ambient(lam))
         assert Fraction(108) <= n <= Fraction(469, 2), f"BUG: {lam} outside window"
+        assert infchar_norm_sq(lam) == n, f"BUG: integer norm of {lam}"
         assert all(c >= 0 for c in lam)
-
-
-def test_omega_jobs_partition_agrees(omega):
-    assert enumerate_omega(jobs=3) == omega
 
 
 # ---- Dirac-cohomology candidates ----
