@@ -11,7 +11,8 @@ line, '#' starts a comment, fields separated by '|':
     params:       <x> | <lambda: 7 ints> | <nu: 7 rationals> | <flags: comma list of unitary,fs>
     branching:    <mult> | <ktype: 7 ints> | <height>
     table:        <table-id> | <x> | <x' or "-"> | <lambda> | <nu> | <spin lkts, ';' separated> | <unipotent: 0/1>
-    dirac_counts: <S: comma list of indices or "empty"> | <N(S)>
+    dirac_counts: <S: comma list of indices or "empty"> | <N(S)>, one line
+                  for each of the 127 proper subsets S of {0..6}
 
 Involution matrices act on the 7 coordinate entries of a weight written in
 the zeta basis (pairings with the simple coroots); they are exact integer
@@ -34,10 +35,9 @@ from .structure import (
     from_ambient,
     inner,
     is_k_type,
-    norm_sq,
     to_ambient,
 )
-from .norms import infchar_ambient, spin_sq12_with_weights, weight_gram2
+from .norms import infchar_ambient, infchar_norm_sq, spin_sq12_with_weights, weight_gram2
 from .weyl import dominant_rep
 
 NU_BOUND = 94                   # strict bound on |nu|^2 for the census
@@ -91,12 +91,6 @@ class TableRow:
 
 class FixtureError(ValueError):
     pass
-
-
-class CoordinateCapError(ValueError):
-    """A census coordinate reached the coordinate cap, so the scan cannot
-    certify completeness: the cap is too small, the fixture is not at
-    fault."""
 
 
 def _err(line_no: int, msg: str) -> FixtureError:
@@ -337,6 +331,10 @@ def _parse_dirac_counts(stream):
         if count < 0:
             raise _err(no, f"dirac_counts: negative count {count}")
         out[subset] = count
+    for size in range(RANK):
+        for combo in combinations(range(RANK), size):
+            if frozenset(combo) not in out:
+                raise FixtureError(f"dirac_counts: missing subset {list(combo)}")
     return out
 
 
@@ -350,8 +348,7 @@ def nu_from_involution(inf_char, rec: KgbRecord) -> tuple:
     return tuple(Fraction(a - b, 2) for a, b in zip(inf_char, img))
 
 
-def norm_sq_nu(nu) -> Fraction:
-    return norm_sq(to_ambient("zeta", nu))
+norm_sq_nu = infchar_norm_sq  # |nu|^2 of zeta-basis coordinates
 
 
 def infinitesimal_char(p: AtlasParameter, rec: KgbRecord) -> tuple:
@@ -396,16 +393,26 @@ def _split_part_forms(rec: KgbRecord):
         for j in range(i + 1, len(neg)):
             if inner(neg[i], neg[j]) != 0:
                 raise FixtureError(f"kgb {rec.id}: negated roots are not orthogonal")
-    return [tuple(int(inner(b, w)) for w in d.fundamental_weights) for b in neg]
+    # (beta, zeta_i) is the alpha_i-coefficient of beta_vee = beta, a
+    # positive root; _enum_involution's coordinate bound rests on this sign
+    rows = [tuple(int(inner(b, w)) for w in d.fundamental_weights) for b in neg]
+    assert all(v >= 0 for row in rows for v in row), f"BUG: kgb {rec.id}: negative form entry"
+    return rows
 
 
 _FORM_BOUND = 2 * NU_BOUND - 1  # sum of squared pairings is an integer < 2*94
 
 
-def _enum_involution(forms, coord_cap: int):
+def _enum_involution(forms):
     """All nonnegative integer coordinate vectors whose squared pairings with
-    the split-part roots sum to at most the bound.  Monotone depth-first scan;
-    a coordinate reaching the cap without tripping the bound is an error."""
+    the split-part roots sum to at most the bound, by a monotone depth-first
+    scan.
+
+    The scan ends on its own.  Every form entry is a nonnegative integer
+    (asserted in _split_part_forms) and no column is zero (checked below),
+    so each step of c_i raises some pairing m_j by at least 1.  Hence
+    c_i <= m_j <= isqrt(_FORM_BOUND) = 13, the largest coordinate of the
+    census."""
     r = len(forms)
     cols = [tuple(forms[j][i] for j in range(r)) for i in range(RANK)]
     for i, col in enumerate(cols):
@@ -414,11 +421,11 @@ def _enum_involution(forms, coord_cap: int):
                 f"coordinate {i} is unconstrained by the split part; enumeration "
                 "would not terminate")
     out = []
-    _scan_coordinate(0, (0,) * r, cols, coord_cap, [0] * RANK, out)
+    _scan_coordinate(0, (0,) * r, cols, [0] * RANK, out)
     return out
 
 
-def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
+def _scan_coordinate(i, ms, cols, c, out) -> None:
     """Coordinate i of the scan in _enum_involution; ms holds the pairings of
     the prefix c[:i].  A module-level function rather than a nested one: a
     nested function that calls itself is a reference cycle, which would keep
@@ -431,18 +438,14 @@ def _scan_coordinate(i, ms, cols, coord_cap, c, out) -> None:
     ci = 0
     cur = ms
     while sum(m * m for m in cur) <= _FORM_BOUND:
-        if ci > coord_cap:
-            raise CoordinateCapError(
-                f"coordinate cap {coord_cap} is active; raise it to certify "
-                "completeness")
         c[i] = ci
-        _scan_coordinate(i + 1, cur, cols, coord_cap, c, out)
+        _scan_coordinate(i + 1, cur, cols, c, out)
         ci += 1
         cur = tuple(m + col[j] for j, m in enumerate(cur))
     c[i] = 0
 
 
-def _census_points(forms_list, coord_cap: int) -> set[tuple[int, ...]]:
+def _census_points(forms_list) -> set[tuple[int, ...]]:
     """The census points of a list of involutions: each involution's scan,
     cut by the zero-set filter before it joins the union.  The filter tests
     one point at a time, so filtering each scan and then taking the union
@@ -451,7 +454,7 @@ def _census_points(forms_list, coord_cap: int) -> set[tuple[int, ...]]:
     zero_sets = _census_zero_sets()
     found = set()
     for forms in forms_list:
-        found.update(c for c in _enum_involution(forms, coord_cap)
+        found.update(c for c in _enum_involution(forms)
                      if tuple(map(not_, c)) in zero_sets)
     return found
 
@@ -469,7 +472,7 @@ def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
     )
 
 
-def enumerate_phi(kgb, coord_cap: int = 64):
+def enumerate_phi(kgb):
     """Census of the integral infinitesimal characters admitted by the fully
     supported involutions: admissible coordinates, smallest coordinate zero,
     and |nu|^2 < 94 for at least one fully supported record.
@@ -492,7 +495,7 @@ def enumerate_phi(kgb, coord_cap: int = 64):
             continue
         seen.add(r.theta)
         forms_list.append(_split_part_forms(r))
-    chars = sorted(_census_points(forms_list, coord_cap))
+    chars = sorted(_census_points(forms_list))
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)
@@ -504,17 +507,14 @@ def enumerate_phi(kgb, coord_cap: int = 64):
 # counting helpers
 
 
-def hj_filter(params, kgb=None):
+def hj_filter(params, kgb):
     """(total, fully supported, |nu|^2 <= 399/2, |nu|^2 < 94), the last two
-    among the fully supported parameters.  When the involution record of a
-    fully supported parameter is available its support must agree."""
-    by_id = {}
-    if kgb:
-        by_id = kgb if isinstance(kgb, dict) else {r.id: r for r in kgb}
+    among the fully supported parameters.  When kgb (id -> record) holds a
+    parameter's involution record, its support must agree with the fs flag."""
     total = len(params)
     fs = old = new = 0
     for p in params:
-        rec = by_id.get(p.x)
+        rec = kgb.get(p.x)
         if rec is not None and p.fully_supported != (rec.support == FULL_SUPPORT):
             raise ValueError(f"parameter x={p.x}: fs flag contradicts kgb support")
         if not p.fully_supported:
@@ -546,7 +546,7 @@ def verify_table_row(row: TableRow) -> TableRowReport:
     the character itself is dominant and admissible."""
     d = build_root_datum()
     lam_amb = infchar_ambient(row.inf_char)
-    target = norm_sq(lam_amb)
+    target = infchar_norm_sq(row.inf_char)
     dom_char = tuple(dominant_rep(lam_amb, "G")[0])
 
     checks = []
@@ -581,17 +581,9 @@ def verify_table_row(row: TableRow) -> TableRowReport:
 
 
 def count_strings(counts):
-    """Aggregate N(S) over proper support subsets into the by-size totals.
-
-    Requires a count for every proper subset of {0..6}; returns the map, the
+    """Aggregate N(S) over the proper support subsets (parse_fixture checks
+    that each has a count) into the by-size totals; returns the map, the
     seven by-size sums, and their total."""
-    missing = []
-    for size in range(RANK):
-        for combo in combinations(range(RANK), size):
-            if frozenset(combo) not in counts:
-                missing.append(combo)
-    if missing:
-        raise FixtureError(f"dirac_counts: missing subset {list(missing[0])}")
     sums = [0] * RANK
     for s, n in counts.items():
         sums[len(s)] += n

@@ -1,11 +1,10 @@
 """Command-line front end: prints the engine's tables and counts as TSV or
 aligned text, plus a one-shot verification suite over criteria.CRITERIA.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including a
---coord-cap too small to certify the census), 3 missing, unreadable or
-inconsistent fixture data (any FixtureError).  Output is
-deterministic: canonical sort order, exact rationals (p/q), no floating
-point.
+Exit codes: 0 success, 1 verification failure, 2 usage error (from
+argparse), 3 missing, unreadable or inconsistent fixture data (any
+FixtureError).  Output is deterministic: canonical sort order, exact
+rationals (p/q), no floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .structure import RANK, fmt_q, fmt_vec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 
 
@@ -114,7 +112,7 @@ def run_omega(args, out) -> int:
 def run_phi(args, out) -> int:
     fdir = _fixture_dir(args)
     kgb = ingest.read_fixture("kgb", fdir / "kgb.txt")
-    chars, partition = criteria.phi_census(fdir, kgb, args.coord_cap)
+    chars, partition = criteria.phi_census(fdir, kgb)
     rows = [(str(k), str(len(partition[k]))) for k in sorted(partition)]
     emit(out, ("max_coordinate", "count"), rows,
          ("total", str(len(chars))), args.format)
@@ -170,8 +168,7 @@ def run_strings(args, out) -> int:
 
 
 def run_verify(args, out) -> int:
-    ctx = criteria.Context(_fixture_dir(args), height_cap=args.height_cap,
-                           coord_cap=args.coord_cap)
+    ctx = criteria.Context(_fixture_dir(args))
     failures = 0
     for name, check in criteria.CRITERIA:
         ok, detail = check(ctx)
@@ -210,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fixtures", metavar="DIR",
                         help="fixture directory (fallback: $DIRAC_FIXTURES)")
     common.add_argument("--format", choices=("tsv", "pretty"), default="tsv")
-    common.add_argument("--height-cap", type=_positive, default=400,
-                        metavar="N", help="K-type height bound for scans")
-    common.add_argument("--coord-cap", type=_positive, default=64, metavar="N",
-                        help="safety cap on census coordinates")
     common.add_argument("--jobs", type=_positive, default=1, metavar="N",
                         help="accepted for compatibility; has no effect")
 
@@ -250,9 +243,6 @@ def main(argv=None) -> int:
     except ingest.FixtureError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FIXTURE
-    except ingest.CoordinateCapError as e:
-        print(f"error: --coord-cap: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

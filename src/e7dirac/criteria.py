@@ -103,6 +103,9 @@ TABLE_ROWS = 73
 # string counts N_i by support size, and their total
 STRING_SUMS = (56, 84, 102, 133, 164, 181, 158)
 STRING_TOTAL = 878
+# the height cap of the property suite's u-large scan; the lowest u-large
+# K-type with a positive spin-vs-lambda gap has height 290
+HEIGHT_CAP = 400
 
 PARAMS_FILES = ("params_1011108.txt", "params_1111111.txt", "params_1110111.txt")
 
@@ -133,11 +136,11 @@ def check_references(fdir: Path, kgb, params: dict, table=()) -> None:
                     f"{fdir / 'table.txt'}: line {row.table_id} x={x} has no kgb record")
 
 
-def phi_census(fdir: Path, kgb, coord_cap: int):
+def phi_census(fdir: Path, kgb):
     """enumerate_phi, with an involution the census cannot use reported as a
     fixture error against kgb.txt."""
     try:
-        return ingest.enumerate_phi(kgb, coord_cap=coord_cap)
+        return ingest.enumerate_phi(kgb)
     except ingest.FixtureError as e:
         raise ingest.FixtureError(f"{fdir / 'kgb.txt'}: {e}") from None
 
@@ -146,9 +149,8 @@ class Context:
     """The fixture files of one directory, read and cross-checked on
     construction, and the heavy enumerations, computed on first use."""
 
-    def __init__(self, fdir, height_cap: int = 400, coord_cap: int = 64):
+    def __init__(self, fdir):
         self.fdir = Path(fdir)
-        self.height_cap, self.coord_cap = height_cap, coord_cap
         self.kgb = ingest.read_fixture("kgb", self.fdir / "kgb.txt")
         self.params = {name: ingest.read_fixture("params", self.fdir / name)
                        for name in PARAMS_FILES}
@@ -171,7 +173,7 @@ class Context:
 
     @cached_property
     def phi(self):
-        return phi_census(self.fdir, self.kgb, self.coord_cap)
+        return phi_census(self.fdir, self.kgb)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +342,7 @@ def property_suite(ctx):
     # u-small K-type, so membership decides it, and it must agree with the
     # membership LP at every scan point
     ok, worst = True, 0
-    for mu in enumerate_by_height(ctx.height_cap):
+    for mu in enumerate_by_height(HEIGHT_CAP):
         member = mu in ctx.census
         ok = ok and member == is_usmall(mu)
         if not member:

@@ -80,15 +80,14 @@ def _int(x: Fraction, what: str) -> int:
 @dataclass(frozen=True)
 class _Tables:
     chambers: tuple[Chamber, ...]
-    cartan6: tuple[tuple[int, ...], ...]  # pairings of the compact simple roots
     # per chamber j:
-    rho_n_zeta: tuple[tuple[int, ...], ...]  # pair(rho_n_j, alpha_k), k = 1..7
-    # Sum of the noncompact positive roots of each chamber (twice rho_n_j),
-    # same basis.  These generate the orbit hull behind the u-small test.
-    # Each is K-dominant (every compact simple root is positive in every
-    # chamber's system, so rho_j pairs >= 1 with its coroot), which the
-    # membership LP relies on; asserted when the tables are built.
-    usmall_vertex_zeta: tuple[tuple[int, ...], ...]
+    # pair(rho_n_j, alpha_k), k = 1..7.  Twice rho_n_j is the sum of the
+    # chamber's noncompact positive roots; these 56 sums generate the orbit
+    # hull behind the u-small test.  Each is K-dominant (every compact simple
+    # root is positive in every chamber's system, so rho_j pairs >= 1 with
+    # its coroot), which the membership LP relies on; asserted when the
+    # tables are built.
+    rho_n_zeta: tuple[tuple[int, ...], ...]
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
     z4: tuple[int, ...]  # 4*(zeta, rho_n_j)
@@ -102,19 +101,16 @@ class _Tables:
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
     norm12_rho_c: int  # 12*|rho_c|^2 = 936
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
-    gamma_zeta: tuple[tuple[int, ...], ...]  # compact simples in the zeta basis
+    # compact simples in the zeta basis; the first six columns are their
+    # pairings with each other (the Cartan matrix of k)
+    gamma_zeta: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
 def _tables() -> _Tables:
     d = build_root_datum()
     chs = enumerate_chambers()
-    cartan6 = tuple(
-        tuple(_int(pair_coroot(a, b), "cartan") for b in d.compact_simple)
-        for a in d.compact_simple
-    )
     rho_n_zeta = []
-    usmall_vertex_zeta = []
     norm12 = []
     w12 = []
     z4 = []
@@ -123,10 +119,9 @@ def _tables() -> _Tables:
     two_rho_c = scale(2, d.rho_c)
     for ch in chs:
         r = ch.rho_n_j
-        rho_n_zeta.append(tuple(_int(pair_coroot(r, a), "rho_n pairing") for a in d.simple_roots))
-        row = tuple(2 * _int(pair_coroot(r, a), "hull vertex") for a in d.simple_roots)
+        row = tuple(_int(pair_coroot(r, a), "rho_n pairing") for a in d.simple_roots)
         assert all(x >= 0 for x in row[:6]), f"BUG: rho_n_j not K-dominant: {r}"
-        usmall_vertex_zeta.append(row)
+        rho_n_zeta.append(row)
         norm12.append(_int(12 * norm_sq(r), "12|rho_n|^2"))
         w12.append(tuple(_int(12 * inner(w, r), "12(varpi,rho_n)") for w in d.varpi))
         z4.append(_int(4 * inner(d.zeta, r), "4(zeta,rho_n)"))
@@ -151,9 +146,7 @@ def _tables() -> _Tables:
     )
     return _Tables(
         chambers=chs,
-        cartan6=cartan6,
         rho_n_zeta=tuple(rho_n_zeta),
-        usmall_vertex_zeta=tuple(usmall_vertex_zeta),
         norm12_rho_n=tuple(norm12),
         w12=tuple(w12),
         z4=tuple(z4),
@@ -455,7 +448,7 @@ def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
     a = [int(v) for v in coords[:6]]
     g = int(coords[6])
     m12 = norm12_ktype(coords)
-    cartan = t.cartan6
+    cartan = t.gamma_zeta
     out = []
     for j in range(56):
         rn = t.rho_n_zeta[j]
@@ -536,7 +529,7 @@ def usmall_oracle() -> FeasibilityOracle:
     fundamental-weight basis, plus the row sum t = 1; only b = (mu, 1) varies."""
     t = _tables()
     rows = [
-        [t.usmall_vertex_zeta[j][k] for j in range(56)]
+        [2 * t.rho_n_zeta[j][k] for j in range(56)]
         + [-t.gamma_zeta[i][k] for i in range(6)]
         for k in range(RANK)
     ]
@@ -568,7 +561,7 @@ def dirac_inequality_holds(lam, mu) -> str:
     side is strictly bigger, 'equality' exactly at equality (the candidate
     condition for a spin LKT contributing to Dirac cohomology), else
     'violated'."""
-    lam_sq = norm_sq(infchar_ambient(lam))
+    lam_sq = infchar_norm_sq(lam)
     spin_sq = Fraction(spin_sq12(mu), 12)
     if lam_sq < spin_sq:
         return "strict"

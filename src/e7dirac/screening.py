@@ -46,6 +46,7 @@ from operator import sub as int_sub
 
 from .norms import (
     _tables,
+    infchar_norm_sq,
     is_usmall,
     ktype_ambient,
     lambda_norm_sq_fast,
@@ -57,7 +58,6 @@ from .structure import (
     build_root_datum,
     from_ambient,
     inner,
-    norm_sq,
     sub,
     to_ambient,
 )
@@ -238,7 +238,7 @@ def enumerate_usmall_ktypes() -> set[tuple[int, ...]]:
     # and parent steps mu -> mu + gamma_i in coordinates
     t = _tables()
     rc12 = t.rc12
-    cartan6 = t.cartan6
+    cartan6 = t.gamma_zeta
     ordered = sorted(
         _census_candidates(),
         key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu),
@@ -271,11 +271,9 @@ class CertsEntry:
 MIN_CERT_GAP = 94
 
 
-def compute_certs(census: set[tuple[int, ...]] | None = None) -> set[CertsEntry]:
+def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
     """u-small K-types whose spin norm beats the lambda norm by at least
     the screening threshold."""
-    if census is None:
-        census = enumerate_usmall_ktypes()
     out = set()
     for mu in census:
         spin = Fraction(spin_sq12(mu), 12)
@@ -375,7 +373,7 @@ def spin_lkts(ktypes, lam):
     spins = [Fraction(spin_sq12(mu), 12) for mu, _mult in entries]
     min_spin = min(spins)
     achievers = [entries[i] for i in range(len(entries)) if spins[i] == min_spin]
-    lam_sq = norm_sq(to_ambient("zeta", [Fraction(c) for c in lam]))
+    lam_sq = infchar_norm_sq(lam)
     return min_spin, achievers, min_spin == lam_sq
 
 

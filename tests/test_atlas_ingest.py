@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from operator import not_
 
 import pytest
@@ -20,6 +21,7 @@ from e7dirac.atlas_ingest import (
     parse_fixture,
     verify_table_row,
     _census_points,
+    _FORM_BOUND,
     _census_zero_sets,
     _enum_involution,
     _split_part_forms,
@@ -122,13 +124,19 @@ def test_parse_table_errors():
         parse_fixture("table", "111011 | " + line.split(" | ", 1)[1])
 
 
-def test_parse_dirac_counts_errors():
+def test_parse_dirac_counts_errors(fixture_dir):
     with pytest.raises(FixtureError, match="proper subset"):
         parse_fixture("dirac_counts", "0,1,2,3,4,5,6 | 5")
     with pytest.raises(FixtureError, match="duplicate subset"):
         parse_fixture("dirac_counts", "0,1 | 5\n1,0 | 5")
     with pytest.raises(ValueError, match="unknown fixture kind"):
         parse_fixture("strings", "")
+    # every proper subset needs a count
+    lines = (fixture_dir / "dirac_counts.txt").read_text().splitlines()
+    short = [ln for ln in lines if not ln.startswith("0,1 |")]
+    assert len(short) == len(lines) - 1
+    with pytest.raises(FixtureError, match=r"missing subset \[0, 1\]"):
+        parse_fixture("dirac_counts", "\n".join(short))
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +208,26 @@ def test_phi_worker_filters_each_scan(phi_slice):
     # the filtered union keeps exactly the scanned points with a zero
     # coordinate that pass the Fraction-based admissibility test
     forms_list = [_split_part_forms(rec) for rec in phi_slice[:2]]
-    want = {c for forms in forms_list for c in _enum_involution(forms, 64)
+    want = {c for forms in forms_list for c in _enum_involution(forms)
             if min(c) == 0 and hp_admissible(c)}
-    assert want and _census_points(forms_list, 64) == want
+    assert want and _census_points(forms_list) == want
+
+
+def test_scan_coordinate_bound(phi_slice):
+    # nonnegative forms with no zero column bound every coordinate of the
+    # scan by isqrt(_FORM_BOUND), the largest coordinate of the census
+    top = isqrt(_FORM_BOUND)
+    assert top == len(criteria.CENSUS_PARTITION_SIZES) == 13
+    for rec in phi_slice:
+        forms = _split_part_forms(rec)
+        assert min(v for row in forms for v in row) >= 0
+        assert all(any(row[i] for row in forms) for i in range(RANK))
+        assert max(max(c) for c in _enum_involution(forms)) <= top
 
 
 def test_phi_census_errors(kgb):
     with pytest.raises(FixtureError, match="no fully supported"):
         enumerate_phi([kgb[0]])
-    with pytest.raises(ValueError, match="cap 0 is active"):
-        enumerate_phi([kgb[3016]], coord_cap=0)
     neg_id = tuple(tuple(-v for v in row) for row in IDENTITY)
     rec = KgbRecord(id=9999, support=FULL_SUPPORT, theta=neg_id)
     with pytest.raises(FixtureError, match="root-spanned"):
@@ -285,7 +303,3 @@ def test_count_strings(fixture_dir):
     _, by_size, total = count_strings(counts)
     assert by_size == criteria.STRING_SUMS, f"BUG: sums {by_size}"
     assert total == criteria.STRING_TOTAL, f"BUG: total {total}"
-    short = dict(counts)
-    del short[frozenset({0, 1})]
-    with pytest.raises(ValueError, match="missing subset"):
-        count_strings(short)

@@ -63,13 +63,13 @@ def test_phi_partition(fixture_dir, ctx, monkeypatch):
     # own call of enumerate_phi is covered by the slice run below
     census, calls = ctx.phi, []
 
-    def session_census(fdir, kgb, coord_cap):
-        calls.append((fdir, kgb, coord_cap))
+    def session_census(fdir, kgb):
+        calls.append((fdir, kgb))
         return census
 
     monkeypatch.setattr(criteria, "phi_census", session_census)
     code, text = run_cli(["phi", "--fixtures", str(fixture_dir)])
-    assert calls == [(fixture_dir, ctx.kgb, 64)]
+    assert calls == [(fixture_dir, ctx.kgb)]
     assert code == 0
     lines = text.splitlines()
     sizes = criteria.CENSUS_PARTITION_SIZES
@@ -209,22 +209,29 @@ def test_spin_lkt_empty_branching_exits_3(tmp_path, capsys):
                     f"{tmp_path / 'branching_2969.txt'}: branching: no K-types")
 
 
-def test_phi_coord_cap_too_small_exits_2(tmp_path, capsys):
-    # one fully supported involution; its first coordinate runs past cap 1
-    line = next(raw for raw in Path(FIXTURES, "kgb.txt").read_text().splitlines()
-                if "| full |" in raw.split("#", 1)[0])
-    (tmp_path / "kgb.txt").write_text(line + "\n")
-    _one_error_line(capsys, ["phi", "--fixtures", str(tmp_path), "--coord-cap", "1"],
-                    2, "--coord-cap")
+def _subparsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def test_jobs_accepted_by_every_subcommand():
     # --jobs has no effect, but scripts that pass it keep parsing
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert len(sub.choices) == 10
-    for name in sub.choices:
+    parser, choices = _subparsers()
+    assert len(choices) == 10
+    for name in choices:
         assert parser.parse_args([name, "--jobs", "2"]).jobs == 2
+
+
+def test_subcommand_options():
+    # the scan bounds are derived or fixed in code, so no subcommand takes one
+    _, choices = _subparsers()
+    for name, sp in choices.items():
+        options = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+        want = {"--fixtures", "--format", "--jobs"}
+        if name in ("spin-lkt", "dirac-candidates"):
+            want.add("--inf-char")
+        assert options == want, f"{name}: {sorted(options)}"
 
 
 def test_byte_identical_reruns(fixture_dir):
@@ -254,6 +261,7 @@ def _assert_fixture_error(code, out, err, message):
     ("params_1111111.txt", "999999 | 1,1,1,1,1,1,1 | 4,0,0,0,0,4,1 | unitary,fs\n",
      "x=999999 has no kgb record"),
     ("params_1110111.txt", "# parameters: x | lambda | nu | flags\n", "no parameters"),
+    ("dirac_counts.txt", "empty | 56\n", "dirac_counts.txt: dirac_counts: missing subset"),
 ])
 def test_verify_bad_cross_reference_exits_3(tmp_path, capsys, monkeypatch, name, text, message):
     # checked right after loading: no criterion runs (the first would print
