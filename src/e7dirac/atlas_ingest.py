@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import not_
 
-from .screening import ADMISSIBILITY_SUMS, hp_admissible
+from .screening import ADMISSIBILITY_SUMS, hp_admissible, quadratic_points
 from .structure import (
     RANK,
     add,
@@ -394,7 +394,8 @@ def _split_part_forms(rec: KgbRecord):
             if inner(neg[i], neg[j]) != 0:
                 raise FixtureError(f"kgb {rec.id}: negated roots are not orthogonal")
     # (beta, zeta_i) is the alpha_i-coefficient of beta_vee = beta, a
-    # positive root; _enum_involution's coordinate bound rests on this sign
+    # positive root; the census scan and its subsumption lemma rest on this
+    # sign (quadratic_points, _minimal_forms)
     rows = [tuple(int(inner(b, w)) for w in d.fundamental_weights) for b in neg]
     assert all(v >= 0 for row in rows for v in row), f"BUG: kgb {rec.id}: negative form entry"
     return rows
@@ -403,60 +404,37 @@ def _split_part_forms(rec: KgbRecord):
 _FORM_BOUND = 2 * NU_BOUND - 1  # sum of squared pairings is an integer < 2*94
 
 
-def _enum_involution(forms):
-    """All nonnegative integer coordinate vectors whose squared pairings with
-    the split-part roots sum to at most the bound, by a monotone depth-first
-    scan.
-
-    The scan ends on its own.  Every form entry is a nonnegative integer
-    (asserted in _split_part_forms) and no column is zero (checked below),
-    so each step of c_i raises some pairing m_j by at least 1.  Hence
-    c_i <= m_j <= isqrt(_FORM_BOUND) = 13, the largest coordinate of the
-    census."""
-    r = len(forms)
-    cols = [tuple(forms[j][i] for j in range(r)) for i in range(RANK)]
-    for i, col in enumerate(cols):
-        if not any(col):
+def _census_form(rec: KgbRecord) -> tuple[tuple[int, ...], ...]:
+    """Q = F^T F for the split-part rows F of a record, so that
+    c^T Q c = sum_j <Lambda, beta_j_vee>^2 for zeta-basis coordinates c.
+    A zero diagonal entry is a zero column of F: no pairing bounds that
+    coordinate, and the record's census would be infinite."""
+    rows = _split_part_forms(rec)
+    q = tuple(tuple(sum(r[i] * r[k] for r in rows) for k in range(RANK))
+              for i in range(RANK))
+    for i in range(RANK):
+        if not q[i][i]:
             raise FixtureError(
                 f"coordinate {i} is unconstrained by the split part; enumeration "
                 "would not terminate")
-    out = []
-    _scan_coordinate(0, (0,) * r, cols, [0] * RANK, out)
-    return out
+    return q
 
 
-def _scan_coordinate(i, ms, cols, c, out) -> None:
-    """Coordinate i of the scan in _enum_involution; ms holds the pairings of
-    the prefix c[:i].  A module-level function rather than a nested one: a
-    nested function that calls itself is a reference cycle, which would keep
-    each involution's point list alive until the garbage collector's next
-    full pass."""
-    if i == RANK:
-        out.append(tuple(c))
-        return
-    col = cols[i]
-    ci = 0
-    cur = ms
-    while sum(m * m for m in cur) <= _FORM_BOUND:
-        c[i] = ci
-        _scan_coordinate(i + 1, cur, cols, c, out)
-        ci += 1
-        cur = tuple(m + col[j] for j, m in enumerate(cur))
-    c[i] = 0
+def _minimal_forms(forms) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct forms that lie entrywise above no other form.
 
-
-def _census_points(forms_list) -> set[tuple[int, ...]]:
-    """The census points of a list of involutions: each involution's scan,
-    cut by the zero-set filter before it joins the union.  The filter tests
-    one point at a time, so filtering each scan and then taking the union
-    gives the same set as filtering the union, and the raw points of one
-    involution are freed as soon as its scan is filtered."""
-    zero_sets = _census_zero_sets()
-    found = set()
-    for forms in forms_list:
-        found.update(c for c in _enum_involution(forms)
-                     if tuple(map(not_, c)) in zero_sets)
-    return found
+    Lemma (subsumption).  For c >= 0 and P <= Q entrywise,
+    c^T P c <= c^T Q c, so every point of Q under the bound is a point of P,
+    and dropping Q loses no census point.  A form lies above another only
+    if its entry sum is larger or the two are equal, so one pass in order
+    of entry sum, testing each form against the kept ones, finds the
+    minimal forms (domination is transitive)."""
+    kept = []
+    for q in sorted(dict.fromkeys(forms), key=lambda q: sum(map(sum, q))):
+        if not any(all(a <= b for pr, qr in zip(p, q) for a, b in zip(pr, qr))
+                   for p in kept):
+            kept.append(q)
+    return kept
 
 
 @lru_cache(maxsize=1)
@@ -474,28 +452,26 @@ def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
 
 def enumerate_phi(kgb):
     """Census of the integral infinitesimal characters admitted by the fully
-    supported involutions: admissible coordinates, smallest coordinate zero,
-    and |nu|^2 < 94 for at least one fully supported record.
+    supported records of kgb (id -> record): admissible coordinates,
+    smallest coordinate zero, and |nu|^2 < 94 for at least one of them.
 
-    The admissibility and zero-coordinate filter runs in _census_points, on
-    each involution's scan before the union (exactness: see there), so no
-    raw union is ever held.
+    Every record's form is built and checked first; the census is then the
+    union of the points of the minimal forms (_minimal_forms) under
+    _FORM_BOUND, each filtered by its zero pattern inside the scan.
 
     Returns (sorted tuple of coordinate vectors, partition dict keyed by the
     largest coordinate).
     """
-    records = kgb.values() if isinstance(kgb, dict) else list(kgb)
-    fs = [r for r in records if r.support == FULL_SUPPORT]
+    fs = [r for r in kgb.values() if r.support == FULL_SUPPORT]
     if not fs:
         raise FixtureError("no fully supported involution records in fixture")
-    seen = set()
-    forms_list = []
-    for r in fs:
-        if r.theta in seen:
-            continue
-        seen.add(r.theta)
-        forms_list.append(_split_part_forms(r))
-    chars = sorted(_census_points(forms_list))
+    forms = [_census_form(r) for r in fs]
+    zero_sets = _census_zero_sets()
+    found = set()
+    for q in _minimal_forms(forms):
+        found.update(quadratic_points(q, _FORM_BOUND,
+                                      lambda c, value: tuple(map(not_, c)) in zero_sets))
+    chars = sorted(found)
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)

@@ -296,38 +296,54 @@ OMEGA_LO2 = int(2 * OMEGA_NORM_LO)
 assert (OMEGA_LO2, OMEGA_HI2) == (2 * OMEGA_NORM_LO, 2 * OMEGA_NORM_HI) == (216, 469)
 
 
-def enumerate_omega() -> set[tuple[int, ...]]:
-    """Dominant integral characters (nonnegative integer coordinates in the
-    fundamental-weight basis) with squared norm in the screening window, by
-    branch-and-bound over the coordinates."""
-    gram = weight_gram2()
-    hi2 = OMEGA_HI2
-    lo2 = OMEGA_LO2
-    out = set()
-    coords = [0] * 7
+def quadratic_points(q, bound: int, keep) -> list[tuple[int, ...]]:
+    """Every c in N^n with c^T q c <= bound and keep(c, c^T q c), in
+    lexicographic order, for a symmetric integer n x n matrix q.
+
+    Lemma (the scan is exact and ends).  q has nonnegative entries, so for
+    c >= 0 the value never decreases when a coordinate grows: raising c_i
+    by one adds 2 (q c)_i + q_ii >= 0, and setting a later coordinate adds
+    a nonnegative amount.  So each level stops at the first value over the
+    bound, and no larger c_i or completion of the prefix comes back under
+    it.  q also has a positive diagonal, so c_i^2 q_ii <= c^T q c gives
+    c_i <= isqrt(bound // q_ii), and the scan ends.
+
+    keep runs at each leaf, so rejected points are never stored."""
+    n = len(q)
+    assert all(q[i][k] == q[k][i] >= 0 for i in range(n) for k in range(n)), \
+        "BUG: quadratic_points needs a symmetric nonnegative form"
+    assert all(q[i][i] > 0 for i in range(n)), "BUG: quadratic_points needs a positive diagonal"
+    out = []
+    c = [0] * n
 
     def scan(i: int, acc: int):
-        # acc = 2 * |prefix|^2; positive Gram entries make it monotone, and a
-        # coordinate c has c <= c^2 H_ii <= 2|lam|^2 (H = weight_gram2 is a
-        # positive integer matrix), so it is at most OMEGA_HI2
-        if i == 7:
-            if acc >= lo2:
-                out.add(tuple(coords))
-            return
-        for c in range(hi2 + 1):
-            coords[i] = c
-            step = acc
-            if c:
-                row = gram[i]
-                step += c * (2 * sum(row[k] * coords[k] for k in range(i)) + row[i] * c)
-            if step > hi2:
-                break
-            scan(i + 1, step)
-        coords[i] = 0
+        # acc = value of the prefix c[:i]; c_i = x adds x (cross + q_ii x)
+        row = q[i]
+        cross = 2 * sum(row[k] * c[k] for k in range(i))
+        qii = row[i]
+        x, value = 0, acc
+        while value <= bound:
+            c[i] = x
+            if i + 1 < n:
+                scan(i + 1, value)
+            elif keep(point := tuple(c), value):
+                out.append(point)
+            x += 1
+            value = acc + x * (cross + qii * x)
+        c[i] = 0
 
     scan(0, 0)
     del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
+
+
+def enumerate_omega() -> set[tuple[int, ...]]:
+    """Dominant integral characters (nonnegative integer coordinates in the
+    fundamental-weight basis) with squared norm in the screening window:
+    the points of H = weight_gram2, which holds twice the norms, between
+    OMEGA_LO2 and OMEGA_HI2."""
+    return set(quadratic_points(weight_gram2(), OMEGA_HI2,
+                                lambda c, value: value >= OMEGA_LO2))
 
 
 # ---------------------------------------------------------------------------

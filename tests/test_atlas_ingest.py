@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from operator import not_
+from operator import mul, not_
 
 import pytest
 
@@ -20,13 +20,13 @@ from e7dirac.atlas_ingest import (
     nu_from_involution,
     parse_fixture,
     verify_table_row,
-    _census_points,
     _FORM_BOUND,
+    _census_form,
     _census_zero_sets,
-    _enum_involution,
-    _split_part_forms,
+    _minimal_forms,
 )
-from e7dirac.screening import hp_admissible
+from e7dirac.norms import weight_gram2
+from e7dirac.screening import hp_admissible, quadratic_points
 from e7dirac.structure import RANK
 
 from frozen_values import PHI_COEFF_ONE
@@ -204,38 +204,76 @@ def test_phi_census_counts(phi_census):
     assert all(min(c) == 0 for c in chars), "BUG: census member with no zero"
 
 
-def test_phi_worker_filters_each_scan(phi_slice):
-    # the filtered union keeps exactly the scanned points with a zero
-    # coordinate that pass the Fraction-based admissibility test
-    forms_list = [_split_part_forms(rec) for rec in phi_slice[:2]]
-    want = {c for forms in forms_list for c in _enum_involution(forms)
-            if min(c) == 0 and hp_admissible(c)}
-    assert want and _census_points(forms_list) == want
+def _box_points(q, bound):
+    """(c, c^T q c) for c^T q c <= bound, by brute force over the box
+    c_i <= isqrt(bound // q_ii), in lexicographic order.  Each coordinate
+    runs over its whole range; the one cut drops a prefix whose value is
+    over the bound, since with nonnegative entries a completion only adds
+    terms.  A prefix value grows by x (2 (q p)_i + q_ii x) when p gets x
+    appended at i, and every value kept is checked from scratch."""
+    level = [((), 0)]
+    for i, row in enumerate(q):
+        top = isqrt(bound // row[i])
+        level = [(p + (x,), v + x * (2 * sum(map(mul, row, p)) + row[i] * x))
+                 for p, v in level for x in range(top + 1)]
+        level = [(p, v) for p, v in level if v <= bound]
+    assert all(v == sum(a * sum(map(mul, row, c)) for a, row in zip(c, q))
+               for c, v in level)
+    return level
 
 
-def test_scan_coordinate_bound(phi_slice):
-    # nonnegative forms with no zero column bound every coordinate of the
-    # scan by isqrt(_FORM_BOUND), the largest coordinate of the census
-    top = isqrt(_FORM_BOUND)
-    assert top == len(criteria.CENSUS_PARTITION_SIZES) == 13
-    for rec in phi_slice:
-        forms = _split_part_forms(rec)
-        assert min(v for row in forms for v in row) >= 0
-        assert all(any(row[i] for row in forms) for i in range(RANK))
-        assert max(max(c) for c in _enum_involution(forms)) <= top
+def test_quadratic_points_match_box(phi_slice):
+    # the monotone scan against brute force: the same points, in the same
+    # order, with the same values handed to keep; every coordinate of a
+    # census form's scan is at most isqrt(_FORM_BOUND), the largest
+    # coordinate of the census
+    assert isqrt(_FORM_BOUND) == len(criteria.CENSUS_PARTITION_SIZES) == 13
+    cases = [(weight_gram2(), 469, None)]
+    cases += [(_census_form(rec), _FORM_BOUND, 13) for rec in phi_slice]
+    for q, bound, top in cases:
+        seen = []
+        got = quadratic_points(q, bound, lambda c, v: seen.append((c, v)) or True)
+        want = _box_points(q, bound)
+        assert seen == want and got == [c for c, _ in want], "BUG: scan and box disagree"
+        assert top is None or max(map(max, got)) <= top
+
+
+def test_minimal_forms_lose_no_census_point(phi_slice):
+    # the subsumption lemma on the slice: the filtered union over all 20
+    # forms is the census, and the points of each dropped form lie inside
+    # the points of one kept form
+    forms = [_census_form(rec) for rec in phi_slice]
+    kept = _minimal_forms(forms)
+    assert len(kept) == 2, f"BUG: {len(kept)} minimal forms on the slice"
+    zero_sets = _census_zero_sets()  # equal to hp_admissible: test below
+    census = lambda c, v: tuple(map(not_, c)) in zero_sets
+    union = {c for q in forms for c in quadratic_points(q, _FORM_BOUND, census)}
+    assert tuple(sorted(union)) == enumerate_phi({rec.id: rec for rec in phi_slice})[0]
+    every = lambda c, v: True
+    kept_points = [set(quadratic_points(p, _FORM_BOUND, every)) for p in kept]
+    for q in forms:
+        if q not in kept:
+            points = quadratic_points(q, _FORM_BOUND, every)
+            assert any(kp.issuperset(points) for kp in kept_points), \
+                "BUG: a dropped form has a point no kept form has"
 
 
 def test_phi_census_errors(kgb):
     with pytest.raises(FixtureError, match="no fully supported"):
-        enumerate_phi([kgb[0]])
+        enumerate_phi({0: kgb[0]})
     neg_id = tuple(tuple(-v for v in row) for row in IDENTITY)
     rec = KgbRecord(id=9999, support=FULL_SUPPORT, theta=neg_id)
     with pytest.raises(FixtureError, match="root-spanned"):
-        enumerate_phi([rec])
+        enumerate_phi({rec.id: rec})
     # the identity has an empty split part, which bounds no coordinate
     rec = KgbRecord(id=9998, support=FULL_SUPPORT, theta=IDENTITY)
     with pytest.raises(FixtureError, match="coordinate 0 is unconstrained"):
-        enumerate_phi([rec])
+        enumerate_phi({rec.id: rec})
+    # its zero form lies below every form and would be the one minimal
+    # form: the fixture error comes from the check on every record, before
+    # the minimal forms are picked and scanned
+    with pytest.raises(FixtureError, match="coordinate 0 is unconstrained"):
+        enumerate_phi({3016: kgb[3016], rec.id: rec})
 
 
 def test_census_zero_sets_match_admissibility():
