@@ -16,7 +16,9 @@ line, '#' starts a comment, fields separated by '|':
 
 Involution matrices act on the 7 coordinate entries of a weight written in
 the zeta basis (pairings with the simple coroots); they are exact integer
-matrices and must be involutive and orthogonal for the invariant form.
+matrices and must be involutive and orthogonal for the invariant form, and
+their split part (the (-1)-eigenspace) has dimension at most REAL_RANK = 3,
+the real rank of E7(-25).
 """
 
 from __future__ import annotations
@@ -28,20 +30,13 @@ from itertools import combinations, product
 from operator import not_
 
 from .screening import ADMISSIBILITY_SUMS, hp_admissible, quadratic_points
-from .structure import (
-    RANK,
-    add,
-    build_root_datum,
-    from_ambient,
-    inner,
-    is_k_type,
-    to_ambient,
-)
+from .structure import RANK, add, build_root_datum, is_k_type, to_ambient
 from .norms import infchar_ambient, infchar_norm_sq, spin_sq12_with_weights, weight_gram2
 from .weyl import dominant_rep
 
 NU_BOUND = 94                   # strict bound on |nu|^2 for the census
 OLD_NU_BOUND = Fraction(399, 2)  # |rho|^2, the classical comparison bound
+REAL_RANK = 3                   # real rank of E7(-25): largest split dimension
 
 FULL_SUPPORT = frozenset(range(RANK))
 
@@ -142,12 +137,8 @@ def _check_involution(theta, ident: int, line_no: int) -> None:
         raise _err(line_no, f"kgb {ident}: matrix does not preserve the form")
 
 
-def _iter_lines(stream):
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
-    for no, raw in enumerate(lines, start=1):
+def _iter_lines(text: str):
+    for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
@@ -167,19 +158,19 @@ def _parse_support(text: str, line_no: int) -> frozenset:
     return frozenset(idx)
 
 
-def parse_fixture(kind: str, stream):
-    """Parse one fixture stream.  Returns a dict for 'kgb' (id -> record) and
-    'dirac_counts' (subset -> count), a list of records otherwise."""
+def parse_fixture(kind: str, text: str):
+    """Parse the text of one fixture file.  Returns a dict for 'kgb' (id ->
+    record) and 'dirac_counts' (subset -> count), a list of records otherwise."""
     if kind == "kgb":
-        return _parse_kgb(stream)
+        return _parse_kgb(text)
     if kind == "params":
-        return _parse_params(stream)
+        return _parse_params(text)
     if kind == "branching":
-        return _parse_branching(stream)
+        return _parse_branching(text)
     if kind == "table":
-        return _parse_table(stream)
+        return _parse_table(text)
     if kind == "dirac_counts":
-        return _parse_dirac_counts(stream)
+        return _parse_dirac_counts(text)
     raise ValueError(f"unknown fixture kind: {kind!r}")
 
 
@@ -196,9 +187,9 @@ def read_fixture(kind: str, path):
         raise FixtureError(f"{path}: {e}") from None
 
 
-def _parse_kgb(stream):
+def _parse_kgb(text: str):
     out = {}
-    for no, line in _iter_lines(stream):
+    for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 3:
             raise _err(no, f"kgb: expected 3 fields, got {len(f)}")
@@ -216,13 +207,17 @@ def _parse_kgb(stream):
             raise _err(no, f"kgb {ident}: expected {RANK} matrix rows, got {len(rows)}")
         theta = tuple(_ints(r, no, RANK, f"kgb {ident} matrix row") for r in rows)
         _check_involution(theta, ident, no)
+        split = (RANK - sum(theta[i][i] for i in range(RANK))) // 2
+        if split > REAL_RANK:
+            raise _err(no, f"kgb {ident}: split part of dimension {split} exceeds "
+                           f"the real rank {REAL_RANK}")
         out[ident] = KgbRecord(id=ident, support=support, theta=theta)
     return out
 
 
-def _parse_params(stream):
+def _parse_params(text: str):
     out = []
-    for no, line in _iter_lines(stream):
+    for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 4:
             raise _err(no, f"params: expected 4 fields, got {len(f)}")
@@ -244,9 +239,9 @@ def _parse_params(stream):
     return out
 
 
-def _parse_branching(stream):
+def _parse_branching(text: str):
     out = []
-    for no, line in _iter_lines(stream):
+    for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 3:
             raise _err(no, f"branching: expected 3 fields, got {len(f)}")
@@ -268,10 +263,10 @@ def _parse_branching(stream):
     return out
 
 
-def _parse_table(stream):
+def _parse_table(text: str):
     out = []
     seen = set()
-    for no, line in _iter_lines(stream):
+    for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 7:
             raise _err(no, f"table: expected 7 fields, got {len(f)}")
@@ -313,9 +308,9 @@ def _parse_table(stream):
     return out
 
 
-def _parse_dirac_counts(stream):
+def _parse_dirac_counts(text: str):
     out = {}
-    for no, line in _iter_lines(stream):
+    for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 2:
             raise _err(no, f"dirac_counts: expected 2 fields, got {len(f)}")
@@ -363,60 +358,38 @@ def infinitesimal_char(p: AtlasParameter, rec: KgbRecord) -> tuple:
 # census of infinitesimal characters
 
 
-@lru_cache(maxsize=1)
-def _positive_root_coords() -> tuple[tuple[int, ...], ...]:
-    """zeta-basis coordinates of the positive roots, in datum order."""
-    return tuple(tuple(int(c) for c in from_ambient("zeta", beta))
-                 for beta in build_root_datum().positive_roots)
-
-
-def _split_part_forms(rec: KgbRecord):
-    """Coefficient rows of the linear forms <Lambda, beta_vee> for the positive
-    roots beta negated by the involution.
-
-    The (-1)-eigenspace of every shipped involution is spanned by pairwise
-    orthogonal roots, so |nu|^2 = (1/2) * sum_j <Lambda, beta_j_vee>^2 and the
-    census condition |nu|^2 < 94 becomes sum_j <Lambda, beta_j_vee>^2 <= 187
-    over integer vectors.  Anything else is rejected as a fixture error.
-    """
-    d = build_root_datum()
-    neg = []
-    for beta, coords in zip(d.positive_roots, _positive_root_coords()):
-        if apply_theta(rec.theta, coords) == tuple(-c for c in coords):
-            neg.append(beta)
-    dim_minus = (RANK - sum(rec.theta[i][i] for i in range(RANK))) // 2
-    if len(neg) != dim_minus:
-        raise FixtureError(
-            f"kgb {rec.id}: split part of dimension {dim_minus} is spanned by "
-            f"{len(neg)} roots; census needs a root-spanned split part")
-    for i in range(len(neg)):
-        for j in range(i + 1, len(neg)):
-            if inner(neg[i], neg[j]) != 0:
-                raise FixtureError(f"kgb {rec.id}: negated roots are not orthogonal")
-    # (beta, zeta_i) is the alpha_i-coefficient of beta_vee = beta, a
-    # positive root; the census scan and its subsumption lemma rest on this
-    # sign (quadratic_points, _minimal_forms)
-    rows = [tuple(int(inner(b, w)) for w in d.fundamental_weights) for b in neg]
-    assert all(v >= 0 for row in rows for v in row), f"BUG: kgb {rec.id}: negative form entry"
-    return rows
-
-
-_FORM_BOUND = 2 * NU_BOUND - 1  # sum of squared pairings is an integer < 2*94
+_FORM_BOUND = 2 * NU_BOUND - 1  # 2|nu|^2 is an integer < 2*94
 
 
 def _census_form(rec: KgbRecord) -> tuple[tuple[int, ...], ...]:
-    """Q = F^T F for the split-part rows F of a record, so that
-    c^T Q c = sum_j <Lambda, beta_j_vee>^2 for zeta-basis coordinates c.
-    A zero diagonal entry is a zero column of F: no pairing bounds that
-    coordinate, and the record's census would be infinite."""
-    rows = _split_part_forms(rec)
-    q = tuple(tuple(sum(r[i] * r[k] for r in rows) for k in range(RANK))
-              for i in range(RANK))
+    """Q = (H - H theta)/2 with H = weight_gram2(), so that
+    c^T Q c = 2|nu|^2 for zeta-basis coordinates c and nu = (1 - theta)c/2.
+
+    Lemma.  The parser checks theta^2 = 1 and theta^T H theta = H, hence
+    theta^T H = theta^T H theta theta = H theta, and with v^T H v = 2|v|^2,
+    8|nu|^2 = c^T (1 - theta)^T H (1 - theta) c = 2 c^T (H - H theta) c.
+    So the census condition |nu|^2 < 94 is c^T Q c <= _FORM_BOUND.
+
+    Q is integral and nonnegative: an integral theta preserving H is an
+    automorphism of the E7 weight lattice, so an element of W(E7) (Conway-
+    Sloane, SPLAG ch. 4 sec. 8); an involution of a Weyl group is -1 on the
+    span of mutually orthogonal roots beta_j, which may be taken positive
+    (Richardson, Bull. Austral. Math. Soc. 26, 1982); then Q = sum_j f_j f_j^T
+    with f_j the simple-root coefficients of beta_j.  The scan rests on the
+    sign, and quadratic_points asserts it.
+
+    A zero diagonal entry leaves that coordinate unbounded, and the record's
+    census would be infinite."""
+    h = weight_gram2()
+    q2 = tuple(tuple(a - b for a, b in zip(hr, tr))
+               for hr, tr in zip(h, _matmul(h, rec.theta)))
+    assert all(v % 2 == 0 for row in q2 for v in row), f"BUG: kgb {rec.id}: odd form entry"
+    q = tuple(tuple(v // 2 for v in row) for row in q2)
     for i in range(RANK):
         if not q[i][i]:
             raise FixtureError(
-                f"coordinate {i} is unconstrained by the split part; enumeration "
-                "would not terminate")
+                f"kgb {rec.id}: coordinate {i} is unconstrained by the split part; "
+                "enumeration would not terminate")
     return q
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 from operator import mul, not_
 
@@ -8,6 +8,8 @@ import pytest
 from e7dirac import criteria
 from e7dirac.atlas_ingest import (
     FULL_SUPPORT,
+    NU_BOUND,
+    REAL_RANK,
     AtlasParameter,
     FixtureError,
     KgbRecord,
@@ -27,12 +29,13 @@ from e7dirac.atlas_ingest import (
 )
 from e7dirac.norms import weight_gram2
 from e7dirac.screening import hp_admissible, quadratic_points
-from e7dirac.structure import RANK
+from e7dirac.structure import RANK, build_root_datum, inner
 
 from frozen_values import PHI_COEFF_ONE
 
 IDENTITY = tuple(tuple(1 if i == j else 0 for j in range(RANK)) for i in range(RANK))
 IDENTITY_TEXT = ";".join(",".join(str(v) for v in row) for row in IDENTITY)
+MINUS_IDENTITY = tuple(tuple(-v for v in row) for row in IDENTITY)
 RHO_COORDS = (1,) * RANK
 MINIMAL_CHAR = (1, 1, 1, 0, 1, 1, 1)
 CENSUS_CHAR = (1, 0, 1, 1, 1, 0, 8)
@@ -88,6 +91,24 @@ def test_parse_kgb_errors():
     text = ";".join(",".join(str(v) for v in row) for row in swap)
     with pytest.raises(FixtureError, match="preserve the form"):
         parse_fixture("kgb", f"1 | full | {text}")
+    # -1 is an involution preserving the form, with split part of dimension 7
+    with pytest.raises(FixtureError, match="line 1: kgb 9999: .* real rank 3"):
+        parse_fixture("kgb", f"9999 | full | {IDENTITY_TEXT.replace('1', '-1')}")
+
+
+def test_real_rank_is_the_cascade_length():
+    # Harish-Chandra's cascade: the highest root of p+, then the highest of
+    # the p+ roots orthogonal to it, and so on; its length is the real rank
+    d = build_root_datum()
+    height = lambda r: inner(r, d.rho)
+    roots, cascade = list(d.pplus_roots), []
+    while roots:
+        top = max(roots, key=height)
+        assert [height(r) for r in roots].count(height(top)) == 1
+        cascade.append(top)
+        roots = [r for r in roots if inner(r, top) == 0]
+    assert cascade[0] == d.highest_root
+    assert len(cascade) == REAL_RANK == 3, f"BUG: cascade of {len(cascade)} roots"
 
 
 def test_parse_params_errors():
@@ -222,6 +243,24 @@ def _box_points(q, bound):
     return level
 
 
+def test_census_form_is_twice_nu_norm(kgb):
+    # Q against the by-definition |nu|^2 on every fully supported record:
+    # the values at e_i and e_i + e_k determine a symmetric form
+    units = [tuple(int(i == j) for j in range(RANK)) for i in range(RANK)]
+    vectors = units + [tuple(map(sum, zip(a, b))) for a, b in combinations(units, 2)]
+    assert len(vectors) == 28
+    fs = [rec for rec in kgb.values() if rec.support == FULL_SUPPORT]
+    assert len(fs) == 813
+    for rec in fs:
+        q = _census_form(rec)
+        assert all(q[i][k] == q[k][i] >= 0 for i in range(RANK) for k in range(RANK)), \
+            f"BUG: kgb {rec.id}: form not symmetric and nonnegative"
+        for c in vectors:
+            value = sum(a * sum(map(mul, row, c)) for a, row in zip(c, q))
+            assert value == 2 * norm_sq_nu(nu_from_involution(c, rec)), \
+                f"BUG: kgb {rec.id}: form disagrees with |nu|^2 at {c}"
+
+
 def test_quadratic_points_match_box(phi_slice):
     # the monotone scan against brute force: the same points, in the same
     # order, with the same values handed to keep; every coordinate of a
@@ -261,13 +300,19 @@ def test_minimal_forms_lose_no_census_point(phi_slice):
 def test_phi_census_errors(kgb):
     with pytest.raises(FixtureError, match="no fully supported"):
         enumerate_phi({0: kgb[0]})
-    neg_id = tuple(tuple(-v for v in row) for row in IDENTITY)
-    rec = KgbRecord(id=9999, support=FULL_SUPPORT, theta=neg_id)
-    with pytest.raises(FixtureError, match="root-spanned"):
-        enumerate_phi({rec.id: rec})
+    # the parser rejects -1 (real rank); built directly, its census is the
+    # definition over the scan's box, with |nu|^2 < 94 as |2 nu|^2 < 4 * 94
+    rec = KgbRecord(id=9999, support=FULL_SUPPORT, theta=MINUS_IDENTITY)
+    h = weight_gram2()
+    box = product(*(range(isqrt(_FORM_BOUND // h[i][i]) + 1) for i in range(RANK)))
+    two_nu = lambda c: tuple(a - b for a, b in zip(c, apply_theta(rec.theta, c)))
+    want = tuple(c for c in box if min(c) == 0
+                 and norm_sq_nu(two_nu(c)) < 4 * NU_BOUND and hp_admissible(c))
+    assert len(want) == 4
+    assert enumerate_phi({rec.id: rec})[0] == want
     # the identity has an empty split part, which bounds no coordinate
     rec = KgbRecord(id=9998, support=FULL_SUPPORT, theta=IDENTITY)
-    with pytest.raises(FixtureError, match="coordinate 0 is unconstrained"):
+    with pytest.raises(FixtureError, match="kgb 9998: coordinate 0 is unconstrained"):
         enumerate_phi({rec.id: rec})
     # its zero form lies below every form and would be the one minimal
     # form: the fixture error comes from the check on every record, before

@@ -179,14 +179,18 @@ def test_corrupt_fixture_exits_3(tmp_path, monkeypatch):
 
 
 def test_phi_unusable_involution_exits_3(tmp_path, capsys):
-    # the identity marked "full" has no split part to bound the census
-    (tmp_path / "kgb.txt").write_text(f"0 | full | {IDENTITY_TEXT}\n")
-    for extra in ([], ["--jobs", "2"]):
-        code, text = run_main(["phi", "--fixtures", str(tmp_path), *extra])
-        assert code == 3 and text == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "unconstrained" in err and "Traceback" not in err
+    # the identity marked "full" has no split part to bound the census;
+    # -1 has a split part of dimension 7, which the parser rejects
+    minus = IDENTITY_TEXT.replace("1", "-1")
+    for matrix, needle in ((IDENTITY_TEXT, "kgb 0: coordinate 0 is unconstrained"),
+                           (minus, "line 1: kgb 0: split part of dimension 7")):
+        (tmp_path / "kgb.txt").write_text(f"0 | full | {matrix}\n")
+        for extra in ([], ["--jobs", "2"]):
+            code, text = run_main(["phi", "--fixtures", str(tmp_path), *extra])
+            assert code == 3 and text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert needle in err and "Traceback" not in err
 
 
 def _one_error_line(capsys, argv, code, needle):
