@@ -19,6 +19,12 @@ the zeta basis (pairings with the simple coroots); they are exact integer
 matrices and must be involutive and orthogonal for the invariant form, and
 their split part (the (-1)-eigenspace) has dimension at most REAL_RANK = 3,
 the real rank of E7(-25).
+
+The support field of a kgb record must be its split support, the simple
+roots occurring in the orthogonal roots beta_j that span the split part:
+{i : (H - H theta)_ii != 0} with H = weight_gram2(), since that entry is
+2 sum_j f_j[i]^2 for f_j the simple-root coefficients of beta_j (see
+_census_form).
 """
 
 from __future__ import annotations
@@ -188,6 +194,7 @@ def read_fixture(kind: str, path):
 
 
 def _parse_kgb(text: str):
+    h = weight_gram2()
     out = {}
     for no, line in _iter_lines(text):
         f = _fields(line)
@@ -211,6 +218,11 @@ def _parse_kgb(text: str):
         if split > REAL_RANK:
             raise _err(no, f"kgb {ident}: split part of dimension {split} exceeds "
                            f"the real rank {REAL_RANK}")
+        split_support = {i for i in range(RANK)
+                         if h[i][i] != sum(h[i][j] * theta[j][i] for j in range(RANK))}
+        if support != split_support:
+            raise _err(no, f"kgb {ident}: support field {f[1]!r} is not the split "
+                           f"support {sorted(split_support)}")
         out[ident] = KgbRecord(id=ident, support=support, theta=theta)
     return out
 

@@ -7,7 +7,9 @@ The public functions work on exact ambient vectors.  The module-level
 tables cache integer pairing data per chamber so that the census-sized
 loops (tens of thousands of K-types against all 56 chambers) run on
 machine integers; tests pin the fast paths to the straightforward
-definitions.
+definitions.  The integer kernels, the height scan and the census probes
+of screening take every pairing from _tables(), weight_gram2() and
+height_steps(), where the pairings of ambient vectors become integers.
 
 Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
 simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
@@ -31,12 +33,17 @@ separating two of them pairs to zero with lambda_a, and rho_j - rho_j',
 the sum of the roots positive for j and negative for j', is orthogonal to
 lambda_a.
 
-Scan pruning.  In the height scan a_k = sum_i y_i n_{k,i} - 2 with
-n_{k,i} = <z_i, gamma_k^vee> >= 0 (z_i is dominant for the chamber and
-the compact simple roots gamma_k are positive in every chamber).  With
-budget b left for the levels i..6, those levels raise a_k by at most
-b * max_{i' >= i} n_{k,i'} / d_{i'}; a branch where some a_k < 0 cannot
-reach 0 within that bound holds no K-type and is cut.
+Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i.
+Lemma: in chamber j, 3(v, alpha'_i) = P_j[i] . (K-type coordinates of v),
+P_j the first seven columns of pair3[j]; as (z_m, alpha'_i) = delta_mi,
+the coordinates of z_m are column m of 3 adj(P_j) / det P_j (the division
+is asserted exact), with rows n_{k,m} = <z_m, gamma_k^vee> and 2(z_m, zeta).
+So a_k = sum_i y_i n_{k,i} - 2, and n_{k,i} >= 0 (z_i is dominant for the
+chamber and the compact simple roots gamma_k are positive in every
+chamber; asserted, as the cut rests on it).  With budget b left for the
+levels i..6, those levels raise a_k by at most b * max_{i' >= i}
+n_{k,i'} / d_{i'}, d = height_steps() in every chamber; a branch where
+some a_k < 0 cannot reach 0 within that bound holds no K-type and is cut.
 
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.
@@ -50,11 +57,10 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from .simplex import FeasibilityOracle, _pivot
+from .simplex import FeasibilityOracle, adjugate
 from .structure import (
     RANK,
     Vec,
-    _solve,
     add,
     build_root_datum,
     from_ambient,
@@ -223,12 +229,11 @@ def norm12_ktype(coords) -> int:
 
 @lru_cache(maxsize=None)
 def _gram_inverse(subset: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the fundamental-weight Gram matrix on a generator subset
-    (symmetric, so its columns, which _solve returns, are its rows)."""
-    g = weight_gram2()
-    matrix = [[Fraction(g[i][j], 2) for j in subset] for i in subset]
-    identity = [[Fraction(int(i == j)) for j in range(len(subset))] for i in range(len(subset))]
-    return tuple(_solve(matrix, identity))
+    """Inverse of the fundamental-weight Gram matrix G on a generator
+    subset: G_SS^{-1} = 2 adj(H_SS) / det H_SS with H = 2G."""
+    h = weight_gram2()
+    det, adj = adjugate([[h[i][j] for j in subset] for i in subset])
+    return tuple(tuple(Fraction(2 * v, det) for v in row) for row in adj)
 
 
 _SUBSETS = [
@@ -355,29 +360,12 @@ class _Face:
 
 @lru_cache(maxsize=None)
 def _face(mask: int) -> _Face:
-    """Integer solve data for the face S = {i : bit i of mask set}.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss, the simplex's pivot) on
-    [H_SS | I]: every division is exact, no pivot search is needed because
-    H_SS is positive definite, and the block ends as [det I | adj(H_SS)].
-    The adjugate is certified by H_SS adj = det I before it is used.
-    """
+    """Integer solve data for the face S = {i : bit i of mask set}: the
+    certified adjugate of H_SS, which is positive definite."""
     h = weight_gram2()
     members = tuple(i for i in range(RANK) if mask >> i & 1)
-    n = len(members)
-    aug = [
-        [h[i][k] for k in members] + [int(r == s) for s in range(n)]
-        for r, i in enumerate(members)
-    ]
-    det = 1
-    for p in range(n):
-        assert aug[p][p] > 0, "BUG: H is not positive definite"
-        det = _pivot(aug, aug[p], p, det)
-    adj = tuple(tuple(row[n:]) for row in aug)
-    for r, i in enumerate(members):
-        for s in range(n):
-            got = sum(h[i][k] * adj[t][s] for t, k in enumerate(members))
-            assert got == (det if r == s else 0), f"BUG: adjugate of face {members}"
+    det, adj = adjugate([[h[i][k] for k in members] for i in members])
+    assert det > 0, "BUG: H is not positive definite"
     others = tuple(i for i in range(RANK) if not mask >> i & 1)
     return _Face(members=members, others=others, det=det, adj=adj)
 
@@ -580,43 +568,47 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
+def _weight_ktype_coords(j: int) -> list[tuple[int, ...]]:
+    """K-type coordinates of chamber j's fundamental weights z_m: column m
+    of 3 adj(P_j) / det P_j (module docstring, scan tables)."""
+    det, adj = adjugate([row[:RANK] for row in _tables().pair3[j]])
+    return [tuple(_int(Fraction(3 * row[m], det), "weight coordinate") for row in adj)
+            for m in range(RANK)]
+
+
 def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     """All K-types with atlas height <= cap, mapped to their heights.
 
     Scans each chamber's dominant cone: a K-type with height <= cap has, in
     any chamber where mu + 2 rho_c is dominant, coordinates y_i =
-    pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + |2 rho|^2,
+    pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + 2|rho|^2,
     because projection only raises the pairing sum.  The scan is complete:
     it cuts only branches that the prune bound (module docstring) shows to
     hold no K-type.  A point is measured in the chamber that found it,
     which the height invariance allows.
     """
-    d = build_root_datum()
     t = _tables()
     steps = height_steps()
-    two_rho_norm = _int(2 * norm_sq(d.rho), "2|rho|^2")  # = 399
+    two_rho_norm = sum(map(sum, weight_gram2()))  # 2|rho|^2, rho = sum of the zeta_i
+    assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
-    for ch in t.chambers:
-        dvals = [_int(inner(z, scale(2, ch.rho_j)), "weight height step") for z in ch.weights]
-        assert tuple(dvals) == steps, "BUG: height steps differ between chambers"
+    for j in range(len(t.chambers)):
         # mu coordinates from y: a_k = sum y_i p6[i][k] - 2, g = sum y_i pz2[i]
-        p6 = [
-            [_int(pair_coroot(z, gmm), "weight/coroot") for gmm in d.compact_simple]
-            for z in ch.weights
-        ]
+        coords = _weight_ktype_coords(j)
+        p6 = [zm[:6] for zm in coords]
         assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
-        pz2 = [_int(2 * inner(z, d.zeta), "2(weight,zeta)") for z in ch.weights]
+        pz2 = [zm[6] for zm in coords]
         # reach[i][k] = max over levels i' >= i of n_{k,i'} / d_{i'}, as an
         # integer (numerator, denominator); past the last level it is 0, so
         # the cut there is the leaf condition a_k >= 0
         reach = []
         for i in range(RANK):
             best = [
-                max(range(i, RANK), key=lambda m: Fraction(p6[m][k], dvals[m]))
+                max(range(i, RANK), key=lambda m: Fraction(p6[m][k], steps[m]))
                 for k in range(6)
             ]
-            reach.append(tuple((p6[m][k], dvals[m]) for k, m in enumerate(best)))
+            reach.append(tuple((p6[m][k], steps[m]) for k, m in enumerate(best)))
         reach.append(((0, 1),) * 6)
         y = [0] * RANK
         acc_a = [-2] * 6  # running a_k including the -2 rho_c shift
@@ -638,7 +630,7 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
                     if h <= cap:
                         out[mu] = h
                 return
-            step = dvals[i]
+            step = steps[i]
             row = p6[i]
             zstep = pz2[i]
             count = 0

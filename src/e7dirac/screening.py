@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import sub as int_sub
+from operator import mul, sub as int_sub
 
 from .norms import (
     _tables,
@@ -54,7 +54,6 @@ from .norms import (
     weight_gram2,
 )
 from .structure import (
-    add,
     build_root_datum,
     from_ambient,
     inner,
@@ -118,47 +117,38 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
 @lru_cache(maxsize=1)
 def _census_tables():
     """Caps, the norm ball, the g-range and the probe directions of the
-    census; the integer pairing tables come from norms._tables()."""
-    d = build_root_datum()
+    census, read off norms._tables().
+
+    A direction with K-type coordinates (b, h), b >= 0, is K-dominant, so
+    the hull's support function there is its best pairing with the
+    K-dominant vertices 2 rho_n_j.  As (zeta, zeta) = 3/2 and
+    (varpi_k, zeta) = 0, its probe in the tables' w12 and z4 is
+        w12 = gram12 . b,   z4 = 2h,   h12 = 2 max_j (b . w12_j + h z4_j).
+    """
     t = _tables()
-    chambers = enumerate_chambers()
 
-    # support function of the hull in a K-dominant direction: best pairing
-    # against the orbit-generating points, the per-chamber sums of noncompact
-    # positive roots.  They are K-dominant, and a pairing maximum over a Weyl
-    # orbit pairs dominant with dominant, so no further conjugation is needed.
-    dom_vertices = [tuple(2 * x for x in ch.rho_n_j) for ch in chambers]
-
-    def support(direction) -> Fraction:
-        dom, _ = dominant_rep(direction, "K")
-        return max(inner(v, dom) for v in dom_vertices)
+    def support12(b, h) -> int:
+        assert min(b) >= 0, f"BUG: probe direction {b} is not K-dominant"
+        return 2 * max(sum(map(mul, b, w)) + h * z for w, z in zip(t.w12, t.z4))
 
     # per-coordinate caps: coordinate i reads off the pairing with the i-th
     # compact simple root, so its maximum over the hull is the support value
-    # there (all six agree by conjugacy of the roots)
-    root_cap = support(d.compact_simple[0])
-    assert all(support(g) == root_cap for g in d.compact_simple[1:])
-    assert root_cap.denominator == 1
-    coord_cap = int(root_cap)
+    # at the root's K-dominant conjugate, the highest root of e6, varpi_2
+    # (asserted to have a root's squared length 2)
+    assert t.gram12[1][1] == 24, "BUG: varpi_2 is not of root length"
+    root12 = support12((0, 1, 0, 0, 0, 0), 0)
+    assert root12 % 12 == 0, f"BUG: 12 * coordinate cap = {root12}"
 
-    g_hi = 2 * support(d.zeta)
-    g_lo = -2 * support(tuple(-x for x in d.zeta))
-    assert g_hi.denominator == 1 and g_lo.denominator == 1
-
-    # probe directions: K-dominant, integer-scaled pairing tables
-    probe_dirs = [d.zeta, tuple(-x for x in d.zeta), d.rho_c]
-    probe_dirs += list(d.varpi)
-    probe_dirs += [add(d.rho_c, ktype_ambient((0, 0, 0, 0, 0, 0, k))) for k in (9, -9, 27, -27)]
-    probe_dirs += [add(w, d.rho_c) for w in d.varpi]
-    probes = []
-    for direction in probe_dirs:
-        dom, _ = dominant_rep(direction, "K")
-        h12 = 12 * max(inner(v, dom) for v in dom_vertices)
-        w12 = [12 * inner(w, dom) for w in d.varpi]
-        z4 = 4 * inner(d.zeta, dom)
-        assert h12.denominator == 1 and z4.denominator == 1
-        assert all(x.denominator == 1 for x in w12)
-        probes.append((tuple(int(x) for x in w12), int(z4), int(h12)))
+    # probe directions as K-type coordinates (b, h): zeta, -zeta, rho_c =
+    # (1, ..., 1, 0), the varpi_i, rho_c + (h/3) zeta and varpi_i + rho_c
+    rho_c, units = (1,) * 6, [tuple(int(i == k) for k in range(6)) for i in range(6)]
+    probe_dirs = [((0,) * 6, 3), ((0,) * 6, -3), (rho_c, 0), *((b, 0) for b in units),
+                  *((rho_c, h) for h in (9, -9, 27, -27)),
+                  *((tuple(x + 1 for x in b), 0) for b in units)]
+    probes = tuple(
+        (tuple(sum(map(mul, row, b)) for row in t.gram12), 2 * h, support12(b, h))
+        for b, h in probe_dirs
+    )
 
     # norm ball: the norm is convex and W(k)-invariant, so no hull point is
     # longer than the longest vertex, 2 rho_n of the base chamber
@@ -166,10 +156,10 @@ def _census_tables():
     assert ball12 == 4 * t.norm12_rho_n[0] == 5832, f"BUG: 12|2rho_n|^2 = {ball12}"
 
     return {
-        "coord_cap": coord_cap,
+        "coord_cap": root12 // 12,
         "ball12": ball12,
-        "g_range": (int(g_lo), int(g_hi)),
-        "probes": tuple(probes),
+        "g_range": (min(t.z4), max(t.z4)),
+        "probes": probes,
     }
 
 

@@ -1,4 +1,5 @@
-"""Exact feasibility testing for small linear programs, with certificates.
+"""Exact feasibility testing for small linear programs, with certificates,
+and adjugate, the package's one exact linear solver.
 
 Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
 phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
@@ -93,11 +94,6 @@ def lp_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
     return lp_solve(rows, rhs)[0] is not None
 
 
-def lp_feasible_witness(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """A nonnegative exact solution of Ax = b, or None if there is none."""
-    return lp_solve(rows, rhs)[0]
-
-
 def _pivot(allrows: list[list[int]], prow: list[int], enter: int, denom: int) -> int:
     """Bareiss pivot on prow[enter]; returns the new denominator."""
     piv = prow[enter]
@@ -110,6 +106,29 @@ def _pivot(allrows: list[list[int]], prow: list[int], enter: int, denom: int) ->
         elif piv != denom:
             row[:] = [(piv * a) // denom for a in row]
     return piv
+
+
+def adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det m, adj m) for a nonsingular square integer m: Gauss-Jordan with
+    _pivot on [m | I], swapping in a lower row at a zero pivot.  With P the
+    swaps, the block ends as [det(Pm) I | det(Pm) m^{-1}], det(Pm) = sign
+    det m.  Certified by m adj = det I before it is returned."""
+    n = len(m)
+    aug = [[int(v) for v in row] + [int(r == s) for s in range(n)] for r, row in enumerate(m)]
+    denom, sign = 1, 1
+    for p in range(n):
+        q = next((r for r in range(p, n) if aug[r][p]), None)
+        if q is None:
+            raise RuntimeError(f"BUG: singular matrix {m}")
+        if q != p:
+            aug[p], aug[q], sign = aug[q], aug[p], -sign
+        denom = _pivot(aug, aug[p], p, denom)
+    det = sign * denom
+    adj = tuple(tuple(sign * v for v in row[n:]) for row in aug)
+    assert all(sum(map(mul, row, col)) == (det if r == s else 0)
+               for r, row in enumerate(m) for s, col in enumerate(zip(*adj))), \
+        f"BUG: adjugate of {m}"
+    return det, adj
 
 
 def lp_solve(rows: list[list[int]], rhs: list[int]

@@ -14,8 +14,10 @@ Two coordinate systems are used on top of the ambient one:
   where varpi_i are the fundamental weights of the e6 factor extended by
   zero on the center.  K-type highest weights use it.
 
-All arithmetic is over fractions.Fraction; norms are only ever handled in
-squared form so every quantity stays rational.
+Vectors have fractions.Fraction coordinates, and norms are only ever
+handled in squared form, so every quantity stays rational.  The two dual
+bases (zeta_i and varpi_i) come from the integer solver simplex.adjugate
+on doubled constraint matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .simplex import adjugate
 
 Vec = tuple[Fraction, ...]
 
@@ -107,21 +111,12 @@ def in_span(v: Vec) -> bool:
     return inner(v, SPAN_COMPLEMENT) == 0
 
 
-def _solve(matrix, rhs: list[list[Fraction]]) -> list[Vec]:
-    """Gaussian elimination on a nonsingular matrix; returns the solution of
-    matrix x = r for each right-hand side r in rhs."""
-    n = len(matrix)
-    aug = [list(row) + [r[i] for r in rhs] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [tuple(aug[r][n + k] for r in range(n)) for k in range(len(rhs))]
+def _dual_basis(constraints, count: int) -> list[Vec]:
+    """The x_i with (x_i, c_k) = delta_ik for the first count constraints c_k
+    and (x_i, c_k) = 0 for the others.  Doubled, the constraint matrix M is
+    integral, so x_i = 2 adj(M) e_i / det M."""
+    det, adj = adjugate([[int(2 * x) for x in c] for c in constraints])
+    return [tuple(Fraction(2 * row[i], det) for row in adj) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -168,9 +163,7 @@ def build_root_datum() -> RootDatum:
     assert rho == vec(0, 1, 2, 3, 4, 5, Fraction(-17, 2), Fraction(17, 2)), f"BUG: rho = {rho}"
 
     # Fundamental weights: (zeta_i, alpha_j^vee) = delta_ij inside the span.
-    unit = [[Fraction(int(i == j)) for j in range(RANK)] + [Fraction(0)] for i in range(RANK)]
-    constraints = list(SIMPLE_ROOTS) + [SPAN_COMPLEMENT]
-    fundamental = _solve(constraints, unit)
+    fundamental = _dual_basis(list(SIMPLE_ROOTS) + [SPAN_COMPLEMENT], RANK)
     zeta = fundamental[6]
     assert zeta == vec(0, 0, 0, 0, 0, 1, -_HALF, _HALF), f"BUG: zeta = {zeta}"
 
@@ -194,12 +187,8 @@ def build_root_datum() -> RootDatum:
 
     # varpi_i: fundamental weights of the e6 factor, extended by zero on the
     # center R*zeta.
-    unit6 = [
-        [Fraction(int(i == j)) for j in range(COMPACT_RANK)] + [Fraction(0), Fraction(0)]
-        for i in range(COMPACT_RANK)
-    ]
-    constraints6 = list(SIMPLE_ROOTS[:COMPACT_RANK]) + [zeta, SPAN_COMPLEMENT]
-    varpi = _solve(constraints6, unit6)
+    varpi = _dual_basis(list(SIMPLE_ROOTS[:COMPACT_RANK]) + [zeta, SPAN_COMPLEMENT],
+                        COMPACT_RANK)
 
     datum = RootDatum(
         simple_roots=SIMPLE_ROOTS,
@@ -303,9 +292,3 @@ def contragredient(coords) -> tuple:
     """Highest weight of the dual K-type: [a..f,g] -> [f,b,e,d,c,a,-g]."""
     a, b, c, d, e, f, g = coords
     return (f, b, e, d, c, a, -g)
-
-
-def lowest_weight(coords) -> tuple:
-    """Lowest weight of the K-type [a..f,g]: [-f,-b,-e,-d,-c,-a,g]."""
-    a, b, c, d, e, f, g = coords
-    return (-f, -b, -e, -d, -c, -a, g)

@@ -26,8 +26,6 @@ from .structure import (
     from_ambient,
     inner,
     is_k_type,
-    norm_sq,
-    pair_coroot,
     reflect,
     sub,
     to_ambient,
@@ -41,10 +39,6 @@ def apply_word(word: WeylWord, v: Vec) -> Vec:
     for letter in word:
         v = reflect(v, d.simple_roots[letter - 1])
     return v
-
-
-def invert_word(word: WeylWord) -> WeylWord:
-    return tuple(reversed(word))
 
 
 def dominant_rep(v: Vec, group: str) -> tuple[Vec, WeylWord]:
@@ -116,19 +110,13 @@ def enumerate_chambers() -> tuple[Chamber, ...]:
             rho_new = sub(ch.rho_j, wall)
             if rho_new in seen:
                 continue
-            refl = lambda u: sub(u, _scale_pair(u, wall))
             word_new = (i,) + ch.word
-            simples_new = tuple(refl(u) for u in ch.simples)
-            weights_new = tuple(refl(u) for u in ch.weights)
+            simples_new = tuple(reflect(u, wall) for u in ch.simples)
+            weights_new = tuple(reflect(u, wall) for u in ch.weights)
             push(word_new, rho_new, simples_new, weights_new)
     if len(chambers) != 56:
         raise RuntimeError(f"chamber search found {len(chambers)} positive systems, wanted 56")
     return tuple(chambers)
-
-
-def _scale_pair(u: Vec, root: Vec) -> Vec:
-    c = pair_coroot(u, root)
-    return tuple(c * x for x in root)
 
 
 def weyl_dim_k(coords) -> int:
@@ -164,12 +152,3 @@ def spin_module_dimension_check() -> bool:
     if len(reps) != 56:
         raise RuntimeError(f"only {len(reps)} distinct rho_n^(j) among the 56 chambers")
     return total == 2**27
-
-
-def rho_n_coincidence_report() -> dict[tuple[int, ...], int]:
-    """Multiplicity of each rho_n^(j) value across chambers (all 1 expected)."""
-    counts: dict[tuple[int, ...], int] = {}
-    for ch in enumerate_chambers():
-        key = tuple(int(c) for c in from_ambient("varpi", ch.rho_n_j))
-        counts[key] = counts.get(key, 0) + 1
-    return counts

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
@@ -75,7 +76,7 @@ def test_kgb_involution_and_isometry(kgb):
 
 
 def test_parse_kgb_errors():
-    good = f"7 | full | {IDENTITY_TEXT}"
+    good = f"7 | empty | {IDENTITY_TEXT}"
     with pytest.raises(FixtureError, match="line 2.*matrix rows"):
         parse_fixture("kgb", f"# header\n1 | full | 1,0;0,1")
     with pytest.raises(FixtureError, match="duplicate id 7"):
@@ -94,6 +95,27 @@ def test_parse_kgb_errors():
     # -1 is an involution preserving the form, with split part of dimension 7
     with pytest.raises(FixtureError, match="line 1: kgb 9999: .* real rank 3"):
         parse_fixture("kgb", f"9999 | full | {IDENTITY_TEXT.replace('1', '-1')}")
+
+
+def test_parse_kgb_checks_the_support_field(fixture_dir):
+    # the field must be the split support {i : (H - H theta)_ii != 0}
+    lines = {int(line.split("|", 1)[0]): line
+             for line in (fixture_dir / "kgb.txt").read_text().splitlines()
+             if not line.startswith("#")}
+    reflection = lines[1]
+    assert parse_fixture("kgb", reflection)[1].support == frozenset({2, 3, 4, 5, 6})
+    with pytest.raises(FixtureError, match=re.escape(
+            "line 1: kgb 1: support field 'full' is not the split support [2, 3, 4, 5, 6]")):
+        parse_fixture("kgb", reflection.replace("2,3,4,5,6", "full"))
+    full = lines[3016]
+    assert parse_fixture("kgb", full)[3016].support == FULL_SUPPORT
+    with pytest.raises(FixtureError, match=re.escape(
+            "line 2: kgb 3016: support field '0,1,2,3,4,5' is not the split support "
+            "[0, 1, 2, 3, 4, 5, 6]")):
+        parse_fixture("kgb", reflection + "\n" + full.replace("full", "0,1,2,3,4,5"))
+    with pytest.raises(FixtureError, match=re.escape(
+            "kgb 7: support field '0' is not the split support []")):
+        parse_fixture("kgb", f"7 | 0 | {IDENTITY_TEXT}")
 
 
 def test_real_rank_is_the_cascade_length():

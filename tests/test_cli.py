@@ -179,10 +179,11 @@ def test_corrupt_fixture_exits_3(tmp_path, monkeypatch):
 
 
 def test_phi_unusable_involution_exits_3(tmp_path, capsys):
-    # the identity marked "full" has no split part to bound the census;
-    # -1 has a split part of dimension 7, which the parser rejects
+    # the identity marked "full" has an empty split support, and -1 has a
+    # split part of dimension 7: the parser rejects both
     minus = IDENTITY_TEXT.replace("1", "-1")
-    for matrix, needle in ((IDENTITY_TEXT, "kgb 0: coordinate 0 is unconstrained"),
+    for matrix, needle in ((IDENTITY_TEXT, "line 1: kgb 0: support field 'full' is not the "
+                                           "split support []"),
                            (minus, "line 1: kgb 0: split part of dimension 7")):
         (tmp_path / "kgb.txt").write_text(f"0 | full | {matrix}\n")
         for extra in ([], ["--jobs", "2"]):
@@ -191,6 +192,22 @@ def test_phi_unusable_involution_exits_3(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert needle in err and "Traceback" not in err
+
+
+def test_verify_rejects_a_wrong_support_field_first(tmp_path, capsys, monkeypatch):
+    # a full record whose field claims a partial support: verify exits 3
+    # while reading the fixtures, before any criterion runs
+    for src in Path(FIXTURES).iterdir():
+        text = src.read_text()
+        if src.name == "kgb.txt":
+            text = text.replace("\n3016 | full |", "\n3016 | 0,1,2,3,4,5 |", 1)
+            assert "3016 | 0,1,2,3,4,5 |" in text
+        (tmp_path / src.name).write_text(text)
+    monkeypatch.setattr(criteria, "CRITERIA", None)  # a criterion run would fail
+    code, text = run_main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert "kgb.txt: line" in err and "kgb 3016: support field '0,1,2,3,4,5'" in err, err
 
 
 def _one_error_line(capsys, argv, code, needle):

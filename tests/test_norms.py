@@ -10,6 +10,7 @@ from e7dirac.norms import (
     _kernel_height,
     _lambda_kernel,
     _project_in_chamber,
+    _weight_ktype_coords,
     _witness_c,
     atlas_height,
     cone_project,
@@ -42,6 +43,7 @@ from e7dirac.structure import (
     is_k_type,
     neg,
     norm_sq,
+    pair_coroot,
     scale,
     sub,
     to_ambient,
@@ -208,6 +210,18 @@ def test_kernel_tables_weyl_invariant(chambers):
             assert inner(zi, scale(2, ch.rho_j)) == height_steps()[i]
             for k, zk in enumerate(ch.weights):
                 assert 2 * inner(zi, zk) == gram2[i][k]
+
+
+def test_scan_tables_from_pair3(datum, chambers):
+    # the K-type coordinates of each chamber's weights, read off pair3 by
+    # the adjugate, against the Fraction pairings that define them
+    for ch in chambers:
+        want = [
+            tuple(pair_coroot(z, g) for g in datum.compact_simple) + (2 * inner(z, datum.zeta),)
+            for z in ch.weights
+        ]
+        assert _weight_ktype_coords(ch.index) == want, f"BUG: chamber {ch.index}"
+    assert sum(map(sum, weight_gram2())) == 2 * norm_sq(datum.rho)
 
 
 # ---- spin ----

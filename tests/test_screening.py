@@ -27,7 +27,15 @@ from e7dirac.screening import (
     lemma32_witness,
     spin_lkts,
 )
-from e7dirac.structure import build_root_datum, contragredient, from_ambient, inner, norm_sq, sub
+from e7dirac.structure import (
+    add,
+    build_root_datum,
+    contragredient,
+    from_ambient,
+    inner,
+    norm_sq,
+    sub,
+)
 from e7dirac.weyl import dominant_rep, enumerate_chambers
 
 from frozen_values import CERTS_KTYPES, HD_TWELVE, PHI_COEFF_ONE
@@ -147,6 +155,33 @@ def test_census_candidates_match_per_point_reference():
     want = _reference_candidates()
     assert len(want) == 30235
     assert got == want, "BUG: the pruned scan changes the candidate list"
+
+
+def test_census_tables_against_support_function():
+    # the integer probes and caps against the support function of the hull
+    # by definition: Fraction pairings of the K-dominant representative of
+    # each direction with the vertices 2 rho_n_j
+    d = build_root_datum()
+    vertices = [tuple(2 * x for x in ch.rho_n_j) for ch in enumerate_chambers()]
+
+    def support(direction):
+        dom, _ = dominant_rep(direction, "K")
+        return max(inner(v, dom) for v in vertices)
+
+    dirs = [d.zeta, tuple(-x for x in d.zeta), d.rho_c, *d.varpi]
+    dirs += [add(d.rho_c, ktype_ambient((0, 0, 0, 0, 0, 0, k))) for k in (9, -9, 27, -27)]
+    dirs += [add(w, d.rho_c) for w in d.varpi]
+    probes = []
+    for u in dirs:
+        dom, _ = dominant_rep(u, "K")
+        probes.append((tuple(12 * inner(w, dom) for w in d.varpi), 4 * inner(d.zeta, dom),
+                       12 * support(u)))
+    ct = _census_tables()
+    assert ct["probes"] == tuple(probes)
+    caps = {support(g) for g in d.compact_simple}
+    assert caps == {ct["coord_cap"]} == {12}
+    assert ct["g_range"] == (-2 * support(dirs[1]), 2 * support(d.zeta)) == (-54, 54)
+    assert ct["ball12"] == 12 * max(norm_sq(v) for v in vertices) == 5832
 
 
 def test_census_count(census):

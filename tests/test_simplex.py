@@ -2,15 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e7dirac.norms import _face, weight_gram2
 from e7dirac.simplex import (
     BasisCertificate,
     FarkasCertificate,
     FeasibilityOracle,
+    adjugate,
     lp_feasible,
-    lp_feasible_witness,
     lp_solve,
 )
 
@@ -77,12 +79,11 @@ def rank(rows):
 
 
 def check_certificate(rows, rhs):
-    """lp_solve agrees with the witness, and its certificate verifies and
-    settles the rhs it came from; only a rank-deficient feasible system
-    may come without one."""
+    """lp_solve's certificate agrees with its answer, verifies and settles
+    the rhs it came from; only a rank-deficient feasible system may come
+    without one."""
     x, cert = lp_solve(rows, rhs)
     feasible = x is not None
-    assert x == lp_feasible_witness(rows, rhs)
     if cert is None:
         assert feasible and rank(rows) < len(rows), f"BUG: no certificate for {rows} {rhs}"
         return feasible, cert
@@ -98,13 +99,13 @@ def check_certificate(rows, rhs):
 
 
 def test_single_equation_feasible():
-    x = lp_feasible_witness([[1, 1]], [1])
+    x = lp_solve([[1, 1]], [1])[0]
     check_witness([[1, 1]], [1], x)
 
 
 def test_negative_rhs_feasible():
     rows, rhs = [[1, -1]], [-1]
-    x = lp_feasible_witness(rows, rhs)
+    x = lp_solve(rows, rhs)[0]
     check_witness(rows, rhs, x)
 
 
@@ -132,7 +133,7 @@ def test_zero_system():
 def test_redundant_rows():
     rows = [[1, 2, 1], [2, 4, 2], [0, 1, 1]]
     rhs = [4, 8, 1]
-    x = lp_feasible_witness(rows, rhs)
+    x = lp_solve(rows, rhs)[0]
     check_witness(rows, rhs, x)
 
 
@@ -160,7 +161,7 @@ def test_random_nonnegative_combinations_are_feasible(data):
     ]
     x0 = [data.draw(st.integers(0, 4)) for _ in range(n)]
     rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
-    x = lp_feasible_witness(rows, rhs)
+    x = lp_solve(rows, rhs)[0]
     assert x is not None, f"BUG: constructed-feasible system reported infeasible {rows} {rhs}"
     check_witness(rows, rhs, x)
     check_certificate(rows, rhs)
@@ -173,7 +174,7 @@ def test_random_systems_witness_consistency():
         m, n = rng.randint(1, 3), rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-6, 6) for _ in range(m)]
-        x = lp_feasible_witness(rows, rhs)
+        x = lp_solve(rows, rhs)[0]
         if x is None:
             infeasible_seen += 1
         else:
@@ -206,7 +207,7 @@ def test_zero_artificial_is_driven_out_of_the_basis():
         rows, rhs = [[1, 2, 0], [0, 0, sign]], [1, 0]
         feasible, cert = check_certificate(rows, rhs)
         assert feasible and cert.columns == (1, 2)
-        assert lp_feasible_witness(rows, rhs) == [0, Fraction(1, 2), 0]
+        assert lp_solve(rows, rhs)[0] == [0, Fraction(1, 2), 0]
 
 
 def test_redundant_row_leaves_no_basis_certificate():
@@ -240,3 +241,58 @@ def test_oracle_agrees_with_the_simplex():
     assert oracle.basis_hits and oracle.farkas_hits, "BUG: sample should hit both kinds"
     assert oracle.held <= oracle.lp_calls < len(queries) // 4
     assert all(cert.verify(oracle.rows) for cert in oracle.certificates)
+
+
+# ---- the exact solver ----
+
+
+def cofactor_adjugate(m):
+    """det and adjugate by cofactor expansion, the definition."""
+    def det(a):
+        if not a:
+            return 1
+        return sum((-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
+                   for j in range(len(a)))
+    n = len(m)
+    minor = lambda r, c: [row[:c] + row[c + 1:] for k, row in enumerate(m) if k != r]
+    return det(m), tuple(tuple((-1) ** (r + c) * det(minor(c, r)) for c in range(n))
+                         for r in range(n))
+
+
+def test_adjugate_with_row_swaps():
+    # a zero pivot at the start, and one that appears after the first step
+    for m in ([[0, 1], [1, 0]], [[1, 2, 3], [2, 4, 5], [3, 5, 6]],
+              [[0, 2, 1], [3, 0, 0], [1, 1, 4]]):
+        det, adj = adjugate(m)
+        assert det < 0
+        assert (det, adj) == cofactor_adjugate(m)
+    assert adjugate([]) == (1, ())
+
+
+def test_adjugate_random_against_cofactors():
+    rng = random.Random(91)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        det, adj = cofactor_adjugate(m)
+        if det:
+            assert adjugate(m) == (det, adj), f"BUG: adjugate of {m}"
+
+
+def test_adjugate_of_every_face():
+    # the lambda kernel's faces H_SS, H = 2 (zeta_i, zeta_k): positive definite
+    h = weight_gram2()
+    for mask in range(1 << 7):
+        members = [i for i in range(7) if mask >> i & 1]
+        m = [[h[i][k] for k in members] for i in members]
+        det, adj = cofactor_adjugate(m)
+        assert det > 0 and adjugate(m) == (det, adj), f"BUG: adjugate of face {members}"
+        face = _face(mask)
+        assert (face.det, face.adj) == (det, adj)
+
+
+def test_adjugate_rejects_singular():
+    with pytest.raises(RuntimeError, match="BUG: singular"):
+        adjugate([[1, 2], [2, 4]])
+    with pytest.raises(RuntimeError, match="BUG: singular"):
+        adjugate([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

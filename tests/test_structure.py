@@ -13,7 +13,6 @@ from e7dirac.structure import (
     in_span,
     inner,
     is_k_type,
-    lowest_weight,
     norm_sq,
     pair_coroot,
     sub,
@@ -119,10 +118,6 @@ def test_contragredient_examples():
     assert contragredient((1, 0, 0, 0, 0, 0, 2)) == (0, 0, 0, 0, 0, 1, -2)
     assert contragredient((0, 0, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 0, 0)
     assert contragredient((1, 1, 1, 1, 1, 1, 0)) == (1, 1, 1, 1, 1, 1, 0)
-
-
-def test_lowest_weight_formula():
-    assert lowest_weight((1, 0, 0, 0, 0, 0, 2)) == (0, 0, 0, 0, 0, -1, 2)
 
 
 @given(st.tuples(*[st.integers(0, 5) for _ in range(6)], st.integers(-15, 15)))
