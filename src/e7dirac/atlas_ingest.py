@@ -14,6 +14,9 @@ line, '#' starts a comment, fields separated by '|':
     dirac_counts: <S: comma list of indices or "empty"> | <N(S)>, one line
                   for each of the 127 proper subsets S of {0..6}
 
+A K-type (a branching ktype or a table spin lkt) has nonnegative E6
+coordinates, its first six.
+
 Involution matrices act on the 7 coordinate entries of a weight written in
 the zeta basis (pairings with the simple coroots); they are exact integer
 matrices and must be involutive and orthogonal for the invariant form, and
@@ -112,6 +115,14 @@ def _ints(text: str, line_no: int, n: int, what: str) -> tuple:
         raise _err(line_no, f"{what}: non-integer entry in {text!r}") from None
 
 
+def _ktype(text: str, line_no: int, what: str) -> tuple:
+    """Seven integers whose E6 part, the first six, is nonnegative."""
+    coords = _ints(text, line_no, RANK, what)
+    if min(coords[:6]) < 0:
+        raise _err(line_no, f"{what}: negative e6 coordinate in {text!r}")
+    return coords
+
+
 def _rationals(text: str, line_no: int, what: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != RANK:
@@ -178,19 +189,6 @@ def parse_fixture(kind: str, text: str):
     if kind == "dirac_counts":
         return _parse_dirac_counts(text)
     raise ValueError(f"unknown fixture kind: {kind!r}")
-
-
-def read_fixture(kind: str, path):
-    """parse_fixture on one file; an unreadable or malformed file is a
-    FixtureError that names it."""
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise FixtureError(f"cannot read fixture {path}: {e}") from None
-    try:
-        return parse_fixture(kind, text)
-    except FixtureError as e:
-        raise FixtureError(f"{path}: {e}") from None
 
 
 def _parse_kgb(text: str):
@@ -266,7 +264,7 @@ def _parse_branching(text: str):
             raise _err(no, f"branching: multiplicity {mult} < 1")
         if height < 0:
             raise _err(no, f"branching: negative height {height}")
-        ktype = _ints(f[1], no, RANK, "ktype")
+        ktype = _ktype(f[1], no, "ktype")
         if not is_k_type(ktype):
             raise _err(no, f"branching: {ktype} is not a K-type weight")
         out.append(BranchRow(mult=mult, ktype=ktype, height=height))
@@ -283,7 +281,7 @@ def _parse_table(text: str):
         if len(f) != 7:
             raise _err(no, f"table: expected 7 fields, got {len(f)}")
         table_id = f[0]
-        if len(table_id) != RANK or not table_id.isdigit():
+        if len(table_id) != RANK or not (table_id.isascii() and table_id.isdigit()):
             raise _err(no, f"table: id {table_id!r} is not {RANK} digits")
         try:
             x = int(f[1])
@@ -308,7 +306,7 @@ def _parse_table(text: str):
             lkt = part.startswith("LKT:")
             if lkt:
                 part = part[4:].strip()
-            spins.append(_ints(part, no, RANK, "spin lkt"))
+            spins.append(_ktype(part, no, "spin lkt"))
             flags.append(lkt)
         if not spins:
             raise _err(no, "table: no spin lkts")

@@ -1,6 +1,13 @@
 """Command-line front end: prints the engine's tables and counts as TSV or
 aligned text, plus a one-shot verification suite over criteria.CRITERIA.
 
+Each subcommand is a builder run_x(ctx, args) over one criteria.Context,
+which reads the fixture files and computes the enumerations on first use.
+A builder returns (header, rows, footer) for `emit`; `verify`'s returns the
+criteria results, printed one PASS/FAIL line each.  `render` prints what a
+builder returns, so a test renders any subcommand from a context it
+already holds.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (from
 argparse), 3 missing, unreadable or inconsistent fixture data (any
 FixtureError).  Output is deterministic: canonical sort order, exact
@@ -10,21 +17,14 @@ rationals (p/q), no floating point.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from . import atlas_ingest as ingest
 from . import criteria
 from .norms import infchar_norm_sq
-from .screening import (
-    compute_certs,
-    dirac_candidate_gammas,
-    enumerate_omega,
-    enumerate_usmall_ktypes,
-    spin_lkts,
-)
+from .screening import dirac_candidate_gammas, spin_lkts
 from .structure import RANK, fmt_q, fmt_vec
+from .weyl import enumerate_chambers
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,125 +56,83 @@ def emit(out, header, rows, footer=None, fmt="tsv") -> None:
         print(f"{footer[0]}: {footer[1]}", file=out)
 
 
-# ---------------------------------------------------------------------------
-# fixture access
-
-
-def _fixture_dir(args) -> Path:
-    where = args.fixtures or os.environ.get("DIRAC_FIXTURES")
-    if not where:
-        raise ingest.FixtureError(
-            "no fixture directory: pass --fixtures DIR or set DIRAC_FIXTURES")
-    path = Path(where)
-    if not path.is_dir():
-        raise ingest.FixtureError(f"fixture directory not found: {path}")
-    return path
+def render(ctx, args, out) -> int:
+    """Print the output of args' subcommand over ctx to out, and return the
+    exit code."""
+    built = args.func(ctx, args)
+    if args.command != "verify":
+        emit(out, *built, args.format)
+        return EXIT_OK
+    for name, (ok, detail) in built.items():
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
+    return EXIT_OK if all(ok for ok, _ in built.values()) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def run_chambers(args, out) -> int:
-    from .weyl import enumerate_chambers
-
+def run_chambers(ctx, args):
     rows = [(str(ch.index), fmt_vec(ch.rho_j), fmt_vec(ch.rho_n_j))
             for ch in enumerate_chambers()]
-    emit(out, ("chamber", "rho", "rho_noncompact"), rows,
-         ("total", str(len(rows))), args.format)
-    return EXIT_OK
+    return ("chamber", "rho", "rho_noncompact"), rows, ("total", str(len(rows)))
 
 
-def run_usmall(args, out) -> int:
-    census = enumerate_usmall_ktypes()
-    rows = [(fmt_vec(mu),) for mu in sorted(census)]
-    emit(out, ("ktype",), rows, ("total", str(len(rows))), args.format)
-    return EXIT_OK
+def run_usmall(ctx, args):
+    rows = [(fmt_vec(mu),) for mu in sorted(ctx.census)]
+    return ("ktype",), rows, ("total", str(len(rows)))
 
 
-def run_certs(args, out) -> int:
-    census = enumerate_usmall_ktypes()
-    entries = sorted(compute_certs(census), key=lambda e: e.ktype)
+def run_certs(ctx, args):
     rows = [(fmt_vec(e.ktype), fmt_q(e.gap), fmt_q(e.lambda_norm_sq))
-            for e in entries]
-    emit(out, ("ktype", "gap", "lambda_norm_sq"), rows,
-         ("total", str(len(rows))), args.format)
-    return EXIT_OK
+            for e in sorted(ctx.certs, key=lambda e: e.ktype)]
+    return ("ktype", "gap", "lambda_norm_sq"), rows, ("total", str(len(rows)))
 
 
-def run_omega(args, out) -> int:
-    chars = sorted(enumerate_omega())
-    rows = [(fmt_vec(c), fmt_q(infchar_norm_sq(c))) for c in chars]
-    emit(out, ("inf_char", "norm_sq"), rows, ("total", str(len(rows))), args.format)
-    return EXIT_OK
+def run_omega(ctx, args):
+    rows = [(fmt_vec(c), fmt_q(infchar_norm_sq(c))) for c in sorted(ctx.omega)]
+    return ("inf_char", "norm_sq"), rows, ("total", str(len(rows)))
 
 
-def run_phi(args, out) -> int:
-    fdir = _fixture_dir(args)
-    kgb = ingest.read_fixture("kgb", fdir / "kgb.txt")
-    chars, partition = criteria.phi_census(fdir, kgb)
+def run_phi(ctx, args):
+    chars, partition = ctx.phi
     rows = [(str(k), str(len(partition[k]))) for k in sorted(partition)]
-    emit(out, ("max_coordinate", "count"), rows,
-         ("total", str(len(chars))), args.format)
-    return EXIT_OK
+    return ("max_coordinate", "count"), rows, ("total", str(len(chars)))
 
 
-def run_hj_example(args, out) -> int:
-    fdir = _fixture_dir(args)
-    kgb = ingest.read_fixture("kgb", fdir / "kgb.txt")
-    params = ingest.read_fixture("params", fdir / "params_1011108.txt")
-    criteria.check_references(fdir, kgb, {"params_1011108.txt": params})
-    total, fs, old, new = ingest.hj_filter(params, kgb)
+def run_hj_example(ctx, args):
+    total, fs, old, new = ingest.hj_filter(ctx.read("params_1011108.txt"), ctx.kgb)
     rows = [("parameters", str(total)),
             ("fully_supported", str(fs)),
             ("nu_norm_sq_le_399/2", str(old)),
             ("nu_norm_sq_lt_94", str(new))]
-    emit(out, ("filter", "count"), rows, None, args.format)
-    return EXIT_OK
+    return ("filter", "count"), rows, None
 
 
-def run_spin_lkt(args, out) -> int:
-    fdir = _fixture_dir(args)
-    branch = ingest.read_fixture("branching", fdir / "branching_2969.txt")
-    ktypes = [(b.ktype, b.mult) for b in branch]
-    min_spin, achievers, hd = spin_lkts(ktypes, args.inf_char)
-    rows = [("k_types", str(len(branch))),
+def run_spin_lkt(ctx, args):
+    min_spin, achievers, hd = spin_lkts([(b.ktype, b.mult) for b in ctx.branch],
+                                        args.inf_char)
+    rows = [("k_types", str(len(ctx.branch))),
             ("min_spin_norm_sq", fmt_q(min_spin)),
             ("min_achievers", str(len(achievers))),
             ("hd_nonzero", "true" if hd else "false")]
-    emit(out, ("quantity", "value"), rows, None, args.format)
-    return EXIT_OK
+    return ("quantity", "value"), rows, None
 
 
-def run_dirac_candidates(args, out) -> int:
+def run_dirac_candidates(ctx, args):
     cs = dirac_candidate_gammas(args.inf_char)
     rows = [(fmt_vec(g), str(cs.gammas[g])) for g in sorted(cs.gammas)]
-    emit(out, ("candidate", "witness_chamber"), rows,
-         ("total", str(len(rows))), args.format)
-    return EXIT_OK
+    return ("candidate", "witness_chamber"), rows, ("total", str(len(rows)))
 
 
-def run_strings(args, out) -> int:
-    fdir = _fixture_dir(args)
-    counts = ingest.read_fixture("dirac_counts", fdir / "dirac_counts.txt")
-    _, by_size, total = ingest.count_strings(counts)
+def run_strings(ctx, args):
+    _, by_size, total = ingest.count_strings(ctx.string_counts)
     rows = [(f"N_{i}", str(n)) for i, n in enumerate(by_size)]
-    emit(out, ("support_size", "count"), rows, ("total", str(total)), args.format)
-    return EXIT_OK
+    return ("support_size", "count"), rows, ("total", str(total))
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-
-
-def run_verify(args, out) -> int:
-    ctx = criteria.Context(_fixture_dir(args))
-    failures = 0
-    for name, check in criteria.CRITERIA:
-        ok, detail = check(ctx)
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
-    return EXIT_FAIL if failures else EXIT_OK
+def run_verify(ctx, args):
+    return ctx.results
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        return render(criteria.Context(args.fixtures), args, sys.stdout)
     except ingest.FixtureError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FIXTURE

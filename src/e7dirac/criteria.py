@@ -3,17 +3,20 @@ check.
 
 CRITERIA is the ordered list of (name, fn).  Each fn(ctx) returns
 (ok, detail), where detail is the line `e7dirac verify` prints after
-"PASS name: " or "FAIL name: ".  `verify` and tests/test_acceptance.py both
-loop over this list.  Everything is exact arithmetic, no tolerances.
+"PASS name: " or "FAIL name: ", and Context.results runs it for `verify`
+and tests/test_acceptance.py.  Everything is exact arithmetic, no tolerances.
 
-A Context holds the fixture data, loaded and cross-checked once, and
-computes the census, certificates, norm window and character census on
-first use.  A malformed or inconsistent fixture raises FixtureError, which
-the command line turns into exit code 3.
+A Context is the one entry to the pipeline, for every subcommand and the
+tests.  It reads each fixture file, computes each enumeration and runs the
+criteria on first use, so a subcommand reads only the files it needs and
+`verify` reads all of them before any criterion runs.  A missing, malformed
+or inconsistent fixture raises FixtureError, which the command line turns
+into exit code 3.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -113,51 +116,75 @@ PARAMS_FILES = ("params_1011108.txt", "params_1111111.txt", "params_1110111.txt"
 # ---------------------------------------------------------------------------
 # fixture data
 
+# every fixture file and its kind, in the order verify reads them
+FIXTURE_FILES = {"kgb.txt": "kgb", **dict.fromkeys(PARAMS_FILES, "params"),
+                 "branching_2969.txt": "branching", "table.txt": "table",
+                 "dirac_counts.txt": "dirac_counts"}
 
-def check_references(fdir: Path, kgb, params: dict, table=()) -> None:
-    """The cross-references the checks rely on: every parameter file is
+
+def _check_references(kind: str, rows, kgb) -> None:
+    """The cross-references the checks rely on: a parameter file is
     nonempty, every parameter and table line names a kgb record, and each
     parameter's fs flag agrees with its record's support."""
-    for name, rows in params.items():
+    if kind == "params":
         if not rows:
-            raise ingest.FixtureError(f"{fdir / name}: no parameters")
+            raise ingest.FixtureError("no parameters")
         for p in rows:
             rec = kgb.get(p.x)
             if rec is None:
-                raise ingest.FixtureError(
-                    f"{fdir / name}: parameter x={p.x} has no kgb record")
+                raise ingest.FixtureError(f"parameter x={p.x} has no kgb record")
             if p.fully_supported != (rec.support == ingest.FULL_SUPPORT):
-                raise ingest.FixtureError(
-                    f"{fdir / name}: parameter x={p.x}: fs flag contradicts kgb support")
-    for row in table:
-        for x in (row.x, row.x_prime):
-            if x is not None and x not in kgb:
-                raise ingest.FixtureError(
-                    f"{fdir / 'table.txt'}: line {row.table_id} x={x} has no kgb record")
-
-
-def phi_census(fdir: Path, kgb):
-    """enumerate_phi, with an involution the census cannot use reported as a
-    fixture error against kgb.txt."""
-    try:
-        return ingest.enumerate_phi(kgb)
-    except ingest.FixtureError as e:
-        raise ingest.FixtureError(f"{fdir / 'kgb.txt'}: {e}") from None
+                raise ingest.FixtureError(f"parameter x={p.x}: fs flag contradicts kgb support")
+    elif kind == "table":
+        for row in rows:
+            for x in (row.x, row.x_prime):
+                if x is not None and x not in kgb:
+                    raise ingest.FixtureError(f"line {row.table_id} x={x} has no kgb record")
 
 
 class Context:
-    """The fixture files of one directory, read and cross-checked on
-    construction, and the heavy enumerations, computed on first use."""
+    """One run's view of the pipeline: the fixture directory (the argument,
+    else $DIRAC_FIXTURES), each fixture file, the heavy enumerations and the
+    criteria results, each resolved, read or computed on first use."""
 
-    def __init__(self, fdir):
-        self.fdir = Path(fdir)
-        self.kgb = ingest.read_fixture("kgb", self.fdir / "kgb.txt")
-        self.params = {name: ingest.read_fixture("params", self.fdir / name)
-                       for name in PARAMS_FILES}
-        self.branch = ingest.read_fixture("branching", self.fdir / "branching_2969.txt")
-        self.table = ingest.read_fixture("table", self.fdir / "table.txt")
-        self.string_counts = ingest.read_fixture("dirac_counts", self.fdir / "dirac_counts.txt")
-        check_references(self.fdir, self.kgb, self.params, self.table)
+    def __init__(self, fixtures=None):
+        self.fixtures = fixtures
+        self._files = {}
+
+    @cached_property
+    def fdir(self) -> Path:
+        where = self.fixtures or os.environ.get("DIRAC_FIXTURES")
+        if not where:
+            raise ingest.FixtureError(
+                "no fixture directory: pass --fixtures DIR or set DIRAC_FIXTURES")
+        path = Path(where)
+        if not path.is_dir():
+            raise ingest.FixtureError(f"fixture directory not found: {path}")
+        return path
+
+    def read(self, name: str):
+        """The parsed fixture file `name` of FIXTURE_FILES, a params or table
+        file checked against kgb.txt.  An unreadable, malformed or
+        inconsistent file is a FixtureError that names it."""
+        if name not in self._files:
+            kind, path = FIXTURE_FILES[name], self.fdir / name
+            kgb = self.kgb if kind in ("params", "table") else None
+            try:
+                text = path.read_text()
+            except OSError as e:
+                raise ingest.FixtureError(f"cannot read fixture {path}: {e}") from None
+            try:
+                rows = ingest.parse_fixture(kind, text)
+                _check_references(kind, rows, kgb)
+            except ingest.FixtureError as e:
+                raise ingest.FixtureError(f"{path}: {e}") from None
+            self._files[name] = rows
+        return self._files[name]
+
+    kgb = property(lambda self: self.read("kgb.txt"))
+    branch = property(lambda self: self.read("branching_2969.txt"))
+    table = property(lambda self: self.read("table.txt"))
+    string_counts = property(lambda self: self.read("dirac_counts.txt"))
 
     @cached_property
     def census(self):
@@ -173,7 +200,20 @@ class Context:
 
     @cached_property
     def phi(self):
-        return phi_census(self.fdir, self.kgb)
+        """enumerate_phi; a fixture error it raises names kgb.txt."""
+        kgb = self.kgb
+        try:
+            return ingest.enumerate_phi(kgb)
+        except ingest.FixtureError as e:
+            raise ingest.FixtureError(f"{self.fdir / 'kgb.txt'}: {e}") from None
+
+    @cached_property
+    def results(self) -> dict:
+        """name -> (ok, detail) of each criterion, in CRITERIA order, once every
+        fixture file is read and cross-checked."""
+        for name in FIXTURE_FILES:
+            self.read(name)
+        return {name: check(self) for name, check in CRITERIA}
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +297,11 @@ def character_census(ctx):
 
 
 def screening_examples(ctx):
-    funnel = ingest.hj_filter(ctx.params["params_1011108.txt"], ctx.kgb)
+    funnel = ingest.hj_filter(ctx.read("params_1011108.txt"), ctx.kgb)
     min_spin, _, hd = spin_lkts([(b.ktype, b.mult) for b in ctx.branch],
                                 (1, 0, 1, 1, 0, 1, 0))
-    big = ctx.params["params_1111111.txt"]
-    small = ctx.params["params_1110111.txt"]
+    big = ctx.read("params_1111111.txt")
+    small = ctx.read("params_1110111.txt")
     nu_big = ingest.norm_sq_nu(ingest.nu_from_involution((1,) * RANK, ctx.kgb[big[0].x]))
     nu_small = ingest.norm_sq_nu(small[0].nu)
     ok = funnel == FUNNEL and (len(ctx.branch), min_spin, hd) == BRANCHING \

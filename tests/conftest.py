@@ -44,7 +44,7 @@ def kgb(ctx):
 
 @pytest.fixture(scope="session")
 def census_params(ctx):
-    return ctx.params["params_1011108.txt"]
+    return ctx.read("params_1011108.txt")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Contract checks for the finished pipeline: one test per acceptance
-criterion of e7dirac.criteria, in order, the same list `e7dirac verify`
-runs.  Each test fails with the criterion's detail line; `-v` shows one
-PASS/FAIL line per criterion.
+criterion of e7dirac.criteria, in order, read off the session context's
+results, which `e7dirac verify` prints.  Each test fails with the
+criterion's detail line; `-v` shows one PASS/FAIL line per criterion.
 """
 
 from dataclasses import replace
@@ -13,20 +13,19 @@ import pytest
 from e7dirac import criteria
 
 
-@pytest.mark.parametrize("name, check", criteria.CRITERIA,
-                         ids=[name for name, _ in criteria.CRITERIA])
-def test_criterion(ctx, name, check):
-    ok, detail = check(ctx)
+@pytest.mark.parametrize("name", [name for name, _ in criteria.CRITERIA])
+def test_criterion(ctx, name):
+    ok, detail = ctx.results[name]
     assert ok, f"{name}: {detail}"
 
 
 def test_screening_examples_checks_every_small_nu(ctx):
     # a wrong |nu|^2 on the second smallest parameter fails the criterion,
     # and the detail line, which names only the first, is unchanged
-    first, second = ctx.params["params_1110111.txt"]
+    first, second = ctx.read("params_1110111.txt")
     wrong = replace(second, nu=(Fraction(0),) * len(second.nu))
-    stub = SimpleNamespace(kgb=ctx.kgb, branch=ctx.branch,
-                           params={**ctx.params, "params_1110111.txt": [first, wrong]})
+    stub = SimpleNamespace(kgb=ctx.kgb, branch=ctx.branch, read=lambda name: (
+        [first, wrong] if name == "params_1110111.txt" else ctx.read(name)))
     ok, detail = criteria.screening_examples(stub)
     assert not ok, "BUG: a wrong nu on the second parameter passes"
     assert detail == criteria.screening_examples(ctx)[1]

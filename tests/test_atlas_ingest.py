@@ -163,8 +163,9 @@ def test_parse_table_errors():
         parse_fixture("table", line[:-1] + "2")
     with pytest.raises(FixtureError, match="duplicate row"):
         parse_fixture("table", f"{line}\n{line}")
-    with pytest.raises(FixtureError, match="not 7 digits"):
-        parse_fixture("table", "111011 | " + line.split(" | ", 1)[1])
+    for table_id in ("111011", "111011\u00b2"):  # str.isdigit() takes a superscript 2
+        with pytest.raises(FixtureError, match="not 7 digits"):
+            parse_fixture("table", f"{table_id} | " + line.split(" | ", 1)[1])
 
 
 def test_parse_dirac_counts_errors(fixture_dir):

@@ -1,29 +1,32 @@
 """Tests for the command-line interface.
 
-The heavy subcommands (usmall, omega, verify) are covered through the library
-calls in the other test modules; here we drive the cheap ones end to end and
-check the exit-code contract.
+Every subcommand's stdout is pinned by its sha256, rendered from the
+session context, so the heavy ones (usmall, certs, omega, phi, verify)
+reuse the enumerations and criteria results the other modules compute.
+The cheap ones also run end to end here, with the exit-code contract.
 """
 
 import argparse
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
 from e7dirac import cli, criteria
-from frozen_values import HD_TWELVE, PHI_COEFF_ONE
+from frozen_values import HD_TWELVE, PHI_COEFF_ONE, STDOUT_SHA256
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures")
 IDENTITY_TEXT = ";".join(
     ",".join(str(int(i == j)) for j in range(7)) for i in range(7))
 
 
-def run_cli(argv):
+def run_cli(argv, ctx=None):
+    """Render argv's subcommand over ctx, by default a fresh context of
+    argv's --fixtures, as main does."""
+    args = cli.build_parser().parse_args(argv)
     out = io.StringIO()
-    parser = cli.build_parser()
-    args = parser.parse_args(argv)
-    code = args.func(args, out)
+    code = cli.render(ctx or criteria.Context(args.fixtures), args, out)
     return code, out.getvalue()
 
 
@@ -58,24 +61,26 @@ def test_chambers_pretty_format():
     assert "\t" not in text
 
 
-def test_phi_partition(fixture_dir, ctx, monkeypatch):
-    # the session context holds the census of the same kgb.txt; the CLI's
-    # own call of enumerate_phi is covered by the slice run below
-    census, calls = ctx.phi, []
-
-    def session_census(fdir, kgb):
-        calls.append((fdir, kgb))
-        return census
-
-    monkeypatch.setattr(criteria, "phi_census", session_census)
-    code, text = run_cli(["phi", "--fixtures", str(fixture_dir)])
-    assert calls == [(fixture_dir, ctx.kgb)]
+def test_phi_partition(ctx):
+    # rendered from the session context, which holds the census of the
+    # shipped kgb.txt; the CLI's own census run is covered by the slice below
+    code, text = run_cli(["phi"], ctx)
     assert code == 0
     lines = text.splitlines()
     sizes = criteria.CENSUS_PARTITION_SIZES
     assert lines[1] == f"1\t{sizes[0]}" == "1\t23"
     assert lines[-2] == f"{len(sizes)}\t{sizes[-1]}" == "13\t13"
     assert lines[-1] == f"# total\t{criteria.CHARACTER_CENSUS_SIZE}"
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256))
+def test_stdout_digest(ctx, argv):
+    # the digests were taken from the output of the shipped fixtures; a
+    # change meant to alter an output updates its digest here
+    code, text = run_cli(argv.split(), ctx)
+    got = hashlib.sha256(text.encode()).hexdigest()
+    assert code == 0 and got == STDOUT_SHA256[argv], \
+        f"{argv}: exit {code}, stdout sha256 {got}"
 
 
 def test_phi_jobs2_byte_identical_on_slice(tmp_path, phi_slice):
@@ -230,6 +235,21 @@ def test_spin_lkt_empty_branching_exits_3(tmp_path, capsys):
                     f"{tmp_path / 'branching_2969.txt'}: branching: no K-types")
 
 
+def test_spin_lkt_negative_e6_coordinate_exits_3(tmp_path, capsys):
+    (tmp_path / "branching_2969.txt").write_text("1 | -1,0,0,0,0,0,1 | 10\n")
+    _one_error_line(capsys, ["spin-lkt", "--fixtures", str(tmp_path)], 3,
+                    "line 1: ktype: negative e6 coordinate in '-1,0,0,0,0,0,1'")
+
+
+def test_hj_example_reads_only_kgb_and_its_params(tmp_path):
+    for name in ("kgb.txt", "params_1011108.txt"):
+        (tmp_path / name).write_text(Path(FIXTURES, name).read_text())
+    code, text = run_main(["hj-example", "--fixtures", str(tmp_path)])
+    assert code == 0
+    assert [line.split("\t")[1] for line in text.splitlines()[1:]] == \
+        [str(n) for n in criteria.FUNNEL]
+
+
 def _subparsers():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -295,6 +315,18 @@ def test_verify_bad_cross_reference_exits_3(tmp_path, capsys, monkeypatch, name,
     monkeypatch.setattr(criteria, "enumerate_usmall_ktypes", no_census)
     code, out = run_main(["verify", "--fixtures", str(fixtures)])
     _assert_fixture_error(code, out, capsys.readouterr().err, message)
+
+
+def test_verify_rejects_a_negative_table_spin_weight(tmp_path, capsys, monkeypatch):
+    # verify_table_row would raise on it after every heavy stage
+    text = Path(FIXTURES, "table.txt").read_text()
+    bad = text.replace("| 0,0,0,0,0,1,16;", "| -1,0,0,0,0,1,16;", 1)
+    assert bad != text
+    fixtures = _fixtures_with(tmp_path, "table.txt", bad)
+    monkeypatch.setattr(criteria, "CRITERIA", None)  # a criterion run would fail
+    code, out = run_main(["verify", "--fixtures", str(fixtures)])
+    _assert_fixture_error(code, out, capsys.readouterr().err,
+                          "table.txt: line 2: spin lkt: negative e6 coordinate")
 
 
 @pytest.mark.parametrize("text, message", [
