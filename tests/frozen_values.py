@@ -88,5 +88,5 @@ STDOUT_SHA256 = {
     "strings":
         "24f3a3f502bc4f1cfbd4a0e0d86b6de523a8e8b64a1985d9dc6b830c04f3391a",
     "verify":
-        "925c4064cb8855c39d1efc3001ae6c83b3210607b8e471a834eb4a751cdbb4f8",
+        "39636d489e9975a495939bc1bcd253a04c57ebc8cfe0f5faed58928df0353c55",
 }

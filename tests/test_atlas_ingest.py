@@ -360,10 +360,12 @@ def test_hj_filter_counts(census_params, kgb):
     assert hj_filter(census_params, kgb) == criteria.FUNNEL, \
         "BUG: screening funnel counts"
     assert hj_filter([], kgb) == (0, 0, 0, 0)
+    # full support is read off the kgb record, not the parameter's fs flag;
+    # a contradicting flag is a fixture error at load time (test_cli)
+    assert kgb[0].support != FULL_SUPPORT
     fake = AtlasParameter(x=0, lam=(0,) * RANK, nu=(Fraction(0),) * RANK,
                           unitary=False, fully_supported=True)
-    with pytest.raises(ValueError, match="fs flag contradicts"):
-        hj_filter([fake], kgb)
+    assert hj_filter([fake], kgb) == (1, 0, 0, 0)
 
 
 def test_table_rows_all_verify(table_rows):

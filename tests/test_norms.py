@@ -18,7 +18,6 @@ from e7dirac.norms import (
     enumerate_by_height,
     is_usmall,
     ktype_ambient,
-    ktype_zeta_coords,
     lambda_datum,
     lambda_norm_sq_fast,
     norm12_ktype,
@@ -298,17 +297,41 @@ def test_usmall_ball_bound(datum):
     assert seen_inside, "sample never landed in the ball; widen the generator"
 
 
-def test_usmall_oracle_matches_plain_lp_on_every_census_candidate(census):
+def test_usmall_oracle_columns_are_ktype_coordinates(datum, chambers):
+    # the K-type coordinates of the vertices 2 rho_n_j and of the negated
+    # compact simple roots, each with its entry of the row sum
+    want = [from_ambient("varpi", scale(2, ch.rho_n_j)) + (1,) for ch in chambers]
+    want += [from_ambient("varpi", neg(g)) + (0,) for g in datum.compact_simple]
+    assert list(zip(*usmall_oracle().rows)) == want
+
+
+def test_usmall_oracle_matches_plain_lp_on_every_census_candidate(census, datum, chambers):
     # a cold oracle on the census system against one plain LP per candidate
+    # on the same membership system in the zeta basis, set up from the
+    # Fraction datum: columns the zeta coordinates of 2 rho_n_j and of the
+    # -gamma_i, right-hand side the zeta coordinates of mu, which are linear
+    # in (a..f, g) with thirds
+    cols = [from_ambient("zeta", scale(2, ch.rho_n_j)) for ch in chambers]
+    cols += [from_ambient("zeta", neg(g)) for g in datum.compact_simple]
+    assert all(x.denominator == 1 for col in cols for x in col)
+    rows = [[int(col[k]) for col in cols] for k in range(7)] + [[1] * 56 + [0] * 6]
+    units = [from_ambient("zeta", ktype_ambient([int(i == k) for i in range(7)]))
+             for k in range(7)]
+    assert all((3 * x).denominator == 1 for u in units for x in u)
+    to_zeta3 = [[int(3 * u[k]) for u in units] for k in range(7)]
+
     oracle = FeasibilityOracle(usmall_oracle().rows)
-    rows = [list(row) for row in oracle.rows]
     candidates = _census_candidates()
     assert len(candidates) == 30235
     inside = set()
     for mu in candidates:
-        rhs = ktype_zeta_coords(mu) + [1]
-        got = oracle.feasible(rhs)
-        assert got == lp_feasible(rows, rhs), f"BUG: oracle disagrees with the LP at {mu}"
+        zeta = []
+        for row in to_zeta3:
+            z, rem = divmod(sum(m * x for m, x in zip(mu, row)), 3)
+            assert rem == 0, f"BUG: {mu} has fractional zeta coordinates"
+            zeta.append(z)
+        got = oracle.feasible((*mu, 1))
+        assert got == lp_feasible(rows, zeta + [1]), f"BUG: oracle disagrees with the LP at {mu}"
         if got:
             inside.add(mu)
     assert inside == census
@@ -404,11 +427,3 @@ def test_contragredient_invariance(mu):
     assert spin_sq12(mu) == spin_sq12(dual)
     assert lambda_norm_sq_fast(mu) == lambda_norm_sq_fast(dual)
     assert is_usmall(mu) == is_usmall(dual)
-
-
-def test_zeta_coords_roundtrip(datum):
-    rng = random.Random(43)
-    for _ in range(25):
-        mu = random_ktype(rng)
-        z = ktype_zeta_coords(mu)
-        assert to_ambient("zeta", z) == ktype_ambient(mu)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 import pytest
 
@@ -110,13 +112,13 @@ def test_lemma32_witness_all_selectors():
 def _reference_candidates():
     """The census candidates by the per-point tests: every K-type of the
     scan, every g in its residue class, the norm ball and each probe sum
-    tested on its own.  No slack is carried and no g-interval is formed."""
+    tested on its own.  No slack is carried and no g-interval is formed.
+    The ball ends each a-loop, and bounds |g| by isqrt(ball12 / 2)."""
     ct = _census_tables()
-    cap = ct["coord_cap"]
-    g_lo, g_hi = ct["g_range"]
     gram12 = _tables().gram12
     probes = ct["probes"]
     ball12 = ct["ball12"]
+    g_max = isqrt(ball12 // 2)
     out = []
     stack_a = [0] * 6
 
@@ -126,15 +128,15 @@ def _reference_candidates():
                 2 * stack_a[0] + 3 * stack_a[1] + 4 * stack_a[2]
                 + 6 * stack_a[3] + 5 * stack_a[4] + 4 * stack_a[5]
             ) % 3
-            g = g_lo + ((base - g_lo) % 3)
-            while g <= g_hi:
+            g = -g_max + ((base + g_max) % 3)
+            while g <= g_max:
                 if norm_acc + 2 * g * g <= ball12 and all(
-                        g * z4 + sum(a * w for a, w in zip(stack_a, w12)) <= h12
-                        for w12, z4, h12 in probes):
+                        g * g12 + sum(a * w for a, w in zip(stack_a, w12)) <= h12
+                        for w12, g12, h12 in probes):
                     out.append(tuple(stack_a) + (g,))
                 g += 3
             return
-        for a in range(cap + 1):
+        for a in count():
             stack_a[i] = a
             row = gram12[i]
             acc = norm_acc + a * (2 * sum(row[k] * stack_a[k] for k in range(i)) + row[i] * a)
@@ -157,17 +159,18 @@ def test_census_candidates_match_per_point_reference():
     assert got == want, "BUG: the pruned scan changes the candidate list"
 
 
+def _support(direction):
+    """The hull's support function by definition: the best Fraction pairing
+    of the direction's K-dominant representative with the vertices
+    2 rho_n_j."""
+    dom, _ = dominant_rep(direction, "K")
+    return max(inner(tuple(2 * x for x in ch.rho_n_j), dom) for ch in enumerate_chambers())
+
+
 def test_census_tables_against_support_function():
-    # the integer probes and caps against the support function of the hull
-    # by definition: Fraction pairings of the K-dominant representative of
-    # each direction with the vertices 2 rho_n_j
+    # the integer probes against the support function of the hull
     d = build_root_datum()
     vertices = [tuple(2 * x for x in ch.rho_n_j) for ch in enumerate_chambers()]
-
-    def support(direction):
-        dom, _ = dominant_rep(direction, "K")
-        return max(inner(v, dom) for v in vertices)
-
     dirs = [d.zeta, tuple(-x for x in d.zeta), d.rho_c, *d.varpi]
     dirs += [add(d.rho_c, ktype_ambient((0, 0, 0, 0, 0, 0, k))) for k in (9, -9, 27, -27)]
     dirs += [add(w, d.rho_c) for w in d.varpi]
@@ -175,13 +178,23 @@ def test_census_tables_against_support_function():
     for u in dirs:
         dom, _ = dominant_rep(u, "K")
         probes.append((tuple(12 * inner(w, dom) for w in d.varpi), 4 * inner(d.zeta, dom),
-                       12 * support(u)))
+                       12 * _support(u)))
     ct = _census_tables()
     assert ct["probes"] == tuple(probes)
-    caps = {support(g) for g in d.compact_simple}
-    assert caps == {ct["coord_cap"]} == {12}
-    assert ct["g_range"] == (-2 * support(dirs[1]), 2 * support(d.zeta)) == (-54, 54)
     assert ct["ball12"] == 12 * max(norm_sq(v) for v in vertices) == 5832
+
+
+def test_census_candidates_within_support_caps():
+    # the scan has no coordinate cap and no g-range of its own: the ball and
+    # the probes keep every candidate within the hull's maxima of each
+    # coordinate, a_i = (mu, gamma_i) and g = 2 (mu, zeta)
+    d = build_root_datum()
+    caps = {_support(g) for g in d.compact_simple}
+    assert caps == {12}
+    g_lo, g_hi = -2 * _support(tuple(-x for x in d.zeta)), 2 * _support(d.zeta)
+    assert (g_lo, g_hi) == (-54, 54) and g_hi == isqrt(5832 // 2)
+    for mu in _census_candidates():
+        assert max(mu[:6]) <= 12 and g_lo <= mu[6] <= g_hi, f"BUG: {mu} beyond the hull's caps"
 
 
 def test_census_count(census):
