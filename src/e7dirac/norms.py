@@ -45,6 +45,21 @@ levels i..6, those levels raise a_k by at most b * max_{i' >= i}
 n_{k,i'} / d_{i'}, d = height_steps() in every chamber; a branch where
 some a_k < 0 cannot reach 0 within that bound holds no K-type and is cut.
 
+Spin kernel.  The spin norm is the minimum over the chambers j of
+v_j = 12 |p + rho_c|^2, p the K-dominant representative of
+y = mu - rho_n_j.  Lemma: v_j >= L_j = 12 |y + rho_c|^2.  p - y is a
+nonnegative sum of compact positive roots (Humphreys, Lie Algebras,
+13.2), each pairing positively with rho_c, and |p| = |y|.  L_j needs no
+walk: it is norm12_ktype(mu) + lin_j . mu + k_j with
+lin_j = (2 rc12 - 2 w12[j], -4 g(rho_n_j)) and
+k_j = 12|rho_n_j|^2 + 936 - 2 rho_n_j . rc12 (the table spin_bound).
+_spin_walk visits the chambers in ascending L_j and stops at the first
+with L_j >= the least v so far, since no later chamber can go below it;
+when the achieving chambers are wanted it stops only at L_j > that value,
+so that tied chambers are walked.  It asserts v_j >= L_j at every chamber
+it walks.  With a floor it returns the first v_j below the floor, which
+bounds the spin norm from above, and otherwise the exact minimum.
+
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.
 """
@@ -95,6 +110,9 @@ class _Tables:
     rho_n: tuple[tuple[int, ...], ...]
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
+    # the spin kernel's lower bound L_j = norm12_ktype(mu) + lin_j . mu + k_j
+    # (module docstring, spin kernel), stored as (lin_j..., k_j)
+    spin_bound: tuple[tuple[int, ...], ...]
     # lambda tables: 3*pair(mu + 2 rho_c, w_j alpha_i) is row i of pair3[j]
     # dotted with (a..f, g, 1): 3(varpi_k, w_j alpha_i), (zeta, w_j alpha_i)
     # and 3(2 rho_c, w_j alpha_i)
@@ -114,19 +132,32 @@ class _Tables:
 def _tables() -> _Tables:
     d = build_root_datum()
     chs = enumerate_chambers()
+    gram12 = tuple(
+        tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
+    )
+    # rho_c = sum of the varpi_i: K-type coordinates (1, ..., 1, 0)
+    rc12 = tuple(map(sum, gram12))
+    norm12_rho_c = sum(rc12)
+    assert norm12_rho_c == 936, f"BUG: 12|rho_c|^2 = {norm12_rho_c}"
     rho_n = []
     norm12 = []
     w12 = []
+    spin_bound = []
     pair3 = []
     walls = []
     two_rho_c = scale(2, d.rho_c)
     for ch in chs:
-        r = ch.rho_n_j
-        coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", r))
-        assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {r}"
+        coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", ch.rho_n_j))
+        assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {ch.rho_n_j}"
         rho_n.append(coords)
-        norm12.append(_int(12 * norm_sq(r), "12|rho_n|^2"))
-        w12.append(tuple(_int(12 * inner(w, r), "12(varpi,rho_n)") for w in d.varpi))
+        w12j = tuple(sum(map(mul, row, coords)) for row in gram12)
+        w12.append(w12j)
+        # 12|v|^2 = a . gram12 a + 2 g^2 (as 12 (zeta, zeta) / 9 = 2)
+        norm12.append(sum(map(mul, coords, w12j)) + 2 * coords[6] ** 2)
+        spin_bound.append(
+            tuple(2 * r - 2 * x for r, x in zip(rc12, w12j)) + (-4 * coords[6],)
+            + (norm12[-1] + norm12_rho_c - 2 * sum(map(mul, coords, rc12)),)
+        )
         pair3.append(
             tuple(
                 tuple(_int(3 * inner(w, a), "3(varpi,root)") for w in d.varpi)
@@ -136,12 +167,6 @@ def _tables() -> _Tables:
             )
         )
         walls.append(tuple(i for i, row in enumerate(pair3[-1]) if row[6]))
-    rc12 = tuple(_int(12 * inner(w, d.rho_c), "12(varpi,rho_c)") for w in d.varpi)
-    norm12_rho_c = _int(12 * norm_sq(d.rho_c), "12|rho_c|^2")
-    assert norm12_rho_c == 936, f"BUG: 12|rho_c|^2 = {norm12_rho_c}"
-    gram12 = tuple(
-        tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
-    )
     gamma = tuple(
         tuple(_int(x, "gamma coordinate") for x in from_ambient("varpi", g))
         for g in d.compact_simple
@@ -151,6 +176,7 @@ def _tables() -> _Tables:
         rho_n=tuple(rho_n),
         norm12_rho_n=tuple(norm12),
         w12=tuple(w12),
+        spin_bound=tuple(spin_bound),
         pair3=tuple(pair3),
         walls=tuple(walls),
         rc12=rc12,
@@ -415,25 +441,33 @@ class SpinDatum:
     prv_weights: dict  # chamber -> K-type coordinates of {mu - rho_n_j}
 
 
-def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
-    """Per chamber j: 12 * |{mu - rho_n_j} + rho_c|^2 and the first six
-    coordinates of {mu - rho_n_j}, the K-dominant representative, found by
-    an integer walk on the pairings with the compact simple coroots."""
+def _spin_walk(coords, floor: int, ties: bool) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The spin kernel (module docstring): chambers in ascending order of
+    the lower bound L_j, each walked to the K-dominant representative p of
+    mu - rho_n_j on the pairings with the compact simple coroots, and
+    v_j = 12 |p + rho_c|^2.  Returns (v, [(j, first six coordinates of p)]):
+    the first v_j below floor with its chamber, or else the minimum and its
+    chambers, every one of them when ties is set."""
     t = _tables()
     a = [int(v) for v in coords[:6]]
-    g2 = 2 * int(coords[6])
+    a0, a1, a2, a3, a4, a5 = a
+    g = int(coords[6])
     m12 = norm12_ktype(coords)
-    cartan = t.gamma
-    out = []
-    for j in range(56):
+    lows = [m12 + k + l0 * a0 + l1 * a1 + l2 * a2 + l3 * a3 + l4 * a4 + l5 * a5 + l6 * g
+            for l0, l1, l2, l3, l4, l5, l6, k in t.spin_bound]
+    slack = 1 if ties else 0
+    best, achievers = None, []
+    for j in sorted(range(len(lows)), key=lows.__getitem__):
+        low = lows[j]
+        if best is not None and low >= best + slack:
+            break
         rn = t.rho_n[j]
         p = [a[i] - rn[i] for i in range(6)]
-        # walk to the K-dominant representative on pairing coordinates
         while True:
             for i in range(6):
                 if p[i] < 0:
                     pi = p[i]
-                    row = cartan[i]
+                    row = t.gamma[i]
                     for k in range(6):
                         if row[k]:
                             p[k] -= pi * row[k]
@@ -441,19 +475,25 @@ def _spin_by_chamber(coords) -> list[tuple[int, list[int]]]:
             else:
                 break
         # 12 (mu, rho_n_j); its g-part is 12 (g/3)(g_j/3)(zeta, zeta) = 2 g g_j
-        w12j = t.w12[j]
-        dot12 = g2 * rn[6]
-        for i in range(6):
-            if a[i]:
-                dot12 += a[i] * w12j[i]
-        x12 = m12 - 2 * dot12 + t.norm12_rho_n[j]
-        out.append((x12 + 2 * sum(p[i] * t.rc12[i] for i in range(6)) + t.norm12_rho_c, p))
-    return out
+        dot12 = 2 * g * rn[6] + sum(map(mul, a, t.w12[j]))
+        v = (m12 - 2 * dot12 + t.norm12_rho_n[j] + 2 * sum(map(mul, p, t.rc12))
+             + t.norm12_rho_c)
+        assert v >= low, f"BUG: chamber {j} value {v} under its bound {low} at {coords}"
+        if v < floor:
+            return v, [(j, p)]
+        if best is None or v < best:
+            best, achievers = v, [(j, p)]
+        elif v == best:
+            achievers.append((j, p))
+    return best, achievers
 
 
-def spin_sq12(coords) -> int:
-    """12 * spin_norm_sq as a machine integer; the census-loop kernel."""
-    return min(s12 for s12, _ in _spin_by_chamber(coords))
+def spin_sq12(coords, floor: int = 0) -> int:
+    """12 * spin_norm_sq as a machine integer; the census-loop kernel.
+    With a floor, the first chamber value below the floor comes back in
+    place of the minimum: a result below the floor shows that 12 *
+    spin_norm_sq is below it too, and a result at or above it is exact."""
+    return _spin_walk(coords, floor, False)[0]
 
 
 def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
@@ -462,14 +502,9 @@ def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
     spin_norm_sq and prv_weights.  The K-Weyl group fixes the central
     coordinate, so it is g(mu) - g(rho_n_j)."""
     t = _tables()
-    per_chamber = _spin_by_chamber(coords)
-    best = min(s12 for s12, _ in per_chamber)
+    best, achievers = _spin_walk(coords, 0, True)
     g = int(coords[6])
-    weights = {
-        j: tuple(p) + (g - t.rho_n[j][6],)
-        for j, (s12, p) in enumerate(per_chamber) if s12 == best
-    }
-    return best, weights
+    return best, {j: tuple(p) + (g - t.rho_n[j][6],) for j, p in sorted(achievers)}
 
 
 def spin_datum(mu) -> SpinDatum:

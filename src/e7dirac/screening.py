@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import isqrt
+from math import ceil, isqrt
 from operator import add as int_add, mul, sub as int_sub
 
 from .norms import (
@@ -248,14 +248,17 @@ MIN_CERT_GAP = 94
 
 def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
     """u-small K-types whose spin norm beats the lambda norm by at least
-    the screening threshold."""
+    the screening threshold: 12 spin >= floor = ceil(12 (lambda + 94)).
+    The spin kernel runs with that floor, so a chamber value below it
+    rejects mu at once; a result at or above it is the exact spin norm,
+    which gives the gap."""
     out = set()
     for mu in census:
-        spin = Fraction(spin_sq12(mu), 12)
         lam = lambda_norm_sq_fast(mu)
-        gap = spin - lam
-        if gap >= MIN_CERT_GAP:
-            out.add(CertsEntry(ktype=mu, gap=gap, lambda_norm_sq=lam))
+        floor = ceil(12 * (lam + MIN_CERT_GAP))
+        spin12 = spin_sq12(mu, floor)
+        if spin12 >= floor:
+            out.add(CertsEntry(ktype=mu, gap=Fraction(spin12, 12) - lam, lambda_norm_sq=lam))
     return out
 
 

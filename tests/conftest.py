@@ -4,6 +4,7 @@ import pytest
 
 from e7dirac import criteria
 from e7dirac.atlas_ingest import FULL_SUPPORT
+from e7dirac.norms import enumerate_by_height
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -25,6 +26,13 @@ def ctx(fixture_dir):
 @pytest.fixture(scope="session")
 def census(ctx):
     return ctx.census
+
+
+@pytest.fixture(scope="session")
+def ularge(census):
+    """The u-large K-types of the property suite's scan, up to height
+    criteria.HEIGHT_CAP, in sorted order."""
+    return sorted(set(enumerate_by_height(criteria.HEIGHT_CAP)) - census)
 
 
 @pytest.fixture(scope="session")

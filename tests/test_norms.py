@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from e7dirac.norms import (
     _allowable_chambers,
+    _tables,
     _kernel_height,
     _lambda_kernel,
     _project_in_chamber,
@@ -270,6 +272,77 @@ def test_spin_prv_weights_are_k_types():
         sd = spin_datum(mu)
         for coords in sd.prv_weights.values():
             assert is_k_type(coords)
+
+
+def test_spin_tables_against_fraction_pairings(datum, chambers):
+    # the integer tables behind the spin kernel, derived from gram12 and
+    # rho_n, against the Fraction pairings that define them
+    t = _tables()
+    varpi = datum.varpi
+    assert t.gram12 == tuple(tuple(12 * inner(a, b) for b in varpi) for a in varpi)
+    assert t.rc12 == tuple(12 * inner(w, datum.rho_c) for w in varpi)
+    assert t.norm12_rho_c == 12 * norm_sq(datum.rho_c) == 936
+    units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
+    for ch in chambers:
+        j, r = ch.index, ch.rho_n_j
+        assert t.rho_n[j] == from_ambient("varpi", r)
+        assert t.w12[j] == tuple(12 * inner(w, r) for w in varpi)
+        assert t.norm12_rho_n[j] == 12 * norm_sq(r)
+        # L_j(mu) - norm12_ktype(mu) = lin_j . mu + k_j is affine in mu, so
+        # it is pinned by its values at 0 and the seven unit vectors
+        *lin, k = t.spin_bound[j]
+        for mu in [TRIVIAL] + units:
+            low = 12 * norm_sq(add(sub(ktype_ambient(mu), r), datum.rho_c))
+            assert low == norm12_ktype(mu) + sum(map(mul, lin, mu)) + k, f"BUG: chamber {j}"
+
+
+def _plain_spin_by_chamber(mu):
+    """Per chamber j, the bound L_j = 12|y + rho_c|^2 for y = mu - rho_n_j,
+    the value v_j = 12|p + rho_c|^2 and the coordinates of p, the
+    K-dominant representative of y: every chamber walked, reflecting at the
+    first negative coordinate until none is left, and each norm taken from
+    the coordinates (rho_c has K-type coordinates (1, ..., 1, 0))."""
+    t = _tables()
+
+    def norm12_shifted(x, g):  # 12|x + rho_c|^2 for x with coordinates (x..., g)
+        x = [v + 1 for v in x]
+        return sum(map(mul, x, [sum(map(mul, row, x)) for row in t.gram12])) + 2 * g * g
+
+    # s_i(p) = p - p_i gamma_i, on the nonzero entries of the Cartan row
+    reflections = [[(k, c) for k, c in enumerate(row[:6]) if c] for row in t.gamma]
+    out = []
+    for rn in t.rho_n:
+        y = [m - r for m, r in zip(mu, rn)]
+        p, i = y[:6], 0
+        while i < 6:
+            if p[i] < 0:
+                pi = p[i]
+                for k, c in reflections[i]:
+                    p[k] -= pi * c
+                i = 0
+            else:
+                i += 1
+        out.append((norm12_shifted(y[:6], y[6]), norm12_shifted(p, y[6]), tuple(p) + (y[6],)))
+    return out
+
+
+def test_spin_kernel_against_plain_walk_on_census_and_ularge(census, ularge):
+    # the pruned kernel against every chamber walked, on each census member
+    # and each u-large K-type up to the property suite's height cap: the
+    # value, the achieving chambers with their weights (ties included), the
+    # floor verdict on both sides of the value, and the bound L_j <= v_j
+    assert len(census) == USMALL_CENSUS_SIZE and len(ularge) == 11672
+    for mu in sorted(census) + ularge:
+        per_chamber = _plain_spin_by_chamber(mu)
+        assert all(low <= v for low, v, _ in per_chamber), f"BUG: bound above a value at {mu}"
+        s12 = min(v for _, v, _ in per_chamber)
+        assert spin_sq12(mu) == s12, f"BUG: spin norm of {mu}"
+        best, weights = spin_sq12_with_weights(mu)
+        assert best == s12
+        assert weights == {j: p for j, (_, v, p) in enumerate(per_chamber) if v == s12}, (
+            f"BUG: achieving chambers of {mu}")
+        # no chamber value lies below s12, and the first one below s12 + 1 is s12
+        assert spin_sq12(mu, s12) == s12 and spin_sq12(mu, s12 + 1) == s12
 
 
 # ---- u-small ----

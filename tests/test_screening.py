@@ -246,6 +246,38 @@ def test_certs_closed_under_contragredient(certs):
         assert contragredient(mu) in ktypes
 
 
+def test_certs_floor_path_matches_exact_spin(census, certs):
+    # compute_certs rejects most members by a chamber value under the
+    # floor; the exact spin norm on every census member gives the same
+    # K-types with the same gaps and lambda norms
+    exact = {}
+    for mu in census:
+        lam = lambda_norm_sq_fast(mu)
+        gap = Fraction(spin_sq12(mu), 12) - lam
+        if gap >= MIN_CERT_GAP:
+            exact[mu] = (gap, lam)
+    assert len(exact) == criteria.CERT_COUNT
+    assert {e.ktype: (e.gap, e.lambda_norm_sq) for e in certs} == exact
+
+
+def test_ularge_gap_floor_path_matches_exact_spin(ularge):
+    # ularge_gap_bounded answers by a chamber value under its floor; on
+    # every u-large K-type of the property suite's scan it agrees with the
+    # exact gap, also when lambda is moved so that the gap lands on the
+    # bound or 1/12 or 1/24 past it
+    bound = criteria.ULARGE_GAP_MAX
+    gaps = []
+    for mu in ularge:
+        lam = lambda_norm_sq_fast(mu)
+        spin = Fraction(spin_sq12(mu), 12)
+        gaps.append(spin - lam)
+        assert criteria.ularge_gap_bounded(mu, lam) == (spin - lam <= bound), mu
+        assert criteria.ularge_gap_bounded(mu, spin - bound)
+        for past in (Fraction(1, 12), Fraction(1, 24)):
+            assert not criteria.ularge_gap_bounded(mu, spin - bound - past), mu
+    assert 0 < max(gaps) <= bound
+
+
 # ---- the norm-window characters ----
 
 
