@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import not_
+from operator import mul, not_
 
 from .screening import ADMISSIBILITY_SUMS, hp_admissible, quadratic_points
 from .structure import RANK, add, build_root_datum, is_k_type, to_ambient
@@ -134,8 +134,8 @@ def _rationals(text: str, line_no: int, what: str) -> tuple:
 
 
 def _matmul(a, b):
-    return tuple(tuple(sum(a[i][j] * b[j][k] for j in range(RANK))
-                       for k in range(RANK)) for i in range(RANK))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def apply_theta(theta, coords) -> tuple:
@@ -143,14 +143,15 @@ def apply_theta(theta, coords) -> tuple:
     return tuple(sum(theta[i][j] * coords[j] for j in range(RANK)) for i in range(RANK))
 
 
+_IDENTITY = tuple(tuple(int(i == k) for k in range(RANK)) for i in range(RANK))
+
+
 def _check_involution(theta, ident: int, line_no: int) -> None:
-    ident_mat = tuple(tuple(1 if i == k else 0 for k in range(RANK)) for i in range(RANK))
-    if _matmul(theta, theta) != ident_mat:
+    if _matmul(theta, theta) != _IDENTITY:
         raise _err(line_no, f"kgb {ident}: matrix is not an involution")
     g2 = weight_gram2()
     # theta^T (2G) theta = 2G, i.e. the involution is orthogonal for B
-    tt = tuple(tuple(theta[j][i] for j in range(RANK)) for i in range(RANK))
-    if _matmul(_matmul(tt, g2), theta) != g2:
+    if _matmul(_matmul(tuple(zip(*theta)), g2), theta) != g2:
         raise _err(line_no, f"kgb {ident}: matrix does not preserve the form")
 
 

@@ -23,7 +23,7 @@ from . import atlas_ingest as ingest
 from . import criteria
 from .norms import infchar_norm_sq
 from .screening import dirac_candidate_gammas, spin_lkts
-from .structure import RANK, fmt_q, fmt_vec
+from .structure import RANK, ambient, fmt_q, fmt_vec
 from .weyl import enumerate_chambers
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def render(ctx, args, out) -> int:
 
 
 def run_chambers(ctx, args):
-    rows = [(str(ch.index), fmt_vec(ch.rho_j), fmt_vec(ch.rho_n_j))
+    rows = [(str(ch.index), fmt_vec(ambient(ch.rho_j)), fmt_vec(ambient(ch.rho_n_j)))
             for ch in enumerate_chambers()]
     return ("chamber", "rho", "rho_noncompact"), rows, ("total", str(len(rows)))
 

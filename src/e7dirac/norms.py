@@ -9,7 +9,8 @@ loops (tens of thousands of K-types against all 56 chambers) run on
 machine integers; tests pin the fast paths to the straightforward
 definitions.  The integer kernels, the height scan and the census probes
 of screening take every pairing from _tables(), weight_gram2() and
-height_steps(), where the pairings of ambient vectors become integers.
+height_steps(), which read them off the scaled integer datum with
+structure.inner_times.
 
 Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
 simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
@@ -80,6 +81,7 @@ from .structure import (
     build_root_datum,
     from_ambient,
     inner,
+    inner_times,
     is_k_type,
     norm_sq,
     scale,
@@ -133,7 +135,7 @@ def _tables() -> _Tables:
     d = build_root_datum()
     chs = enumerate_chambers()
     gram12 = tuple(
-        tuple(_int(12 * inner(a, b), "12 varpi gram") for b in d.varpi) for a in d.varpi
+        tuple(inner_times(12, a, b) for b in d.varpi) for a in d.varpi
     )
     # rho_c = sum of the varpi_i: K-type coordinates (1, ..., 1, 0)
     rc12 = tuple(map(sum, gram12))
@@ -145,7 +147,6 @@ def _tables() -> _Tables:
     spin_bound = []
     pair3 = []
     walls = []
-    two_rho_c = scale(2, d.rho_c)
     for ch in chs:
         coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", ch.rho_n_j))
         assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {ch.rho_n_j}"
@@ -160,9 +161,8 @@ def _tables() -> _Tables:
         )
         pair3.append(
             tuple(
-                tuple(_int(3 * inner(w, a), "3(varpi,root)") for w in d.varpi)
-                + (_int(inner(d.zeta, a), "(zeta,root)"),
-                   _int(3 * inner(two_rho_c, a), "3(2rho_c,root)"))
+                tuple(inner_times(3, w, a) for w in d.varpi)
+                + (inner_times(1, d.zeta, a), inner_times(6, d.rho_c, a))
                 for a in ch.simples
             )
         )
@@ -192,7 +192,7 @@ def weight_gram2() -> tuple[tuple[int, ...], ...]:
     weights, integral and entrywise positive for E7."""
     d = build_root_datum()
     w = d.fundamental_weights
-    gram = tuple(tuple(_int(2 * inner(a, b), "2 zeta gram") for b in w) for a in w)
+    gram = tuple(tuple(inner_times(2, a, b) for b in w) for a in w)
     assert all(x > 0 for row in gram for x in row), "BUG: weight Gram must be positive"
     return gram
 
@@ -201,9 +201,7 @@ def weight_gram2() -> tuple[tuple[int, ...], ...]:
 def height_steps() -> tuple[int, ...]:
     """d_i = (zeta_i, 2 rho), the height of each fundamental weight."""
     d = build_root_datum()
-    steps = tuple(
-        _int(inner(z, scale(2, d.rho)), "height step") for z in d.fundamental_weights
-    )
+    steps = tuple(inner_times(2, z, d.rho) for z in d.fundamental_weights)
     assert steps == (34, 49, 66, 96, 75, 52, 27), f"BUG: height steps {steps}"
     return steps
 
@@ -218,7 +216,7 @@ def infchar_ambient(coords) -> Vec:
 
 def infchar_norm_sq(coords) -> Fraction:
     """|lam|^2 for lam = sum c_i zeta_i: c^T H c / 2 with H = weight_gram2(),
-    in integers, where norm_sq(infchar_ambient(c)) takes Fractions."""
+    the value of norm_sq(infchar_ambient(c)) without the ambient vector."""
     h = weight_gram2()
     return Fraction(sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, h)), 2)
 

@@ -338,15 +338,14 @@ def dirac_candidate_gammas(lam) -> DiracCandidateSet:
     """The K-dominant weights w(Lambda) - rho_c over the 56 coset
     representatives, in K-type coordinates, with a witness for each."""
     d = build_root_datum()
-    v = to_ambient("zeta", [Fraction(c) for c in lam])
+    v = to_ambient("zeta", lam)
     dom, _ = dominant_rep(v, "G")
     gammas: dict[tuple, int] = {}
     for ch in enumerate_chambers():
         w_v = apply_word(ch.word, dom)
         gamma = sub(w_v, d.rho_c)
         if all(inner(gamma, g) >= 0 for g in d.compact_simple):
-            coords = tuple(from_ambient("varpi", gamma))
-            coords = tuple(int(c) if c.denominator == 1 else c for c in coords)
+            coords = from_ambient("varpi", gamma)
             if coords not in gammas:
                 gammas[coords] = ch.index
     assert len(gammas) <= 56

@@ -10,12 +10,14 @@ The 56 chambers are the positive systems of g containing the fixed
 positive system of k.  They are found by a breadth-first search that
 crosses only noncompact simple walls; crossing a compact wall would leave
 the K-dominant world.
+
+Vectors are the scaled Vecs of structure: on the weight lattice every walk
+here compares and adds ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .structure import (
@@ -23,8 +25,8 @@ from .structure import (
     Vec,
     add,
     build_root_datum,
+    dot,
     from_ambient,
-    inner,
     is_k_type,
     reflect,
     sub,
@@ -59,7 +61,7 @@ def dominant_rep(v: Vec, group: str) -> tuple[Vec, WeylWord]:
     word: list[int] = []
     while True:
         for i, a in enumerate(simples):
-            if inner(v, a) < 0:
+            if dot(v, a) < 0:
                 v = reflect(v, a)
                 word.append(i + 1)
                 break
@@ -103,7 +105,7 @@ def enumerate_chambers() -> tuple[Chamber, ...]:
         cursor += 1
         for i in range(1, RANK + 1):
             wall = ch.simples[i - 1]
-            if inner(wall, d.zeta) == 0:
+            if dot(wall, d.zeta) == 0:
                 continue  # compact wall: crossing would break the k-positive system
             # Crossing the wall w(alpha_i) realizes w' = w s_i, and
             # w'(rho) = w(rho - alpha_i) = rho_j - wall.
@@ -116,6 +118,10 @@ def enumerate_chambers() -> tuple[Chamber, ...]:
             push(word_new, rho_new, simples_new, weights_new)
     if len(chambers) != 56:
         raise RuntimeError(f"chamber search found {len(chambers)} positive systems, wanted 56")
+    # every reflection above divided exactly: the chambers stay on the lattice
+    assert all(type(x) is int for ch in chambers
+               for v in (ch.rho_j, ch.rho_n_j, *ch.simples, *ch.weights) for x in v), \
+        "BUG: a chamber vector left the lattice"
     return tuple(chambers)
 
 
@@ -128,11 +134,14 @@ def weyl_dim_k(coords) -> int:
     d = build_root_datum()
     mu = to_ambient("varpi", tuple(coords[:6]) + (0,))
     shifted = add(mu, d.rho_c)
-    num = Fraction(1)
+    # dot is 36 times the form; the factor cancels in the ratio
+    num = den = 1
     for a in d.compact_positive:
-        num *= Fraction(inner(shifted, a), 1) / inner(d.rho_c, a)
-    assert num.denominator == 1 and num > 0, f"BUG: non-integral dimension {num} for {coords}"
-    return int(num)
+        num *= dot(shifted, a)
+        den *= dot(d.rho_c, a)
+    dim, rem = divmod(num, den)
+    assert rem == 0 and dim > 0, f"BUG: non-integral dimension {num}/{den} for {coords}"
+    return dim
 
 
 def spin_module_dimension_check() -> bool:
@@ -143,7 +152,7 @@ def spin_module_dimension_check() -> bool:
     for ch in enumerate_chambers():
         coords = from_ambient("varpi", ch.rho_n_j)
         int_coords = tuple(int(c) for c in coords)
-        if tuple(map(Fraction, int_coords)) != tuple(coords) or not is_k_type(int_coords):
+        if int_coords != coords or not is_k_type(int_coords):
             raise RuntimeError(f"rho_n^({ch.index}) is not a K-type: {coords}")
         reps.add(int_coords)
         total += weyl_dim_k(int_coords)

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from e7dirac import structure, weyl
 from e7dirac.structure import (
     add,
+    ambient,
     build_root_datum,
     inner,
+    is_k_type,
     neg,
     norm_sq,
     pair_coroot,
+    reflect,
     sub,
     to_ambient,
     vec,
@@ -170,3 +174,82 @@ def test_weyl_dim_contragredient_invariant():
 def test_spin_module_dimension(chambers):
     # the check raises unless the 56 rho_n^(j) are distinct K-types
     assert spin_module_dimension_check(), "BUG: spinor dimensions must sum to 2^27"
+
+
+# ---- the integer path ----
+
+
+def _ints(v):
+    return type(v) is tuple and all(type(x) is int for x in v)
+
+
+def test_datum_and_walks_stay_on_ints(datum, chambers, monkeypatch):
+    # every datum and chamber vector is a tuple of ints (SCALE = 6 clears
+    # every denominator), and on such vectors the walks never fall back
+    # to Fraction
+    vectors = [*datum.simple_roots, *datum.positive_roots, *datum.fundamental_weights,
+               *datum.compact_simple, *datum.compact_positive, *datum.pplus_roots,
+               *datum.pminus_roots, *datum.varpi, datum.rho, datum.rho_c, datum.rho_n,
+               datum.zeta, datum.highest_root]
+    assert all(map(_ints, vectors))
+    for ch in chambers:
+        assert all(map(_ints, (ch.rho_j, ch.rho_n_j, *ch.simples, *ch.weights))), ch.index
+    mu = (1, 2, 0, 3, 0, 1, -6)
+    assert is_k_type(mu)
+    v = to_ambient("varpi", mu)
+    assert _ints(v)
+    assert all(_ints(reflect(v, a)) for a in datum.positive_roots)
+    assert not hasattr(weyl, "Fraction")
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built on the integer path")
+
+    monkeypatch.setattr(structure, "Fraction", no_fraction)
+    for group in ("G", "K"):
+        dom, word = dominant_rep(neg(v), group)
+        assert _ints(dom) and apply_word(word, neg(v)) == dom
+    dim = weyl_dim_k((1, 0, 0, 0, 0, 1, 0))
+    assert type(dim) is int and dim == 650
+    monkeypatch.undo()
+    # weyl_dim_k divides once, exactly: off the lattice the assert fires
+    with pytest.raises(AssertionError, match="non-integral dimension"):
+        weyl_dim_k((Fraction(1, 2), 0, 0, 0, 0, 0, 0))
+
+
+def _plain_walk(v, simples):
+    """A dominance walk in plain Fraction ambient coordinates: reflect at
+    the lowest-index simple root pairing negatively until none does.  Each
+    simple root is kept as its nonzero coordinates; as (a, a) = 2, the
+    coroot pairing is (v, a) itself."""
+    sparse = [[(k, c) for k, c in enumerate(a) if c] for a in simples]
+    v, word = list(v), []
+    while True:
+        for i, a in enumerate(sparse):
+            p = sum(v[k] * c for k, c in a)
+            if p < 0:
+                for k, c in a:
+                    v[k] -= p * c
+                word.append(i + 1)
+                break
+        else:
+            return tuple(v), tuple(word)
+
+
+def test_walks_against_plain_fraction_walk(datum, chambers, certs, omega):
+    # the K-walks of mu - rho_n_j over the 56 chambers of every certificate
+    # K-type, and for every norm-window character lambda the G-walk of
+    # w_j(lambda), j running through the chambers, which ends at lambda:
+    # vectors and words of dominant_rep and apply_word against _plain_walk
+    k_simples = [ambient(a) for a in datum.compact_simple]
+    g_simples = [ambient(a) for a in datum.simple_roots]
+    cases = [(sub(to_ambient("varpi", e.ktype), ch.rho_n_j), "K", k_simples, None)
+             for e in certs for ch in chambers]
+    for i, lam in enumerate(sorted(omega)):
+        v = to_ambient("zeta", lam)
+        cases.append((apply_word(chambers[i % 56].word, v), "G", g_simples, v))
+    assert len(cases) == 71 * 56 + 4676
+    for v, group, simples, want in cases:
+        dom, word = dominant_rep(v, group)
+        assert (ambient(dom), word) == _plain_walk(ambient(v), simples), (v, group)
+        assert apply_word(word, v) == dom
+        assert want is None or dom == want
