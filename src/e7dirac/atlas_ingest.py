@@ -532,7 +532,7 @@ def verify_table_row(row: TableRow) -> TableRowReport:
                    f"wrong spin norms: {norm_bad}" if norm_bad else ""))
     checks.append(("dominance-witness", not witness_bad,
                    f"no conjugate witness: {witness_bad}" if witness_bad else ""))
-    ok4 = all(c >= 0 for c in row.inf_char) and hp_admissible(row.inf_char)
+    ok4 = hp_admissible(row.inf_char)
     checks.append(("inf-char", ok4, "" if ok4 else f"{row.inf_char} fails"))
     return TableRowReport(table_id=row.table_id, x=row.x, checks=tuple(checks))
 

@@ -56,6 +56,7 @@ from .structure import (
     fmt_vec,
     from_ambient,
     inner,
+    ktype_form,
     norm_sq,
     sub,
     to_ambient,
@@ -337,8 +338,7 @@ def string_counts(ctx):
 
 def _random_ktype(rng, span=4, gspan=5):
     a = [rng.randint(0, span) for _ in range(6)]
-    base = 2 * a[0] + 3 * a[1] + 4 * a[2] + 6 * a[3] + 5 * a[4] + 4 * a[5]
-    return tuple(a) + (base + 3 * rng.randint(-gspan, gspan),)
+    return tuple(a) + (ktype_form(a) + 3 * rng.randint(-gspan, gspan),)
 
 
 def ularge_gap_bounded(mu, lam) -> bool:

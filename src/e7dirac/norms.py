@@ -7,10 +7,11 @@ The public functions work on exact ambient vectors.  The module-level
 tables cache integer pairing data per chamber so that the census-sized
 loops (tens of thousands of K-types against all 56 chambers) run on
 machine integers; tests pin the fast paths to the straightforward
-definitions.  The integer kernels, the height scan and the census probes
-of screening take every pairing from _tables(), weight_gram2() and
-height_steps(), which read them off the scaled integer datum with
-structure.inner_times.
+definitions.  The integer kernels and the census probes of screening take
+every pairing from _tables() and weight_gram2(), which read them off the
+scaled integer datum with structure.inner_times; height_steps() are the
+row sums of weight_gram2(), and the height scan reads its weight
+coordinates off the chamber walk.
 
 Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
 simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
@@ -22,10 +23,14 @@ point of the cone spanned by the z_i is sum x_i z_i with
 
 G and the height steps d_i = (z_i, 2 rho_j) are Weyl-invariant, so they
 are the Gram matrix of zeta_1..zeta_7 and d = (zeta_i, 2 rho) =
-(34, 49, 66, 96, 75, 52, 27) in every chamber.  The projection is thus one
+(34, 49, 66, 96, 75, 52, 27) in every chamber; as rho is the sum of the
+zeta_k, d_i is the i-th row sum of H = 2G.  The projection is thus one
 integer problem with no chamber data: |lambda_a|^2 = x^T G x and the
 height (lambda_a, 2 rho_j) = d . x.  It is solved face by face with the
-integer adjugates of H_SS, H = 2G (see _lambda_kernel).
+certified integer adjugates of H_SS (_face; see _lambda_kernel).  The
+cone_project oracle solves its faces with the same adjugates, but tries
+every face by definition and accepts by ambient pairings with the
+chamber's own weights, so it stays an independent reference.
 
 Height invariance.  The height of a K-type may be read in any chamber
 where mu + 2 rho_c is dominant: lambda_a is the same point for all of them
@@ -35,10 +40,8 @@ the sum of the roots positive for j and negative for j', is orthogonal to
 lambda_a.
 
 Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i.
-Lemma: in chamber j, 3(v, alpha'_i) = P_j[i] . (K-type coordinates of v),
-P_j the first seven columns of pair3[j]; as (z_m, alpha'_i) = delta_mi,
-the coordinates of z_m are column m of 3 adj(P_j) / det P_j (the division
-is asserted exact), with rows n_{k,m} = <z_m, gamma_k^vee> and 2(z_m, zeta).
+The K-type coordinates of z_m are n_{k,m} = <z_m, gamma_k^vee> and
+2(z_m, zeta), read off the chamber walk's weights with from_ambient.
 So a_k = sum_i y_i n_{k,i} - 2, and n_{k,i} >= 0 (z_i is dominant for the
 chamber and the compact simple roots gamma_k are positive in every
 chamber; asserted, as the cut rests on it).  With budget b left for the
@@ -76,11 +79,12 @@ from operator import mul
 from .simplex import FeasibilityOracle, adjugate
 from .structure import (
     RANK,
+    ZERO,
     Vec,
     add,
     build_root_datum,
+    dot,
     from_ambient,
-    inner,
     inner_times,
     is_k_type,
     norm_sq,
@@ -199,11 +203,32 @@ def weight_gram2() -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1)
 def height_steps() -> tuple[int, ...]:
-    """d_i = (zeta_i, 2 rho), the height of each fundamental weight."""
-    d = build_root_datum()
-    steps = tuple(inner_times(2, z, d.rho) for z in d.fundamental_weights)
+    """d_i = (zeta_i, 2 rho), the height of each fundamental weight: the
+    row sums of weight_gram2(), as rho is the sum of the zeta_k."""
+    steps = tuple(map(sum, weight_gram2()))
     assert steps == (34, 49, 66, 96, 75, 52, 27), f"BUG: height steps {steps}"
     return steps
+
+
+@dataclass(frozen=True)
+class _Face:
+    members: tuple[int, ...]  # S, the support of a candidate minimizer
+    others: tuple[int, ...]  # the indices outside S
+    det: int  # det H_SS > 0
+    adj: tuple[tuple[int, ...], ...]  # adj(H_SS), rows and columns in S order
+
+
+@lru_cache(maxsize=None)
+def _face(mask: int) -> _Face:
+    """Integer solve data for the face S = {i : bit i of mask set}: the
+    certified adjugate of H_SS, which is positive definite.  The lambda
+    kernel and the cone_project oracle share it."""
+    h = weight_gram2()
+    members = tuple(i for i in range(RANK) if mask >> i & 1)
+    det, adj = adjugate([[h[i][k] for k in members] for i in members])
+    assert det > 0, "BUG: H is not positive definite"
+    others = tuple(i for i in range(RANK) if not mask >> i & 1)
+    return _Face(members=members, others=others, det=det, adj=adj)
 
 
 def ktype_ambient(coords) -> Vec:
@@ -238,46 +263,32 @@ def norm12_ktype(coords) -> int:
 # cone projection by definition (test oracle for the kernel below)
 
 
-@lru_cache(maxsize=None)
-def _gram_inverse(subset: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the fundamental-weight Gram matrix G on a generator
-    subset: G_SS^{-1} = 2 adj(H_SS) / det H_SS with H = 2G."""
-    h = weight_gram2()
-    det, adj = adjugate([[h[i][j] for j in subset] for i in subset])
-    return tuple(tuple(Fraction(2 * v, det) for v in row) for row in adj)
-
-
-_SUBSETS = [
-    s
-    for size in range(7, -1, -1)
-    for s in combinations(range(7), size)
-]
-
-
 def cone_project(eta: Vec, chamber: Chamber) -> Vec:
     """Nearest point of the chamber's closed dominant cone, exactly.
 
-    The cone is spanned by the chamber's seven fundamental weights.  Each
-    of the 128 generator subsets proposes the face containing the answer:
-    solve the Gram system there, then accept iff the coefficients are
-    nonnegative and the residual pairs nonpositively with every generator.
+    The cone is spanned by the chamber's seven fundamental weights z_k.
+    Each generator subset S, largest first, proposes the face containing
+    the answer: solve the Gram system there, then accept iff the
+    coefficients are nonnegative and the residual pairs nonpositively with
+    every generator.  With r_k = dot(eta, z_k) = 36 (eta, z_k) and H = 2G,
+    the coefficients are x_S = num / (18 det H_SS), num = adj(H_SS) r_S,
+    and the residual test is 18 det r_k <= dot(sum_S num_i z_i, z_k).
     """
     gens = chamber.weights
-    rhs = [inner(eta, g) for g in gens]
-    zero = tuple(Fraction(0) for _ in range(8))
-    for subset in _SUBSETS:
-        inv = _gram_inverse(subset)
-        coeff = [
-            sum(inv[i][j] * rhs[subset[j]] for j in range(len(subset)))
-            for i in range(len(subset))
-        ]
-        if any(c < 0 for c in coeff):
-            continue
-        point = zero
-        for c, gi in zip(coeff, subset):
-            point = add(point, scale(c, gens[gi]))
-        if all(rhs[k] - inner(point, gens[k]) <= 0 for k in range(7)):
-            return point
+    r = [dot(eta, z) for z in gens]
+    for size in range(RANK, -1, -1):
+        for subset in combinations(range(RANK), size):
+            face = _face(sum(1 << i for i in subset))
+            rs = [r[i] for i in subset]
+            num = [sum(map(mul, row, rs)) for row in face.adj]
+            if any(v < 0 for v in num):
+                continue
+            point = ZERO
+            for v, i in zip(num, subset):
+                point = add(point, scale(v, gens[i]))
+            den = 18 * face.det
+            if all(den * rk <= dot(point, z) for rk, z in zip(r, gens)):
+                return tuple(Fraction(x, den) for x in point)
     raise RuntimeError("BUG: no KKT subset accepted; the cone is simplicial so one must")
 
 
@@ -359,26 +370,6 @@ def lambda_norm_sq_fast(mu) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # integer lambda kernel
-
-
-@dataclass(frozen=True)
-class _Face:
-    members: tuple[int, ...]  # S, the support of a candidate minimizer
-    others: tuple[int, ...]  # the indices outside S
-    det: int  # det H_SS > 0
-    adj: tuple[tuple[int, ...], ...]  # adj(H_SS), rows and columns in S order
-
-
-@lru_cache(maxsize=None)
-def _face(mask: int) -> _Face:
-    """Integer solve data for the face S = {i : bit i of mask set}: the
-    certified adjugate of H_SS, which is positive definite."""
-    h = weight_gram2()
-    members = tuple(i for i in range(RANK) if mask >> i & 1)
-    det, adj = adjugate([[h[i][k] for k in members] for i in members])
-    assert det > 0, "BUG: H is not positive definite"
-    others = tuple(i for i in range(RANK) if not mask >> i & 1)
-    return _Face(members=members, others=others, det=det, adj=adj)
 
 
 def _kkt_numerators(face: _Face, r: list[int]) -> list[int] | None:
@@ -589,14 +580,6 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
-def _weight_ktype_coords(j: int) -> list[tuple[int, ...]]:
-    """K-type coordinates of chamber j's fundamental weights z_m: column m
-    of 3 adj(P_j) / det P_j (module docstring, scan tables)."""
-    det, adj = adjugate([row[:RANK] for row in _tables().pair3[j]])
-    return [tuple(_int(Fraction(3 * row[m], det), "weight coordinate") for row in adj)
-            for m in range(RANK)]
-
-
 def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     """All K-types with atlas height <= cap, mapped to their heights.
 
@@ -608,15 +591,14 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     hold no K-type.  A point is measured in the chamber that found it,
     which the height invariance allows.
     """
-    t = _tables()
     steps = height_steps()
-    two_rho_norm = sum(map(sum, weight_gram2()))  # 2|rho|^2, rho = sum of the zeta_i
+    two_rho_norm = sum(steps)  # (rho, 2 rho), rho = sum of the zeta_i
     assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
-    for j in range(len(t.chambers)):
+    for ch in enumerate_chambers():
         # mu coordinates from y: a_k = sum y_i p6[i][k] - 2, g = sum y_i pz2[i]
-        coords = _weight_ktype_coords(j)
+        coords = [from_ambient("varpi", z) for z in ch.weights]
         p6 = [zm[:6] for zm in coords]
         assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
         pz2 = [zm[6] for zm in coords]

@@ -33,9 +33,9 @@ the a-prefix down the recursion.  Two facts make it exact:
   each probe with g12 != 0 g <= (h12 - v) // g12 when g12 > 0, or
   g >= -((h12 - v) // -g12) when g12 < 0 (floor division; the second is
   the ceiling of (v - h12) / -g12).  The leaf steps through it by 3 from
-  the first g in the residue class that makes mu a K-type.  Both forms are
-  exact integer rewritings of the per-point tests, so the scan keeps the
-  same points in the same order.
+  the first g in the residue class of structure.ktype_form, which makes mu
+  a K-type.  Both forms are exact integer rewritings of the per-point
+  tests, so the scan keeps the same points in the same order.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .structure import (
     build_root_datum,
     from_ambient,
     inner,
+    ktype_form,
     sub,
     to_ambient,
 )
@@ -187,7 +188,7 @@ def _census_candidates():
                     hi = min(hi, s // g12)
                 else:
                     lo = max(lo, -(s // -g12))
-            base = (2 * stack_a[0] + stack_a[2] + 2 * stack_a[4] + stack_a[5]) % 3
+            base = ktype_form(stack_a)
             prefix = tuple(stack_a)
             for g in range(lo + (base - lo) % 3, hi + 1, 3):
                 out.append(prefix + (g,))

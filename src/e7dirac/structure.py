@@ -348,22 +348,27 @@ def from_ambient(basis: str, v: Vec) -> tuple:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+def ktype_form(e6) -> int:
+    """2a + 3b + 4c + 6d + 5e + 4f for the e6 coordinates a..f, unreduced:
+    [a..f, g] lies in the character lattice iff g = this form mod 3."""
+    a, b, c, d, e, f = e6
+    return 2 * a + 3 * b + 4 * c + 6 * d + 5 * e + 4 * f
+
+
 def is_k_type(coords) -> bool:
     """Whether [a..f, g] is the highest weight of a K-type.
 
     Requires a..f nonnegative integers and g an integer; beyond that the
-    weight must lie in the character lattice, which is the congruence
-    2a + 3b + 4c + 6d + 5e + 4f - g = 0 mod 3.
+    weight must lie in the character lattice (ktype_form).
     """
     if len(coords) != RANK:
         raise ValueError(f"need 7 coordinates, got {len(coords)}")
-    a, b, c, dd, e, f, g = coords
-    for x in (a, b, c, dd, e, f, g):
-        if int(x) != x:
-            return False
-    if min(a, b, c, dd, e, f) < 0:
+    if any(int(x) != x for x in coords):
+        return False
+    *e6, g = coords
+    if min(e6) < 0:
         raise ValueError(f"negative e6 coordinates in {coords}")
-    return (2 * a + 3 * b + 4 * c + 6 * dd + 5 * e + 4 * f - g) % 3 == 0
+    return (ktype_form(e6) - g) % 3 == 0
 
 
 def contragredient(coords) -> tuple:

@@ -29,3 +29,17 @@ def test_screening_examples_checks_every_small_nu(ctx):
     ok, detail = criteria.screening_examples(stub)
     assert not ok, "BUG: a wrong nu on the second parameter passes"
     assert detail == criteria.screening_examples(ctx)[1]
+
+
+def test_property_suite_reads_failed_on_a_faulty_kernel(ctx, monkeypatch):
+    # a lambda kernel off by 1/12 is caught by the cone_project oracle,
+    # which shares only the certified face adjugates with it; an empty
+    # height scan leaves no positive gap to see
+    fast = criteria.lambda_norm_sq_fast
+    monkeypatch.setattr(criteria, "lambda_norm_sq_fast", lambda mu: fast(mu) + Fraction(1, 12))
+    monkeypatch.setattr(criteria, "enumerate_by_height", lambda cap: {})
+    ok, detail = criteria.property_suite(ctx)
+    assert not ok
+    assert "lambda-chamber-independent FAILED" in detail
+    assert "projection-idempotent ok" in detail
+    assert "ularge-gap-bounded FAILED" in detail

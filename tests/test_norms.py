@@ -12,7 +12,6 @@ from e7dirac.norms import (
     _kernel_height,
     _lambda_kernel,
     _project_in_chamber,
-    _weight_ktype_coords,
     _witness_c,
     atlas_height,
     cone_project,
@@ -213,15 +212,17 @@ def test_kernel_tables_weyl_invariant(chambers):
                 assert 2 * inner(zi, zk) == gram2[i][k]
 
 
-def test_scan_tables_from_pair3(datum, chambers):
-    # the K-type coordinates of each chamber's weights, read off pair3 by
-    # the adjugate, against the Fraction pairings that define them
+def test_scan_weight_coords_against_pairings(datum, chambers):
+    # the K-type coordinates of each chamber's weights, as the height scan
+    # reads them off the chamber walk, against the Fraction pairings that
+    # define them: integral, with nonnegative e6 part
     for ch in chambers:
-        want = [
-            tuple(pair_coroot(z, g) for g in datum.compact_simple) + (2 * inner(z, datum.zeta),)
-            for z in ch.weights
-        ]
-        assert _weight_ktype_coords(ch.index) == want, f"BUG: chamber {ch.index}"
+        for z in ch.weights:
+            coords = from_ambient("varpi", z)
+            want = (tuple(pair_coroot(z, g) for g in datum.compact_simple)
+                    + (2 * inner(z, datum.zeta),))
+            assert coords == want, f"BUG: chamber {ch.index}"
+            assert all(type(x) is int for x in coords) and min(coords[:6]) >= 0
     assert sum(map(sum, weight_gram2())) == 2 * norm_sq(datum.rho)
 
 

@@ -114,6 +114,16 @@ def test_is_k_type_examples():
         is_k_type((-1, 0, 0, 0, 0, 0, 0))
 
 
+def test_ktype_form_is_the_weight_lattice():
+    # the congruence on structure.ktype_form holds iff the zeta
+    # coordinates are integers
+    rng = random.Random(20261019)
+    for _ in range(300):
+        coords = tuple(rng.randint(0, 5) for _ in range(6)) + (rng.randint(-9, 9),)
+        integral = all(type(x) is int for x in from_ambient("zeta", to_ambient("varpi", coords)))
+        assert is_k_type(coords) == integral
+
+
 def test_contragredient_examples():
     assert contragredient((1, 0, 0, 0, 0, 0, 2)) == (0, 0, 0, 0, 0, 1, -2)
     assert contragredient((0, 0, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 0, 0)
