@@ -379,15 +379,15 @@ def property_suite(ctx):
         for mu in sample[:100] for basis in ("zeta", "varpi"))))
 
     # outside the u-small cone the spin-vs-lambda gap stays below the
-    # certificate threshold up to the height cap; the census holds every
-    # u-small K-type, so membership decides it, and it must agree with the
-    # membership LP at every scan point.  Some gap must be positive, which
-    # the exact spin norm shows until one is seen.
-    ok, positive = True, False
-    for mu in enumerate_by_height(HEIGHT_CAP):
-        member = mu in ctx.census
-        ok = ok and member == is_usmall(mu)
-        if not member:
+    # certificate threshold up to the height cap.  Every census member lies
+    # under the cap, so the facet scan and the height scan, two independent
+    # enumerations, must give the same u-small set.  Some gap must be
+    # positive, which the exact spin norm shows until one is seen.
+    points = enumerate_by_height(HEIGHT_CAP)
+    ok = ctx.census == {mu for mu in points if is_usmall(mu)}
+    positive = False
+    for mu in points:
+        if mu not in ctx.census:
             lam = lambda_norm_sq_fast(mu)
             ok = ok and ularge_gap_bounded(mu, lam)
             positive = positive or spin_sq12(mu) > 12 * lam

@@ -1,17 +1,20 @@
 """The three metrics on K-types: lambda norm (nearest point in a chamber
 cone), spin norm (minimum over chambers of a shifted dominant
-representative), and membership in the u-small convex hull.  Also the
-Dirac inequality classifier and the integer height used by atlas.
+representative), and membership in the u-small convex hull, decided by
+the hull's facets.  Also the Dirac inequality classifier and the integer
+height used by atlas.
 
 The public functions work on exact ambient vectors.  The module-level
 tables cache integer pairing data per chamber so that the census-sized
 loops (tens of thousands of K-types against all 56 chambers) run on
 machine integers; tests pin the fast paths to the straightforward
-definitions.  The integer kernels and the census probes of screening take
-every pairing from _tables() and weight_gram2(), which read them off the
-scaled integer datum with structure.inner_times; height_steps() are the
-row sums of weight_gram2(), and the height scan reads its weight
-coordinates off the chamber walk.
+definitions.  The integer kernels take every pairing from _tables() and
+weight_gram2(), which read them off the scaled integer datum with
+structure.inner_times; height_steps() are the row sums of weight_gram2(),
+and the height scan reads its weight coordinates off the chamber walk.
+usmall_facets() derives the u-small hull's facets once, on the first
+query, from the vertices in _tables(); is_usmall and the census scan of
+screening both test them.
 
 Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
 simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
@@ -76,7 +79,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from .simplex import FeasibilityOracle, adjugate
+from .simplex import adjugate, hull_facets
 from .structure import (
     RANK,
     ZERO,
@@ -112,7 +115,8 @@ class _Tables:
     # these 56 sums generate the orbit hull behind the u-small test.  Each
     # is K-dominant (every compact simple root is positive in every
     # chamber's system, so rho_j pairs >= 1 with its coroot), which the
-    # membership LP relies on; asserted when the tables are built.
+    # facet lemma of usmall_facets relies on; asserted when the tables are
+    # built.
     rho_n: tuple[tuple[int, ...], ...]
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
@@ -522,34 +526,42 @@ def spin_datum(mu) -> SpinDatum:
 
 
 @lru_cache(maxsize=1)
-def usmall_oracle() -> FeasibilityOracle:
-    """The membership system of is_usmall, built on the first query: columns
-    are the K-type coordinates (a..f, g) of the 56 hull vertices 2 rho_n_j
-    and of the 6 negated compact simple roots, plus the row sum t = 1; only
-    b = (mu, 1) varies."""
+def usmall_facets() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facets u . mu <= h of the u-small hull that are not walls
+    a_i >= 0, as (u, h) on the K-type coordinates (a..f, g); derived on the
+    first query by hull_facets over the 56 vertices 2 rho_n_j.
+
+    Lemma.  Let P = conv(V) + cone(-gamma_i), V the vertices: the points
+    dominated by a convex combination of them.  A K-type lies in the hull
+    of the W(k)-orbits of V iff it lies in P (each orbit point is dominated
+    by its K-dominant representative, and a dominant point dominated by a
+    hull point lies in the hull of that point's orbit).  Every u has
+    u . gamma_i >= 0, so u . mu <= h holds on all of P.  The six walls and
+    the 14 facets cut out conv(V), so P and {a >= 0} meet inside conv(V);
+    V is K-dominant, so conv(V) lies in both.  On K-types, then, u-small
+    means u . mu <= h for every facet."""
     t = _tables()
-    rows = [
-        [2 * t.rho_n[j][k] for j in range(56)]
-        + [-t.gamma[i][k] for i in range(6)]
-        for k in range(RANK)
-    ]
-    rows.append([1] * 56 + [0] * 6)
-    return FeasibilityOracle(rows)
+    vertices = [tuple(2 * x for x in r) for r in t.rho_n]
+    walls, facets = [], []
+    for h, *c in hull_facets(vertices):
+        if h == 0 and sorted(c) == [0] * 6 + [1] and c[6] == 0:
+            walls.append(c.index(1))
+        else:
+            facets.append((tuple(-x for x in c), h))
+    assert sorted(walls) == list(range(6)) and len(facets) == 14, \
+        f"BUG: the hull has {len(walls)} walls and {len(facets)} other facets, not 6 and 14"
+    for u, h in facets:
+        assert all(sum(map(mul, u, g)) >= 0 for g in t.gamma), f"BUG: facet {u} against a gamma"
+        assert max(sum(map(mul, u, v)) for v in vertices) == h, f"BUG: facet {u}, {h}"
+    return tuple(facets)
 
 
 def is_usmall(mu) -> bool:
-    """Whether the K-type lies in the hull of the W(k)-orbits of the 56
-    sums of noncompact positive roots (one per chamber, twice rho_n_j).
-    For a K-dominant point this is equivalent to being dominated by a
-    convex combination of the generating points (themselves K-dominant):
-    feasibility of sum t_j v_j - mu = sum s_i gamma_i with t a probability
-    vector and s nonnegative.  (One direction: each orbit point is dominated
-    by its K-dominant representative, so any hull point is dominated by such
-    a combination.  The other: a dominant point dominated by a hull point
-    lies in the hull of that point's orbit.)  The system's matrix is fixed,
-    so usmall_oracle settles most queries with a cached certificate.
-    """
-    return usmall_oracle().feasible((*mu, 1))
+    """Whether the K-type (a_i >= 0, which the lemma of usmall_facets needs)
+    lies in the hull of the W(k)-orbits of the 56 sums of noncompact
+    positive roots (one per chamber, twice rho_n_j): u . mu <= h on each of
+    usmall_facets()."""
+    return all(sum(map(mul, u, mu)) <= h for u, h in usmall_facets())
 
 
 # ---------------------------------------------------------------------------

@@ -3,57 +3,42 @@ high-gap certificate set, the norm-window set of infinitesimal characters,
 Dirac-cohomology candidate weights, spin LKT extraction, and the
 same-parity index test.
 
-The census enumerator is exact end to end: the norm ball bounds the scan,
-cheap integer probes discard points separated by a fixed family of
-K-dominant directions (soundness: a K-dominant point of the hull pairs with
-any K-dominant direction at most at the support value), and every
-surviving candidate is settled by is_usmall or by dominance propagation
-from an already-settled point (the hull is closed downward under the
-dominance order, which is the same lemma the LP formulation rests on).
-is_usmall answers from a cached exact certificate of an earlier LP (a
-verified basis or Farkas vector of the same fixed system) when one applies,
-and solves the membership LP otherwise: on the census 162 LPs leave 162
-certificates that settle the other candidates.
+The u-small census is one scan over mu = (a_1..a_6, g), the a-coordinates
+depth first and g last, that keeps exactly the K-types passing the 14
+facets u . mu <= h of norms.usmall_facets, which decide u-small on
+K-types.  The scan carries each facet's slack h - u . mu of the a-prefix
+down the recursion.  Two facts make it exact and make it end:
 
-The candidate scan runs over mu = (a_1..a_6, g), the a-coordinates depth
-first and g last.  A probe (w12, g12, h12) keeps mu when
-v = sum_k a_k w12_k + g g12 <= h12; the scan carries the slack h12 - v of
-the a-prefix down the recursion.  Two facts make it exact:
-
-- Monotone pruning.  Every w12_k >= 0 and every entry of the Gram matrix
-  of the varpi_k is positive (both asserted in _census_candidates), so
-  the a-part of v never decreases when a coordinate grows or a deeper one
-  is set.  A probe with g12 == 0 that is exceeded at coordinate a is
-  exceeded for every larger a and every descendant: the loop breaks there,
-  as it does when the norm 12|mu|^2 leaves the ball, which grows with
-  each a-coordinate and so ends every loop.
-- Leaf interval.  With the a-part fixed (norm term N, probe a-sums v), the
-  g that pass are the integers of one interval, the intersection of the
-  ball N + 2g^2 <= ball12, i.e. |g| <= isqrt((ball12 - N) // 2), and for
-  each probe with g12 != 0 g <= (h12 - v) // g12 when g12 > 0, or
-  g >= -((h12 - v) // -g12) when g12 < 0 (floor division; the second is
-  the ceiling of (v - h12) / -g12).  The leaf steps through it by 3 from
-  the first g in the residue class of structure.ktype_form, which makes mu
-  a K-type.  Both forms are exact integer rewritings of the per-point
-  tests, so the scan keeps the same points in the same order.
+- Monotone pruning.  The facets with u_g == 0 have every u_k > 0 on the
+  a-coordinates (asserted in _census_scan), so such a facet exceeded at
+  coordinate a is exceeded for every larger a and every descendant: the
+  loop breaks there.  Its slack falls with each step of a, so it ends
+  every loop.
+- Leaf interval.  With the a-part fixed, the g that pass are the integers
+  of one interval, the intersection over the facets with u_g != 0 of
+  g <= s // u_g when u_g > 0, or g >= -(s // -u_g) when u_g < 0 (s the
+  slack, floor division; the second is the ceiling of s / u_g).  Facets
+  of both signs exist (asserted), so the interval is bounded.  The leaf
+  steps through it by 3 from the first g in the residue class of
+  structure.ktype_form, which makes mu a K-type.  Both forms are exact
+  integer rewritings of the per-point facet tests, so the scan keeps the
+  same points in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
-from math import ceil, isqrt
-from operator import add as int_add, mul, sub as int_sub
+from math import ceil
+from operator import sub as int_sub
 
 from .norms import (
-    _tables,
     infchar_norm_sq,
-    is_usmall,
     ktype_ambient,
     lambda_norm_sq_fast,
     spin_sq12,
+    usmall_facets,
     weight_gram2,
 )
 from .structure import (
@@ -118,119 +103,53 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
 # u-small census
 
 
-@lru_cache(maxsize=1)
-def _census_tables():
-    """The norm ball and the probe directions of the census, read off
-    norms._tables().
-
-    A direction u with K-type coordinates (b, h), b >= 0, is K-dominant, so
-    the hull's support function there is its best pairing with the
-    K-dominant vertices 2 rho_n_j.  As (zeta, zeta) = 3/2 and
-    (varpi_k, zeta) = 0, 12 (mu, u) = a . w12 + g g12 with
-        w12 = gram12 . b,   g12 = 2h,
-    and the support value is h12 = 2 max_j (b . w12_j + 2h g_j), where g_j
-    is the g-coordinate of rho_n_j.
-    """
-    t = _tables()
-
-    def support12(b, h) -> int:
-        assert min(b) >= 0, f"BUG: probe direction {b} is not K-dominant"
-        return 2 * max(sum(map(mul, b, w)) + 2 * h * r[6] for w, r in zip(t.w12, t.rho_n))
-
-    # probe directions as K-type coordinates (b, h): zeta, -zeta, rho_c =
-    # (1, ..., 1, 0), the varpi_i, rho_c + (h/3) zeta and varpi_i + rho_c
-    rho_c, units = (1,) * 6, [tuple(int(i == k) for k in range(6)) for i in range(6)]
-    probe_dirs = [((0,) * 6, 3), ((0,) * 6, -3), (rho_c, 0), *((b, 0) for b in units),
-                  *((rho_c, h) for h in (9, -9, 27, -27)),
-                  *((tuple(x + 1 for x in b), 0) for b in units)]
-    probes = tuple(
-        (tuple(sum(map(mul, row, b)) for row in t.gram12), 2 * h, support12(b, h))
-        for b, h in probe_dirs
-    )
-
-    # norm ball: the norm is convex and W(k)-invariant, so no hull point is
-    # longer than the longest vertex, 2 rho_n of the base chamber
-    ball12 = 4 * max(t.norm12_rho_n)
-    assert ball12 == 4 * t.norm12_rho_n[0] == 5832, f"BUG: 12|2rho_n|^2 = {ball12}"
-
-    return {"ball12": ball12, "probes": probes}
-
-
-def _census_candidates():
-    """All K-types passing the norm ball and the probe directions, in
-    lexicographic order.  The probe slacks h12 - v are carried down the
-    scan: a probe without g-part prunes like the norm ball, and at a leaf
-    the admissible g form one integer interval (module docstring)."""
-    ct = _census_tables()
-    gram12 = _tables().gram12
-    probes = ct["probes"]
-    ball12 = ct["ball12"]
-    # monotone pruning: a larger a-coordinate never raises a probe's slack
-    # and always raises the norm, so the ball ends every loop
-    assert all(x >= 0 for w12, _, _ in probes for x in w12)
-    assert all(x > 0 for row in gram12 for x in row), "BUG: varpi Gram not positive"
-    flat = [p for p in probes if p[1] == 0]
-    bounds = [p for p in probes if p[1] != 0]
-    flat_cols = [tuple(w12[i] for w12, _, _ in flat) for i in range(6)]
-    bound_cols = [tuple(w12[i] for w12, _, _ in bounds) for i in range(6)]
-    g12s = tuple(g12 for _, g12, _ in bounds)
+def _census_scan() -> list[tuple[int, ...]]:
+    """Every u-small K-type, in lexicographic order: the K-types that pass
+    the facets of norms.usmall_facets.  The facet slacks h - u . mu are
+    carried down the scan: a facet without g-part ends the a-loop, and at a
+    leaf the admissible g form one integer interval (module docstring)."""
+    facets = usmall_facets()
+    flat = [f for f in facets if f[0][6] == 0]
+    bounds = [f for f in facets if f[0][6] != 0]
+    # monotone pruning: the flat facets end every a-loop, and the g-interval
+    # of a leaf is bounded on both sides
+    assert flat and all(x > 0 for u, _ in flat for x in u[:6]), "BUG: flat facets"
+    assert {u[6] > 0 for u, _ in bounds} == {True, False}, "BUG: g unbounded on the hull"
+    flat_cols = [tuple(u[i] for u, _ in flat) for i in range(6)]
+    bound_cols = [tuple(u[i] for u, _ in bounds) for i in range(6)]
+    gs = tuple(u[6] for u, _ in bounds)
     out = []
     stack_a = [0] * 6
 
-    def scan(i: int, norm_acc: int, flat_slack, bound_slack):
-        # norm_acc = 12 * |sum of the first i varpi terms|^2; the slacks are
-        # h12 minus the probe sums of the same prefix
+    def scan(i: int, flat_slack, bound_slack):
+        # the slacks are h minus the facet sums of the a-prefix
         if i == 6:
-            hi = isqrt((ball12 - norm_acc) // 2)
-            lo = -hi
-            for s, g12 in zip(bound_slack, g12s):
-                if g12 > 0:
-                    hi = min(hi, s // g12)
-                else:
-                    lo = max(lo, -(s // -g12))
+            hi = min(s // ug for s, ug in zip(bound_slack, gs) if ug > 0)
+            lo = max(-(s // -ug) for s, ug in zip(bound_slack, gs) if ug < 0)
             base = ktype_form(stack_a)
             prefix = tuple(stack_a)
             for g in range(lo + (base - lo) % 3, hi + 1, 3):
                 out.append(prefix + (g,))
             return
-        row = gram12[i]
-        cross = 2 * sum(row[k] * stack_a[k] for k in range(i))
         fcol, bcol = flat_cols[i], bound_cols[i]
         for a in count():
-            acc = norm_acc + a * (cross + row[i] * a)
-            if acc > ball12 or min(flat_slack) < 0:
+            if min(flat_slack) < 0:
                 break
             stack_a[i] = a
-            scan(i + 1, acc, flat_slack, bound_slack)
+            scan(i + 1, flat_slack, bound_slack)
             flat_slack = tuple(map(int_sub, flat_slack, fcol))
             bound_slack = tuple(map(int_sub, bound_slack, bcol))
         stack_a[i] = 0
 
-    top = tuple(h12 for _, _, h12 in flat), tuple(h12 for _, _, h12 in bounds)
-    scan(0, 0, *top)
+    scan(0, tuple(h for _, h in flat), tuple(h for _, h in bounds))
     del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 
 
 def enumerate_usmall_ktypes() -> set[tuple[int, ...]]:
     """Every K-type inside the orbit hull of the 56 per-chamber sums of
-    noncompact positive roots.  Parents mu + gamma_i (one compact simple
-    root up) are settled before children, so a child can inherit membership
-    without an LP.  Only candidates are ever decided, so a parent found in
-    `decided` is a K-type."""
-    # dominance functional (strictly positive on the compact positive roots)
-    t = _tables()
-    rc12 = t.rc12
-    ordered = sorted(
-        _census_candidates(),
-        key=lambda mu: (-sum(mu[i] * rc12[i] for i in range(6)), mu),
-    )
-    decided: set[tuple[int, ...]] = set()
-    for mu in ordered:
-        if any(tuple(map(int_add, mu, gamma)) in decided for gamma in t.gamma) \
-                or is_usmall(mu):
-            decided.add(mu)
-    return decided
+    noncompact positive roots."""
+    return set(_census_scan())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exact feasibility testing for small linear programs, with certificates,
-and adjugate, the package's one exact linear solver.
+"""Exact feasibility testing for small linear programs, with certificates;
+adjugate, the package's one exact linear solver; and hull_facets, the
+facets of the convex hull of integer points.
 
 Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
 phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
@@ -28,13 +29,15 @@ den the current Bareiss denominator, den = det of the basis matrix):
   (FarkasCertificate).
 
 A feasible system whose phase-1 basis keeps a redundant row carries none.
-FeasibilityOracle reuses verified certificates across right-hand sides.
+No pipeline path solves an LP: the u-small test runs on the hull's facets,
+and the tests check it against lp_feasible on the membership system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
@@ -129,6 +132,74 @@ def adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
                for r, row in enumerate(m) for s, col in enumerate(zip(*adj))), \
         f"BUG: adjugate of {m}"
     return det, adj
+
+
+def _primitive(c) -> tuple[int, ...]:
+    g = gcd(*c)
+    return tuple(x // g for x in c) if g > 1 else tuple(c)
+
+
+def hull_facets(points) -> tuple[tuple[int, ...], ...]:
+    """The facets of the convex hull of integer points that affinely span
+    R^n, sorted: primitive integer rows c = (c_0, c_1..c_n) with
+    c_0 + c_1 p_1 + ... + c_n p_n >= 0 at every point, and = 0 at n
+    affinely independent ones.
+
+    Double description (Motzkin).  Lift p to (1, p); the hull's facets are
+    those of the cone the lifted points span.  The first n + 1 lifted
+    points that are linearly independent span a simplicial cone with the
+    facets sign(det) adj[:, k], adj from adjugate of their matrix.  Each
+    further point q splits the facets by the sign of c . q: those >= 0
+    stay, those < 0 go, and each adjacent pair (c+, c-) gives the facet
+    (c+ . q) c- - (c- . q) c+ through q.  A pair is adjacent when the
+    points tight on both number at least n - 1 and no third facet is
+    tight on all of them (the combinatorial test of the double description
+    method)."""
+    lifted = [(1, *map(int, p)) for p in points]
+    dim = len(lifted[0])
+    # the first basis: a point joins when it is independent of those before
+    basis, echelon = [], []
+    for k, v in enumerate(lifted):
+        r = list(v)
+        for e, piv in echelon:
+            if r[piv]:
+                r = list(_primitive([e[piv] * x - r[piv] * y for x, y in zip(r, e)]))
+        piv = next((i for i, x in enumerate(r) if x), None)
+        if piv is not None:
+            basis.append(k)
+            echelon.append((r, piv))
+            if len(basis) == dim:
+                break
+    if len(basis) < dim:
+        raise ValueError("hull_facets: the points do not affinely span the space")
+    det, adj = adjugate([lifted[k] for k in basis])
+    sign = 1 if det > 0 else -1
+    done = sum(1 << k for k in basis)
+    # (c, tight): tight is the bitmask of the points so far with c . p == 0
+    facets = [(_primitive([sign * row[col] for row in adj]), done & ~(1 << k))
+              for col, k in enumerate(basis)]
+    for k, q in enumerate(lifted):
+        if done >> k & 1:
+            continue
+        vals = [sum(map(mul, c, q)) for c, _ in facets]
+        bit = 1 << k
+        new = []
+        for i, vi in enumerate(vals):
+            if vi <= 0:
+                continue
+            for j, vj in enumerate(vals):
+                if vj >= 0:
+                    continue
+                common = facets[i][1] & facets[j][1]
+                if common.bit_count() < dim - 2 or any(
+                        common & z == common for m, (_, z) in enumerate(facets)
+                        if m != i and m != j):
+                    continue
+                c = _primitive([vi * a - vj * b for a, b in zip(facets[j][0], facets[i][0])])
+                new.append((c, common | bit))
+        facets = [(c, z | bit if v == 0 else z) for (c, z), v in zip(facets, vals) if v >= 0]
+        facets += new
+    return tuple(sorted(c for c, _ in facets))
 
 
 def lp_solve(rows: list[list[int]], rhs: list[int]
@@ -229,54 +300,3 @@ def lp_solve(rows: list[list[int]], rhs: list[int]
         tuple(sgn * s * row[n + i] for i, s in enumerate(signs)) for row in tab
     )
     return x, BasisCertificate(columns=tuple(basis), det=sgn * denom, inverse=inverse)
-
-
-class FeasibilityOracle:
-    """Feasibility of {x >= 0 : Ax = b} for one fixed integer A and many b.
-
-    Lemma (basis).  If A_B M = det I with det > 0 and M b >= 0, then
-    x_B = M b / det and x = 0 off B is a nonnegative solution, so b is
-    feasible.
-    Lemma (Farkas).  If y^T A >= 0 and y . b < 0, then y^T A x >= 0 for
-    every x >= 0 while y . b < 0, so b is infeasible.
-
-    Certificates are kept in a move-to-front list and tried in order; the
-    first one that settles b gives the answer.  Otherwise the simplex
-    decides b, and its certificate is cached once it has been verified
-    exactly (A_B M = det I, or y^T A >= 0) and seen to settle that b.
-
-    Counters: basis_hits and farkas_hits (queries settled by a cached
-    certificate), lp_calls (simplex fallbacks), held (certificates cached).
-    """
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        self.certificates: list[Certificate] = []
-        self.basis_hits = 0
-        self.farkas_hits = 0
-        self.lp_calls = 0
-
-    @property
-    def held(self) -> int:
-        return len(self.certificates)
-
-    def feasible(self, rhs) -> bool:
-        certs = self.certificates
-        for k, cert in enumerate(certs):
-            if cert.settles(rhs):
-                if k:
-                    del certs[k]
-                    certs.insert(0, cert)
-                if cert.feasible:
-                    self.basis_hits += 1
-                else:
-                    self.farkas_hits += 1
-                return cert.feasible
-        self.lp_calls += 1
-        x, cert = lp_solve(self.rows, rhs)
-        feasible = x is not None
-        if cert is not None:
-            if not (cert.feasible == feasible and cert.settles(rhs) and cert.verify(self.rows)):
-                raise RuntimeError(f"BUG: simplex certificate fails to verify for b = {rhs}")
-            certs.insert(0, cert)
-        return feasible

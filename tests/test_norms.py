@@ -26,14 +26,13 @@ from e7dirac.norms import (
     height_steps,
     spin_sq12,
     spin_sq12_with_weights,
-    usmall_oracle,
+    usmall_facets,
     weight_gram2,
 )
 from e7dirac.atlas_ingest import parse_fixture
 from e7dirac.criteria import USMALL_CENSUS_SIZE
 from e7dirac.criteria import _random_ktype as random_ktype
-from e7dirac.screening import _census_candidates
-from e7dirac.simplex import FeasibilityOracle, lp_feasible
+from e7dirac.simplex import lp_feasible
 from e7dirac.structure import (
     add,
     build_root_datum,
@@ -371,20 +370,13 @@ def test_usmall_ball_bound(datum):
     assert seen_inside, "sample never landed in the ball; widen the generator"
 
 
-def test_usmall_oracle_columns_are_ktype_coordinates(datum, chambers):
-    # the K-type coordinates of the vertices 2 rho_n_j and of the negated
-    # compact simple roots, each with its entry of the row sum
-    want = [from_ambient("varpi", scale(2, ch.rho_n_j)) + (1,) for ch in chambers]
-    want += [from_ambient("varpi", neg(g)) + (0,) for g in datum.compact_simple]
-    assert list(zip(*usmall_oracle().rows)) == want
-
-
-def test_usmall_oracle_matches_plain_lp_on_every_census_candidate(census, datum, chambers):
-    # a cold oracle on the census system against one plain LP per candidate
-    # on the same membership system in the zeta basis, set up from the
-    # Fraction datum: columns the zeta coordinates of 2 rho_n_j and of the
-    # -gamma_i, right-hand side the zeta coordinates of mu, which are linear
-    # in (a..f, g) with thirds
+def test_usmall_facets_match_plain_lp_on_census_and_ularge(census, ularge, datum, chambers):
+    # the facet test against one plain LP per point on the membership
+    # system in the zeta basis, set up from the Fraction datum: columns the
+    # zeta coordinates of 2 rho_n_j and of the -gamma_i, right-hand side the
+    # zeta coordinates of mu, which are linear in (a..f, g) with thirds.
+    # The points are the census and the u-large K-types of the height scan;
+    # every facet is violated at some of them and tight at others.
     cols = [from_ambient("zeta", scale(2, ch.rho_n_j)) for ch in chambers]
     cols += [from_ambient("zeta", neg(g)) for g in datum.compact_simple]
     assert all(x.denominator == 1 for col in cols for x in col)
@@ -394,24 +386,26 @@ def test_usmall_oracle_matches_plain_lp_on_every_census_candidate(census, datum,
     assert all((3 * x).denominator == 1 for u in units for x in u)
     to_zeta3 = [[int(3 * u[k]) for u in units] for k in range(7)]
 
-    oracle = FeasibilityOracle(usmall_oracle().rows)
-    candidates = _census_candidates()
-    assert len(candidates) == 30235
-    inside = set()
-    for mu in candidates:
+    facets = usmall_facets()
+    violated, tight = set(), set()
+    inside = 0
+    for mu in sorted(census) + ularge:
         zeta = []
         for row in to_zeta3:
             z, rem = divmod(sum(m * x for m, x in zip(mu, row)), 3)
             assert rem == 0, f"BUG: {mu} has fractional zeta coordinates"
             zeta.append(z)
-        got = oracle.feasible((*mu, 1))
-        assert got == lp_feasible(rows, zeta + [1]), f"BUG: oracle disagrees with the LP at {mu}"
-        if got:
-            inside.add(mu)
-    assert inside == census
-    assert oracle.basis_hits + oracle.farkas_hits + oracle.lp_calls == len(candidates)
-    assert oracle.held == oracle.lp_calls < len(candidates) // 20
-    assert all(cert.verify(oracle.rows) for cert in oracle.certificates)
+        got = is_usmall(mu)
+        assert got == lp_feasible(rows, zeta + [1]), f"BUG: facets disagree with the LP at {mu}"
+        inside += got
+        for k, (u, h) in enumerate(facets):
+            v = sum(map(mul, u, mu))
+            if v > h:
+                violated.add(k)
+            elif v == h:
+                tight.add(k)
+    assert (inside, len(census) + len(ularge) - inside) == (21294, 11672)
+    assert violated == tight == set(range(14))
 
 
 # ---- Dirac inequality ----

@@ -17,12 +17,12 @@ from e7dirac.norms import (
     lambda_norm_sq_fast,
     norm12_ktype,
     spin_sq12,
+    usmall_facets,
 )
 from e7dirac.screening import (
     ADMISSIBILITY_SUMS,
     MIN_CERT_GAP,
-    _census_candidates,
-    _census_tables,
+    _census_scan,
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
     hp_admissible,
@@ -36,6 +36,7 @@ from e7dirac.structure import (
     from_ambient,
     inner,
     norm_sq,
+    scale,
     sub,
 )
 from e7dirac.weyl import dominant_rep, enumerate_chambers
@@ -110,14 +111,15 @@ def test_lemma32_witness_all_selectors():
 
 
 def _reference_candidates():
-    """The census candidates by the per-point tests: every K-type of the
-    scan, every g in its residue class, the norm ball and each probe sum
-    tested on its own.  No slack is carried and no g-interval is formed.
-    The ball ends each a-loop, and bounds |g| by isqrt(ball12 / 2)."""
-    ct = _census_tables()
-    gram12 = _tables().gram12
-    probes = ct["probes"]
-    ball12 = ct["ball12"]
+    """The census by the per-point tests: every K-type of the scan, every g
+    in its residue class, each of the 14 facets tested on its own.  No
+    slack is carried and no g-interval is formed.  The norm ball of the
+    vertices, 12|mu|^2 <= 12 max |2 rho_n_j|^2, holds the hull, so it ends
+    each a-loop and bounds |g| by isqrt(ball12 / 2)."""
+    t = _tables()
+    gram12 = t.gram12
+    facets = usmall_facets()
+    ball12 = 4 * max(t.norm12_rho_n)
     g_max = isqrt(ball12 // 2)
     out = []
     stack_a = [0] * 6
@@ -130,10 +132,10 @@ def _reference_candidates():
             ) % 3
             g = -g_max + ((base + g_max) % 3)
             while g <= g_max:
+                mu = tuple(stack_a) + (g,)
                 if norm_acc + 2 * g * g <= ball12 and all(
-                        g * g12 + sum(a * w for a, w in zip(stack_a, w12)) <= h12
-                        for w12, g12, h12 in probes):
-                    out.append(tuple(stack_a) + (g,))
+                        sum(x * y for x, y in zip(u, mu)) <= h for u, h in facets):
+                    out.append(mu)
                 g += 3
             return
         for a in count():
@@ -152,11 +154,11 @@ def _reference_candidates():
 
 def test_census_candidates_match_per_point_reference():
     # soundness of the monotone pruning and of the leaf g-interval: the same
-    # candidates, element for element and in the same order
-    got = _census_candidates()
+    # u-small K-types, element for element and in the same order
+    got = _census_scan()
     want = _reference_candidates()
-    assert len(want) == 30235
-    assert got == want, "BUG: the pruned scan changes the candidate list"
+    assert len(want) == criteria.USMALL_CENSUS_SIZE == 21294
+    assert got == want, "BUG: the pruned scan changes the census"
 
 
 def _support(direction):
@@ -167,33 +169,52 @@ def _support(direction):
     return max(inner(tuple(2 * x for x in ch.rho_n_j), dom) for ch in enumerate_chambers())
 
 
-def test_census_tables_against_support_function():
-    # the integer probes against the support function of the hull
+def _affine_rank(points):
+    """The rank of the points lifted to (1, p), by Fraction elimination."""
+    rows = [[Fraction(1), *map(Fraction, p)] for p in points]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_usmall_facets_against_support_function():
+    # each facet u . mu <= h, read as the ambient direction U with
+    # (mu, U) = u . mu: h is the hull's support value at U, and the
+    # vertices where it is attained span a hyperplane, so the inequality
+    # is a facet and not only valid
     d = build_root_datum()
-    vertices = [tuple(2 * x for x in ch.rho_n_j) for ch in enumerate_chambers()]
-    dirs = [d.zeta, tuple(-x for x in d.zeta), d.rho_c, *d.varpi]
-    dirs += [add(d.rho_c, ktype_ambient((0, 0, 0, 0, 0, 0, k))) for k in (9, -9, 27, -27)]
-    dirs += [add(w, d.rho_c) for w in d.varpi]
-    probes = []
-    for u in dirs:
-        dom, _ = dominant_rep(u, "K")
-        probes.append((tuple(12 * inner(w, dom) for w in d.varpi), 4 * inner(d.zeta, dom),
-                       12 * _support(u)))
-    ct = _census_tables()
-    assert ct["probes"] == tuple(probes)
-    assert ct["ball12"] == 12 * max(norm_sq(v) for v in vertices) == 5832
+    units = [ktype_ambient(tuple(int(i == k) for i in range(7))) for k in range(7)]
+    vertices = [tuple(2 * x for x in r) for r in _tables().rho_n]
+    facets = usmall_facets()
+    assert len(set(facets)) == 14
+    for u, h in facets:
+        direction = scale(2 * u[6], d.zeta)
+        for k, g in enumerate(d.compact_simple):
+            direction = add(direction, scale(u[k], g))
+        assert [inner(e, direction) for e in units] == list(u)
+        assert h == _support(direction), f"BUG: facet {u} is not the support value"
+        on_facet = [v for v in vertices if sum(x * y for x, y in zip(u, v)) == h]
+        assert _affine_rank(on_facet) == 7, f"BUG: {u} . mu <= {h} is not a facet"
 
 
 def test_census_candidates_within_support_caps():
-    # the scan has no coordinate cap and no g-range of its own: the ball and
-    # the probes keep every candidate within the hull's maxima of each
-    # coordinate, a_i = (mu, gamma_i) and g = 2 (mu, zeta)
+    # the scan has no coordinate cap and no g-range of its own: the facets
+    # keep every member within the hull's maxima of each coordinate,
+    # a_i = (mu, gamma_i) and g = 2 (mu, zeta)
     d = build_root_datum()
     caps = {_support(g) for g in d.compact_simple}
     assert caps == {12}
     g_lo, g_hi = -2 * _support(tuple(-x for x in d.zeta)), 2 * _support(d.zeta)
-    assert (g_lo, g_hi) == (-54, 54) and g_hi == isqrt(5832 // 2)
-    for mu in _census_candidates():
+    assert (g_lo, g_hi) == (-54, 54)
+    for mu in _census_scan():
         assert max(mu[:6]) <= 12 and g_lo <= mu[6] <= g_hi, f"BUG: {mu} beyond the hull's caps"
 
 

@@ -1,6 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from e7dirac.norms import _face, weight_gram2
 from e7dirac.simplex import (
     BasisCertificate,
     FarkasCertificate,
-    FeasibilityOracle,
     adjugate,
+    hull_facets,
     lp_feasible,
     lp_solve,
 )
@@ -229,30 +231,20 @@ def test_certificates_reject_forged_data():
     assert not FarkasCertificate((-1, 1)).verify(rows)
 
 
-def test_oracle_agrees_with_the_simplex():
-    rng = random.Random(77)
-    rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
-    rows.append([1] * 6)
-    oracle = FeasibilityOracle(rows)
-    queries = [[rng.randint(-4, 4) for _ in range(3)] + [1] for _ in range(400)]
-    for rhs in queries:
-        assert oracle.feasible(rhs) == lp_feasible(rows, rhs), f"BUG: oracle at {rhs}"
-    assert oracle.basis_hits + oracle.farkas_hits + oracle.lp_calls == len(queries)
-    assert oracle.basis_hits and oracle.farkas_hits, "BUG: sample should hit both kinds"
-    assert oracle.held <= oracle.lp_calls < len(queries) // 4
-    assert all(cert.verify(oracle.rows) for cert in oracle.certificates)
-
-
 # ---- the exact solver ----
+
+
+def cofactor_det(a):
+    """det by cofactor expansion along the first row, the definition."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
 
 
 def cofactor_adjugate(m):
     """det and adjugate by cofactor expansion, the definition."""
-    def det(a):
-        if not a:
-            return 1
-        return sum((-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
-                   for j in range(len(a)))
+    det = cofactor_det
     n = len(m)
     minor = lambda r, c: [row[:c] + row[c + 1:] for k, row in enumerate(m) if k != r]
     return det(m), tuple(tuple((-1) ** (r + c) * det(minor(c, r)) for c in range(n))
@@ -296,3 +288,48 @@ def test_adjugate_rejects_singular():
         adjugate([[1, 2], [2, 4]])
     with pytest.raises(RuntimeError, match="BUG: singular"):
         adjugate([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+
+# ---- hull facets ----
+
+
+def facets_by_definition(points):
+    """The hull's facets as hull_facets states them, by trying every n of
+    the points: the row c through them, c_k = (-1)^k times the minor of
+    the lifted rows without column k (so c . (1, q) is the determinant of
+    q stacked on them), is a facet when it is nonzero and one sign holds
+    at every point."""
+    lifted = [(1, *p) for p in points]
+    n = len(points[0])
+    out = set()
+    for subset in itertools.combinations(lifted, n):
+        c = [(-1) ** k * cofactor_det([row[:k] + row[k + 1:] for row in subset])
+             for k in range(n + 1)]
+        vals = [sum(map(mul, c, q)) for q in lifted]
+        if any(c) and (min(vals) >= 0 or max(vals) <= 0):
+            sign = 1 if min(vals) >= 0 else -1
+            g = gcd(*c)
+            out.add(tuple(sign * x // g for x in c))
+    return tuple(sorted(out))
+
+
+def test_hull_facets_of_a_cube_with_inner_points():
+    cube = list(itertools.product((0, 2), repeat=3))
+    points = [(1, 1, 1), (1, 0, 1)] + cube
+    want = tuple(sorted([(0, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+                        + [(2, *e) for e in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))]))
+    assert hull_facets(points) == want == facets_by_definition(points)
+
+
+def test_hull_facets_random_against_definition():
+    rng = random.Random(53)
+    for trial in range(40):
+        n = 3 if trial < 30 else 4
+        points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(5, 11))]
+        assert rank([(1, *p) for p in points]) == n + 1
+        assert hull_facets(points) == facets_by_definition(points), f"BUG: facets of {points}"
+
+
+def test_hull_facets_rejects_a_flat_set():
+    with pytest.raises(ValueError):
+        hull_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
