@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from operator import mul, not_
+from itertools import combinations, groupby, product
+from operator import mul
 
 from .screening import ADMISSIBILITY_SUMS, hp_admissible, quadratic_points
 from .structure import RANK, add, build_root_datum, is_k_type, to_ambient
@@ -427,7 +427,12 @@ def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
     tuple(map(not_, c)) of the points c they come from.  For a nonnegative
     integer point, min(c) == 0 and hp_admissible(c) hold iff Z is nonempty
     and contains none of the admissibility sums, since a sum of nonnegative
-    terms is positive iff one term is nonzero."""
+    terms is positive iff one term is nonzero.
+
+    quadratic_points prunes by the prefix closure of these patterns
+    (its lemma 1): a prefix whose zeros already cover an admissibility sum
+    has no census point below it, and a zero-free prefix of length 6
+    forces the last coordinate to 0."""
     return frozenset(
         z for z in product((False, True), repeat=RANK)
         if any(z) and not any(all(z[i] for i in s) for s in ADMISSIBILITY_SUMS)
@@ -441,7 +446,15 @@ def enumerate_phi(kgb):
 
     Every record's form is built and checked first; the census is then the
     union of the points of the minimal forms (_minimal_forms) under
-    _FORM_BOUND, each filtered by its zero pattern inside the scan.
+    _FORM_BOUND.  Each form's points come from quadratic_points with the
+    census zero patterns (_census_zero_sets): the monotone scan prunes by
+    the value and by the patterns' prefix closure, and settles the last
+    coordinate in closed form (its lemmas 1 and 2).  Each form's run is in
+    lexicographic order and is merged into the union as it comes: sorting
+    the two concatenated runs merges them, and the duplicates, now
+    adjacent, are dropped.  So no set is built, and no more than one run's
+    duplicates are held at a time (the 8 minimal forms of kgb.txt yield
+    515828 points for 178192 characters).
 
     Returns (sorted tuple of coordinate vectors, partition dict keyed by the
     largest coordinate).
@@ -451,11 +464,14 @@ def enumerate_phi(kgb):
         raise FixtureError("no fully supported involution records in fixture")
     forms = [_census_form(r) for r in fs]
     zero_sets = _census_zero_sets()
-    found = set()
+    chars = []
     for q in _minimal_forms(forms):
-        found.update(quadratic_points(q, _FORM_BOUND,
-                                      lambda c, value: tuple(map(not_, c)) in zero_sets))
-    chars = sorted(found)
+        run = quadratic_points(q, 0, _FORM_BOUND, zero_sets)
+        if chars:
+            run += chars
+            run.sort()  # timsort merges the two sorted runs
+            run = [c for c, _ in groupby(run)]
+        chars = run
     partition = {}
     for c in chars:
         partition.setdefault(max(c), []).append(c)

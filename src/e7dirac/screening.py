@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import ceil
-from operator import sub as int_sub
+from itertools import count, product
+from math import ceil, isqrt
+from operator import mul, sub as int_sub
 
 from .norms import (
     infchar_norm_sq,
@@ -194,43 +194,93 @@ OMEGA_LO2 = int(2 * OMEGA_NORM_LO)
 assert (OMEGA_LO2, OMEGA_HI2) == (2 * OMEGA_NORM_LO, 2 * OMEGA_NORM_HI) == (216, 469)
 
 
-def quadratic_points(q, bound: int, keep) -> list[tuple[int, ...]]:
-    """Every c in N^n with c^T q c <= bound and keep(c, c^T q c), in
-    lexicographic order, for a symmetric integer n x n matrix q.
+def _root(a: int, b: int, r: int) -> int:
+    """The largest integer x >= 0 with x (b + a x) <= r, for integers
+    a > 0, b >= 0, r >= 0.
 
-    Lemma (the scan is exact and ends).  q has nonnegative entries, so for
-    c >= 0 the value never decreases when a coordinate grows: raising c_i
-    by one adds 2 (q c)_i + q_ii >= 0, and setting a later coordinate adds
-    a nonnegative amount.  So each level stops at the first value over the
-    bound, and no larger c_i or completion of the prefix comes back under
-    it.  q also has a positive diagonal, so c_i^2 q_ii <= c^T q c gives
-    c_i <= isqrt(bound // q_ii), and the scan ends.
+    It is floor((sqrt(D) - b) / (2 a)) with D = b^2 + 4 a r, the positive
+    root of a x^2 + b x - r.  isqrt gives it exactly: for an integer k >= 0,
+    sqrt(D) >= 2 a k + b iff isqrt(D) >= 2 a k + b, the right side being a
+    nonnegative integer."""
+    return (isqrt(b * b + 4 * a * r) - b) // (2 * a)
 
-    keep runs at each leaf, so rejected points are never stored."""
+
+def quadratic_points(q, lo: int, hi: int, patterns=None) -> list[tuple[int, ...]]:
+    """Every c in N^n with lo <= c^T q c <= hi whose zero pattern
+    tuple(map(not_, c)) lies in patterns (every pattern when None), in
+    lexicographic order, for a symmetric integer n x n matrix q, n >= 2.
+
+    Lemma 1 (monotone scan, prefix closure).  q has nonnegative entries, so
+    for c >= 0 the value never decreases when a coordinate grows: setting
+    c_i = x after a prefix c' of value v gives v + x (b + q_ii x) with
+    b = 2 sum_k q_ik c'_k >= 0, and a later coordinate adds a nonnegative
+    amount.  So no completion of a prefix over hi comes back under it, and
+    each level runs c_i from 0 up to _root(q_ii, b, hi - v), the largest x
+    still within hi.  A point's zero pattern extends the pattern of each of
+    its prefixes, so only a prefix whose pattern lies in the prefix closure
+    of patterns can lead to a kept point, and whether the closure holds the
+    two children of that pattern settles whether c_i = 0 and whether
+    c_i > 0 are scanned at all; no dead subtree is entered.  A zero-free
+    prefix of length n - 1, say, forces c_{n-1} = 0 when every pattern has
+    a zero.
+
+    Lemma 2 (closed-form last coordinate).  With c[:n-1] fixed, of value v,
+    the last coordinate y adds y (b + a y), a = q_{n-1,n-1} > 0, b >= 0 as
+    above, which is strictly increasing in y >= 0.  So the y with
+    lo <= value <= hi are the integers from the least y with
+    y (b + a y) >= lo - v, which is _root(a, b, lo - v - 1) + 1 when
+    lo > v and 0 otherwise, up to _root(a, b, hi - v).  The level before
+    the last steps b by 2 q_{n-1,n-2} as c_{n-2} grows, and appends each
+    such run of points in one step."""
     n = len(q)
+    assert n >= 2, "BUG: quadratic_points scans at least two coordinates"
     assert all(q[i][k] == q[k][i] >= 0 for i in range(n) for k in range(n)), \
         "BUG: quadratic_points needs a symmetric nonnegative form"
     assert all(q[i][i] > 0 for i in range(n)), "BUG: quadratic_points needs a positive diagonal"
+    if patterns is None:
+        patterns = product((True, False), repeat=n)
+    live = {p[:k] for p in patterns for k in range(len(p) + 1)}
+    if not live or hi < max(lo, 0):
+        return []
+    assert all(len(p) <= n for p in live), "BUG: a zero pattern longer than the form"
+    # (c_i = 0 can lead to a kept point, c_i > 0 can) for each live prefix
+    kids = {p: (p + (True,) in live, p + (False,) in live) for p in live if len(p) < n}
+    assert all(zero_ok or pos_ok for zero_ok, pos_ok in kids.values()), \
+        "BUG: a zero pattern shorter than the form"
+    last = q[n - 1]
+    a, db = last[n - 1], 2 * last[n - 2]
     out = []
-    c = [0] * n
 
-    def scan(i: int, acc: int):
-        # acc = value of the prefix c[:i]; c_i = x adds x (cross + q_ii x)
+    def scan(i: int, acc: int, prefix: tuple, pat: tuple):
+        # acc = value of prefix = c[:i] <= hi; c_i = x adds x (cross + q_ii x),
+        # which stays within hi up to top
         row = q[i]
-        cross = 2 * sum(row[k] * c[k] for k in range(i))
+        cross = 2 * sum(map(mul, row, prefix))
         qii = row[i]
-        x, value = 0, acc
-        while value <= bound:
-            c[i] = x
-            if i + 1 < n:
-                scan(i + 1, value)
-            elif keep(point := tuple(c), value):
-                out.append(point)
-            x += 1
+        zero_ok, pos_ok = kids[pat]
+        top = _root(qii, cross, hi - acc) if pos_ok else 0
+        xs = range(0 if zero_ok else 1, top + 1)
+        if i < n - 2:
+            for x in xs:
+                scan(i + 1, acc + x * (cross + qii * x), prefix + (x,), pat + (not x,))
+            return
+        # the level before the last: y = c_{n-1} in closed form (lemma 2)
+        at_zero = kids[pat + (True,)] if zero_ok else None
+        at_pos = kids[pat + (False,)] if pos_ok else None
+        b = 2 * sum(map(mul, last, prefix))
+        for x in xs:
             value = acc + x * (cross + qii * x)
-        c[i] = 0
+            y_zero, y_pos = at_pos if x else at_zero
+            yb = b + db * x
+            y_hi = _root(a, yb, hi - value) if y_pos else 0
+            y_lo = 0 if y_zero else 1
+            if value < lo:
+                y_lo = max(y_lo, _root(a, yb, lo - value - 1) + 1)
+            if y_lo <= y_hi:
+                p = prefix + (x,)
+                out.extend([p + (y,) for y in range(y_lo, y_hi + 1)])
 
-    scan(0, 0)
+    scan(0, 0, (), ())
     del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 
@@ -240,8 +290,7 @@ def enumerate_omega() -> set[tuple[int, ...]]:
     fundamental-weight basis) with squared norm in the screening window:
     the points of H = weight_gram2, which holds twice the norms, between
     OMEGA_LO2 and OMEGA_HI2."""
-    return set(quadratic_points(weight_gram2(), OMEGA_HI2,
-                                lambda c, value: value >= OMEGA_LO2))
+    return set(quadratic_points(weight_gram2(), OMEGA_LO2, OMEGA_HI2))
 
 
 # ---------------------------------------------------------------------------

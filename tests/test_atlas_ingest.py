@@ -284,20 +284,69 @@ def test_census_form_is_twice_nu_norm(kgb):
                 f"BUG: kgb {rec.id}: form disagrees with |nu|^2 at {c}"
 
 
+def _reference_points(q, bound, keep):
+    """The monotone scan before prefix pruning and the closed-form last
+    coordinate: every c in N^n with c^T q c <= bound and keep(c), in
+    lexicographic order, with keep called at each leaf."""
+    n = len(q)
+    out = []
+    c = [0] * n
+
+    def scan(i, acc):
+        row = q[i]
+        cross = 2 * sum(row[k] * c[k] for k in range(i))
+        x, value = 0, acc
+        while value <= bound:
+            c[i] = x
+            if i + 1 < n:
+                scan(i + 1, value)
+            elif keep(point := tuple(c)):
+                out.append(point)
+            x += 1
+            value = acc + x * (cross + row[i] * x)
+        c[i] = 0
+
+    scan(0, 0)
+    return out
+
+
 def test_quadratic_points_match_box(phi_slice):
-    # the monotone scan against brute force: the same points, in the same
-    # order, with the same values handed to keep; every coordinate of a
-    # census form's scan is at most isqrt(_FORM_BOUND), the largest
-    # coordinate of the census
+    # the pruned scan against brute force: the same points, in the same
+    # order, for the omega window (lo > 0) and the census forms, with and
+    # without the census zero patterns and with a window inside the census
+    # bound; every coordinate of a census form's scan is at most
+    # isqrt(_FORM_BOUND), the largest coordinate of the census
     assert isqrt(_FORM_BOUND) == len(criteria.CENSUS_PARTITION_SIZES) == 13
-    cases = [(weight_gram2(), 469, None)]
-    cases += [(_census_form(rec), _FORM_BOUND, 13) for rec in phi_slice]
-    for q, bound, top in cases:
-        seen = []
-        got = quadratic_points(q, bound, lambda c, v: seen.append((c, v)) or True)
-        want = _box_points(q, bound)
-        assert seen == want and got == [c for c, _ in want], "BUG: scan and box disagree"
-        assert top is None or max(map(max, got)) <= top
+    zero_sets = _census_zero_sets()
+    cases = [(weight_gram2(), [(216, 469, None), (0, 469, None), (216, 469, zero_sets)], None)]
+    cases += [(_census_form(rec), [(0, _FORM_BOUND, None), (0, _FORM_BOUND, zero_sets),
+                                   (40, 150, zero_sets)], 13) for rec in phi_slice]
+    for q, windows, top in cases:
+        box = _box_points(q, max(hi for _, hi, _ in windows))
+        for lo, hi, patterns in windows:
+            got = quadratic_points(q, lo, hi, patterns)
+            want = [c for c, v in box if lo <= v <= hi
+                    and (patterns is None or tuple(map(not_, c)) in patterns)]
+            assert got == want, f"BUG: scan and box disagree on [{lo}, {hi}]"
+            assert top is None or max(map(max, got)) <= top
+
+
+def test_quadratic_points_pattern_edges(phi_slice):
+    q = _census_form(phi_slice[0])
+    assert quadratic_points(q, 0, _FORM_BOUND, frozenset()) == []
+    assert quadratic_points(q, 5, 4) == [] and quadratic_points(q, 0, -1) == []
+    # one pattern: the points with exactly the zeros of (0, 2, 4), pruned to
+    # that one path through the closure
+    only = (True, False, True, False, True, False, False)
+    got = quadratic_points(q, 0, _FORM_BOUND, {only})
+    assert got and got == [c for c in quadratic_points(q, 0, _FORM_BOUND)
+                           if tuple(map(not_, c)) == only]
+    # a pattern of the wrong length leaves a live prefix without a live
+    # child, or a prefix longer than the form
+    with pytest.raises(AssertionError, match="shorter than the form"):
+        quadratic_points(q, 0, _FORM_BOUND, {only[:6]})
+    with pytest.raises(AssertionError, match="longer than the form"):
+        quadratic_points(q, 0, _FORM_BOUND, {only + (True,)})
 
 
 def test_minimal_forms_lose_no_census_point(phi_slice):
@@ -308,16 +357,32 @@ def test_minimal_forms_lose_no_census_point(phi_slice):
     kept = _minimal_forms(forms)
     assert len(kept) == 2, f"BUG: {len(kept)} minimal forms on the slice"
     zero_sets = _census_zero_sets()  # equal to hp_admissible: test below
-    census = lambda c, v: tuple(map(not_, c)) in zero_sets
-    union = {c for q in forms for c in quadratic_points(q, _FORM_BOUND, census)}
+    union = {c for q in forms for c in quadratic_points(q, 0, _FORM_BOUND, zero_sets)}
     assert tuple(sorted(union)) == enumerate_phi({rec.id: rec for rec in phi_slice})[0]
-    every = lambda c, v: True
-    kept_points = [set(quadratic_points(p, _FORM_BOUND, every)) for p in kept]
+    kept_points = [set(quadratic_points(p, 0, _FORM_BOUND)) for p in kept]
     for q in forms:
         if q not in kept:
-            points = quadratic_points(q, _FORM_BOUND, every)
+            points = quadratic_points(q, 0, _FORM_BOUND)
             assert any(kp.issuperset(points) for kp in kept_points), \
                 "BUG: a dropped form has a point no kept form has"
+
+
+def test_phi_scan_against_reference_on_whole_census(kgb, phi_census):
+    # every minimal form of the full kgb.txt: the pruned scan gives the
+    # reference scan's points, filtered leaf by leaf, in the same order,
+    # and their union is the 178192-point census
+    forms = _minimal_forms([_census_form(rec) for rec in kgb.values()
+                            if rec.support == FULL_SUPPORT])
+    assert len(forms) == 8, f"BUG: {len(forms)} minimal forms in kgb.txt"
+    zero_sets = _census_zero_sets()
+    union = set()
+    for q in forms:
+        want = _reference_points(q, _FORM_BOUND, lambda c: tuple(map(not_, c)) in zero_sets)
+        assert quadratic_points(q, 0, _FORM_BOUND, zero_sets) == want, \
+            "BUG: pruned scan and reference scan disagree"
+        union.update(want)
+    assert len(union) == criteria.CHARACTER_CENSUS_SIZE == 178192
+    assert tuple(sorted(union)) == phi_census[0]
 
 
 def test_phi_census_errors(kgb):

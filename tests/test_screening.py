@@ -23,6 +23,7 @@ from e7dirac.screening import (
     ADMISSIBILITY_SUMS,
     MIN_CERT_GAP,
     _census_scan,
+    _root,
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
     hp_admissible,
@@ -300,6 +301,26 @@ def test_ularge_gap_floor_path_matches_exact_spin(ularge):
 
 
 # ---- the norm-window characters ----
+
+
+def test_closed_form_root():
+    # _root(a, b, r) is the largest x >= 0 with x (b + a x) <= r, and
+    # _root(a, b, t - 1) + 1 the least x with x (b + a x) >= t, the bound
+    # quadratic_points takes for lo; random cases, r = 0, and r making
+    # b^2 + 4 a r a perfect square (x (b + a x) == r exactly)
+    f = lambda a, b, x: x * (b + a * x)
+    rng = random.Random(17)
+    cases = [(rng.randint(1, 60), rng.randint(0, 400), rng.randint(0, 10 ** 6))
+             for _ in range(3000)]
+    cases += [(a, b, 0) for a in range(1, 8) for b in range(0, 30)]
+    cases += [(a, b, f(a, b, x) + d) for a in range(1, 6) for b in range(0, 12)
+              for x in range(0, 40) for d in (-1, 0, 1) if f(a, b, x) + d >= 0]
+    for a, b, r in cases:
+        x = _root(a, b, r)
+        assert x >= 0 and f(a, b, x) <= r < f(a, b, x + 1), (a, b, r)
+        least = _root(a, b, r - 1) + 1 if r > 0 else 0
+        assert f(a, b, least) >= r and (least == 0 or f(a, b, least - 1) < r), (a, b, r)
+    assert _root(1, 0, 0) == 0 and _root(1, 0, 10 ** 40) == 10 ** 20
 
 
 def test_omega_count(omega):
