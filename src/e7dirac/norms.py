@@ -54,18 +54,39 @@ some a_k < 0 cannot reach 0 within that bound holds no K-type and is cut.
 
 Spin kernel.  The spin norm is the minimum over the chambers j of
 v_j = 12 |p + rho_c|^2, p the K-dominant representative of
-y = mu - rho_n_j.  Lemma: v_j >= L_j = 12 |y + rho_c|^2.  p - y is a
-nonnegative sum of compact positive roots (Humphreys, Lie Algebras,
-13.2), each pairing positively with rho_c, and |p| = |y|.  L_j needs no
-walk: it is norm12_ktype(mu) + lin_j . mu + k_j with
-lin_j = (2 rc12 - 2 w12[j], -4 g(rho_n_j)) and
-k_j = 12|rho_n_j|^2 + 936 - 2 rho_n_j . rc12 (the table spin_bound).
-_spin_walk visits the chambers in ascending L_j and stops at the first
-with L_j >= the least v so far, since no later chamber can go below it;
-when the achieving chambers are wanted it stops only at L_j > that value,
-so that tied chambers are walked.  It asserts v_j >= L_j at every chamber
-it walks.  With a floor it returns the first v_j below the floor, which
-bounds the spin norm from above, and otherwise the exact minimum.
+y = mu - rho_n_j.  As |p| = |y|, v_j = 12 |y|^2 + 936 + 24 (p, rho_c).
+Lemma (orbit maximum): (p, rho_c) = max over w in W(K) of (w y, rho_c).
+For p - w y is a nonnegative sum of compact positive roots (Humphreys,
+Lie Algebras, 13.2), each pairing positively with rho_c.  The longest
+element w0 of W(K) sends the compact positive roots to the negative ones,
+so w0 rho_c = -rho_c (asserted when the tables are built: -rho_c has
+dominant representative rho_c), and (w0 y, rho_c) = -(y, rho_c).  With
+w = 1 and w = w0, (p, rho_c) >= |(y, rho_c)|.  So, with
+L_j = 12 |y + rho_c|^2 = 12 |y|^2 + 936 + 2 t_j and t_j = 12 (y, rho_c),
+
+    v_j >= L'_j = L_j + max(0, -4 t_j).
+
+Neither needs a walk: L_j = norm12_ktype(mu) + lin_j . mu + k_j with
+lin_j = (2 rc12 - 2 w12_j, -4 g(rho_n_j)), w12_j = 12 (varpi_i, rho_n_j),
+and k_j = 12|rho_n_j|^2 + 936 - 2 rho_n_j . rc12 (the table spin_bound);
+t_j = mu . rc12 - rho_n_j . rc12 (the table rc12_rho_n), as rho_c is
+orthogonal to zeta.  _spin_walk visits the chambers in ascending L'_j and
+stops at the first with L'_j >= the least v so far, since no later
+chamber can go below it; when the achieving chambers are wanted it stops
+only at L'_j > that value, so that tied chambers are walked.
+
+Running value.  The walk starts at p = y, where 12 |p + rho_c|^2 = L_j,
+and reflects at the first i with p_i < 0: p -> p - p_i gamma_i.  The
+reflection keeps |p| and moves (p, rho_c) by -p_i (gamma_i, rho_c) = -p_i
+(each gamma_i . rc12 = 12, asserted), so the value rises by exactly
+-24 p_i > 0, and at the end of the walk it is v_j.  Once a least value
+exists, a walk is dropped as soon as its running value reaches that value
+(plus one when ties are wanted): v_j is at least the running value, so the
+chamber can neither win nor tie.  A walk that runs to the end asserts
+v_j >= L'_j.  With a floor the kernel returns the first v_j below the
+floor, which bounds the spin norm from above, and otherwise the exact
+minimum; a dropped chamber lies at or above the least value so far, which
+is not below the floor, so no early return is lost.
 
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.
@@ -77,6 +98,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .simplex import adjugate, hull_facets
@@ -90,6 +112,7 @@ from .structure import (
     from_ambient,
     inner_times,
     is_k_type,
+    neg,
     norm_sq,
     scale,
     sub,
@@ -119,10 +142,10 @@ class _Tables:
     # built.
     rho_n: tuple[tuple[int, ...], ...]
     norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
-    w12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, rho_n_j), i = 1..6
     # the spin kernel's lower bound L_j = norm12_ktype(mu) + lin_j . mu + k_j
     # (module docstring, spin kernel), stored as (lin_j..., k_j)
     spin_bound: tuple[tuple[int, ...], ...]
+    rc12_rho_n: tuple[int, ...]  # 12*(rho_n_j, rho_c) = rho_n_j . rc12
     # lambda tables: 3*pair(mu + 2 rho_c, w_j alpha_i) is row i of pair3[j]
     # dotted with (a..f, g, 1): 3(varpi_k, w_j alpha_i), (zeta, w_j alpha_i)
     # and 3(2 rho_c, w_j alpha_i)
@@ -138,6 +161,16 @@ class _Tables:
     gamma: tuple[tuple[int, ...], ...]
 
 
+def _check_spin_lemmas(rho_c: Vec, gamma, rc12) -> None:
+    """The two facts the spin kernel's bound and cutoff rest on (module
+    docstring): -rho_c lies in the W(K)-orbit of rho_c, and each compact
+    simple root pairs with rho_c to 1, gamma_i . rc12 = 12."""
+    assert dominant_rep(neg(rho_c), "K")[0] == rho_c, \
+        "BUG: -rho_c is not in the W(K)-orbit of rho_c"
+    for i, row in enumerate(gamma):
+        assert sum(map(mul, row, rc12)) == 12, f"BUG: 12 (gamma_{i + 1}, rho_c) is not 12"
+
+
 @lru_cache(maxsize=1)
 def _tables() -> _Tables:
     d = build_root_datum()
@@ -151,21 +184,21 @@ def _tables() -> _Tables:
     assert norm12_rho_c == 936, f"BUG: 12|rho_c|^2 = {norm12_rho_c}"
     rho_n = []
     norm12 = []
-    w12 = []
     spin_bound = []
+    rc12_rho_n = []
     pair3 = []
     walls = []
     for ch in chs:
         coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", ch.rho_n_j))
         assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {ch.rho_n_j}"
         rho_n.append(coords)
-        w12j = tuple(sum(map(mul, row, coords)) for row in gram12)
-        w12.append(w12j)
+        w12j = tuple(sum(map(mul, row, coords)) for row in gram12)  # 12 (varpi_i, rho_n_j)
         # 12|v|^2 = a . gram12 a + 2 g^2 (as 12 (zeta, zeta) / 9 = 2)
         norm12.append(sum(map(mul, coords, w12j)) + 2 * coords[6] ** 2)
+        rc12_rho_n.append(sum(map(mul, coords, rc12)))
         spin_bound.append(
             tuple(2 * r - 2 * x for r, x in zip(rc12, w12j)) + (-4 * coords[6],)
-            + (norm12[-1] + norm12_rho_c - 2 * sum(map(mul, coords, rc12)),)
+            + (norm12[-1] + norm12_rho_c - 2 * rc12_rho_n[-1],)
         )
         pair3.append(
             tuple(
@@ -179,12 +212,13 @@ def _tables() -> _Tables:
         tuple(_int(x, "gamma coordinate") for x in from_ambient("varpi", g))
         for g in d.compact_simple
     )
+    _check_spin_lemmas(d.rho_c, gamma, rc12)
     return _Tables(
         chambers=chs,
         rho_n=tuple(rho_n),
         norm12_rho_n=tuple(norm12),
-        w12=tuple(w12),
         spin_bound=tuple(spin_bound),
+        rc12_rho_n=tuple(rc12_rho_n),
         pair3=tuple(pair3),
         walls=tuple(walls),
         rc12=rc12,
@@ -245,9 +279,15 @@ def infchar_ambient(coords) -> Vec:
 
 def infchar_norm_sq(coords) -> Fraction:
     """|lam|^2 for lam = sum c_i zeta_i: c^T H c / 2 with H = weight_gram2(),
-    the value of norm_sq(infchar_ambient(c)) without the ambient vector."""
+    the value of norm_sq(infchar_ambient(c)) without the ambient vector.
+    The form is evaluated on the integers z = m c, m the lcm of the
+    denominators, and divided once: z^T H z / (2 m^2)."""
+    m = lcm(*(c.denominator for c in coords))
+    z = [c * m for c in coords]
+    assert all(x.denominator == 1 for x in z), f"BUG: {m} does not clear {coords}"
+    z = [int(x) for x in z]
     h = weight_gram2()
-    return Fraction(sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, h)), 2)
+    return Fraction(sum(x * sum(map(mul, row, z)) for x, row in zip(z, h)), 2 * m * m)
 
 
 def norm12_ktype(coords) -> int:
@@ -436,48 +476,56 @@ class SpinDatum:
 
 def _spin_walk(coords, floor: int, ties: bool) -> tuple[int, list[tuple[int, list[int]]]]:
     """The spin kernel (module docstring): chambers in ascending order of
-    the lower bound L_j, each walked to the K-dominant representative p of
-    mu - rho_n_j on the pairings with the compact simple coroots, and
-    v_j = 12 |p + rho_c|^2.  Returns (v, [(j, first six coordinates of p)]):
-    the first v_j below floor with its chamber, or else the minimum and its
-    chambers, every one of them when ties is set."""
+    the symmetric bound L'_j, each walked to the K-dominant representative
+    p of mu - rho_n_j on the pairings with the compact simple coroots, the
+    running value 12 |p + rho_c|^2 raised by -24 p_i at each reflection and
+    the walk dropped once that value shows the chamber can neither win nor
+    tie.  Returns (v, [(j, first six coordinates of p)]): the first v_j
+    below floor with its chamber, or else the minimum and its chambers,
+    every one of them when ties is set."""
     t = _tables()
     a = [int(v) for v in coords[:6]]
     a0, a1, a2, a3, a4, a5 = a
     g = int(coords[6])
     m12 = norm12_ktype(coords)
-    lows = [m12 + k + l0 * a0 + l1 * a1 + l2 * a2 + l3 * a3 + l4 * a4 + l5 * a5 + l6 * g
-            for l0, l1, l2, l3, l4, l5, l6, k in t.spin_bound]
+    arc = sum(map(mul, a, t.rc12))  # 12 (mu, rho_c)
+    lows, sharp = [], []
+    for (l0, l1, l2, l3, l4, l5, l6, k), rnrc in zip(t.spin_bound, t.rc12_rho_n):
+        low = m12 + k + l0 * a0 + l1 * a1 + l2 * a2 + l3 * a3 + l4 * a4 + l5 * a5 + l6 * g
+        lows.append(low)
+        # t_j = 12 (y, rho_c) = arc - rnrc; L'_j = L_j + max(0, -4 t_j)
+        sharp.append(low + 4 * (rnrc - arc) if rnrc > arc else low)
     slack = 1 if ties else 0
     best, achievers = None, []
-    for j in sorted(range(len(lows)), key=lows.__getitem__):
-        low = lows[j]
-        if best is not None and low >= best + slack:
+    for j in sorted(range(len(lows)), key=sharp.__getitem__):
+        if best is not None and sharp[j] >= best + slack:
             break
         rn = t.rho_n[j]
         p = [a[i] - rn[i] for i in range(6)]
-        while True:
-            for i in range(6):
-                if p[i] < 0:
-                    pi = p[i]
-                    row = t.gamma[i]
-                    for k in range(6):
-                        if row[k]:
-                            p[k] -= pi * row[k]
-                    break
+        v = lows[j]  # 12 |p + rho_c|^2, exact at every step
+        i = 0
+        while i < 6:
+            pi = p[i]
+            if pi < 0:
+                v -= 24 * pi
+                if best is not None and v >= best + slack:
+                    break  # v_j >= v: chamber j can neither win nor tie
+                row = t.gamma[i]
+                for k in range(6):
+                    if row[k]:
+                        p[k] -= pi * row[k]
+                i = 0
             else:
-                break
-        # 12 (mu, rho_n_j); its g-part is 12 (g/3)(g_j/3)(zeta, zeta) = 2 g g_j
-        dot12 = 2 * g * rn[6] + sum(map(mul, a, t.w12[j]))
-        v = (m12 - 2 * dot12 + t.norm12_rho_n[j] + 2 * sum(map(mul, p, t.rc12))
-             + t.norm12_rho_c)
-        assert v >= low, f"BUG: chamber {j} value {v} under its bound {low} at {coords}"
-        if v < floor:
-            return v, [(j, p)]
-        if best is None or v < best:
-            best, achievers = v, [(j, p)]
-        elif v == best:
-            achievers.append((j, p))
+                i += 1
+        else:
+            assert v >= sharp[j], (
+                f"BUG: chamber {j} value {v} under its bound {sharp[j]} at {coords}")
+            if v < floor:
+                return v, [(j, p)]
+            if best is None or v < best:
+                best, achievers = v, [(j, p)]
+            elif v == best:
+                achievers.append((j, p))
     return best, achievers
 
 
@@ -600,14 +648,16 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + 2|rho|^2,
     because projection only raises the pairing sum.  The scan is complete:
     it cuts only branches that the prune bound (module docstring) shows to
-    hold no K-type.  A point is measured in the chamber that found it,
-    which the height invariance allows.
+    hold no K-type.  A point is measured once, in the first chamber that
+    finds it, which the height invariance allows; a boundary point whose
+    height exceeds the cap is remembered, so later chambers skip it too.
     """
     steps = height_steps()
     two_rho_norm = sum(steps)  # (rho, 2 rho), rho = sum of the zeta_i
     assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
+    above: set[tuple[int, ...]] = set()  # measured, height over the cap
     for ch in enumerate_chambers():
         # mu coordinates from y: a_k = sum y_i p6[i][k] - 2, g = sum y_i pz2[i]
         coords = [from_ambient("varpi", z) for z in ch.weights]
@@ -636,7 +686,7 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
                     return
             if i == RANK:
                 mu = tuple(acc_a) + (acc_g,)
-                if mu not in out:
+                if mu not in out and mu not in above:
                     assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
                     if all(yv >= 1 for yv in y):
                         h = budget_cap - budget - two_rho_norm
@@ -644,6 +694,8 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
                         h = _kernel_height([yv - 1 for yv in y])
                     if h <= cap:
                         out[mu] = h
+                    else:
+                        above.add(mu)
                 return
             step = steps[i]
             row = p6[i]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e7dirac import norms
 from e7dirac.norms import (
     _allowable_chambers,
+    _check_spin_lemmas,
     _tables,
     _kernel_height,
     _lambda_kernel,
@@ -24,6 +26,8 @@ from e7dirac.norms import (
     norm12_ktype,
     spin_datum,
     height_steps,
+    infchar_ambient,
+    infchar_norm_sq,
     spin_sq12,
     spin_sq12_with_weights,
     usmall_facets,
@@ -34,6 +38,7 @@ from e7dirac.criteria import USMALL_CENSUS_SIZE
 from e7dirac.criteria import _random_ktype as random_ktype
 from e7dirac.simplex import lp_feasible
 from e7dirac.structure import (
+    ZERO,
     add,
     build_root_datum,
     contragredient,
@@ -286,8 +291,8 @@ def test_spin_tables_against_fraction_pairings(datum, chambers):
     for ch in chambers:
         j, r = ch.index, ch.rho_n_j
         assert t.rho_n[j] == from_ambient("varpi", r)
-        assert t.w12[j] == tuple(12 * inner(w, r) for w in varpi)
         assert t.norm12_rho_n[j] == 12 * norm_sq(r)
+        assert t.rc12_rho_n[j] == 12 * inner(r, datum.rho_c)
         # L_j(mu) - norm12_ktype(mu) = lin_j . mu + k_j is affine in mu, so
         # it is pinned by its values at 0 and the seven unit vectors
         *lin, k = t.spin_bound[j]
@@ -296,12 +301,27 @@ def test_spin_tables_against_fraction_pairings(datum, chambers):
             assert low == norm12_ktype(mu) + sum(map(mul, lin, mu)) + k, f"BUG: chamber {j}"
 
 
+def test_spin_lemmas_and_their_asserts(datum):
+    # the two facts behind the kernel's symmetric bound and its cutoff, by
+    # Fraction pairings, and the table-build check that asserts them
+    t = _tables()
+    assert dominant_rep(neg(datum.rho_c), "K")[0] == datum.rho_c
+    assert all(inner(g, datum.rho_c) == 1 for g in datum.compact_simple)
+    _check_spin_lemmas(datum.rho_c, t.gamma, t.rc12)
+    # -varpi_1 is conjugate to varpi_6 under W(E6), not to varpi_1
+    with pytest.raises(AssertionError, match="orbit"):
+        _check_spin_lemmas(datum.varpi[0], t.gamma, t.rc12)
+    with pytest.raises(AssertionError, match="gamma_1"):
+        _check_spin_lemmas(datum.rho_c, t.gamma, (t.rc12[0] + 1,) + t.rc12[1:])
+
+
 def _plain_spin_by_chamber(mu):
     """Per chamber j, the bound L_j = 12|y + rho_c|^2 for y = mu - rho_n_j,
-    the value v_j = 12|p + rho_c|^2 and the coordinates of p, the
-    K-dominant representative of y: every chamber walked, reflecting at the
-    first negative coordinate until none is left, and each norm taken from
-    the coordinates (rho_c has K-type coordinates (1, ..., 1, 0))."""
+    the symmetric bound L'_j = L_j + max(0, -48 (y, rho_c)), the value
+    v_j = 12|p + rho_c|^2 and the coordinates of p, the K-dominant
+    representative of y: every chamber walked, reflecting at the first
+    negative coordinate until none is left, and each norm and pairing taken
+    from the coordinates (rho_c has K-type coordinates (1, ..., 1, 0))."""
     t = _tables()
 
     def norm12_shifted(x, g):  # 12|x + rho_c|^2 for x with coordinates (x..., g)
@@ -322,27 +342,72 @@ def _plain_spin_by_chamber(mu):
                 i = 0
             else:
                 i += 1
-        out.append((norm12_shifted(y[:6], y[6]), norm12_shifted(p, y[6]), tuple(p) + (y[6],)))
+        low = norm12_shifted(y[:6], y[6])
+        y_rho_c12 = sum(v * sum(row) for v, row in zip(y, t.gram12))  # 12 (y, rho_c)
+        out.append((low, low + max(0, -4 * y_rho_c12), norm12_shifted(p, y[6]),
+                    tuple(p) + (y[6],)))
     return out
 
 
+def _check_spin_kernel_against_plain_walk(mu):
+    """The pruned kernel against every chamber walked: both bounds under
+    each chamber value, the value, the achieving chambers with their
+    weights (ties included), and the floor verdict on both sides of the
+    value."""
+    per_chamber = _plain_spin_by_chamber(mu)
+    assert all(low <= sharp <= v for low, sharp, v, _ in per_chamber), (
+        f"BUG: bound above a value at {mu}")
+    s12 = min(v for _, _, v, _ in per_chamber)
+    assert spin_sq12(mu) == s12, f"BUG: spin norm of {mu}"
+    best, weights = spin_sq12_with_weights(mu)
+    assert best == s12
+    assert weights == {j: p for j, (_, _, v, p) in enumerate(per_chamber) if v == s12}, (
+        f"BUG: achieving chambers of {mu}")
+    # no chamber value lies below s12, and the first one below s12 + 1 is s12
+    assert spin_sq12(mu, s12) == s12 and spin_sq12(mu, s12 + 1) == s12, (
+        f"BUG: floor verdict at {mu}")
+
+
 def test_spin_kernel_against_plain_walk_on_census_and_ularge(census, ularge):
-    # the pruned kernel against every chamber walked, on each census member
-    # and each u-large K-type up to the property suite's height cap: the
-    # value, the achieving chambers with their weights (ties included), the
-    # floor verdict on both sides of the value, and the bound L_j <= v_j
+    # each census member and each u-large K-type up to the property suite's
+    # height cap
     assert len(census) == USMALL_CENSUS_SIZE and len(ularge) == 11672
     for mu in sorted(census) + ularge:
-        per_chamber = _plain_spin_by_chamber(mu)
-        assert all(low <= v for low, v, _ in per_chamber), f"BUG: bound above a value at {mu}"
-        s12 = min(v for _, v, _ in per_chamber)
-        assert spin_sq12(mu) == s12, f"BUG: spin norm of {mu}"
-        best, weights = spin_sq12_with_weights(mu)
-        assert best == s12
-        assert weights == {j: p for j, (_, v, p) in enumerate(per_chamber) if v == s12}, (
-            f"BUG: achieving chambers of {mu}")
-        # no chamber value lies below s12, and the first one below s12 + 1 is s12
-        assert spin_sq12(mu, s12) == s12 and spin_sq12(mu, s12 + 1) == s12
+        _check_spin_kernel_against_plain_walk(mu)
+
+
+def test_spin_kernel_against_plain_walk_where_the_bound_bites(table_rows, fixture_dir):
+    # every branching K-type, every table spin LKT and the g-axis, where
+    # y = mu - rho_n_j often points against rho_c and L'_j is far above L_j
+    branch = parse_fixture("branching", (fixture_dir / "branching_2969.txt").read_text())
+    bitten = {b.ktype for b in branch} | {(0, 0, 0, 0, 0, 0, g) for g in range(-60, 61, 3)}
+    for mu in sorted(bitten | {mu for row in table_rows for mu in row.spin_lkts}):
+        _check_spin_kernel_against_plain_walk(mu)
+    for mu in bitten:
+        assert any(low < sharp for low, sharp, _, _ in _plain_spin_by_chamber(mu)), (
+            f"L'_j never exceeds L_j at {mu}")
+
+
+def test_infchar_norm_sq_against_ambient_norm(table_rows, fixture_dir):
+    # the integer form against the norm of the ambient vector, on every nu
+    # of the four parameter files, every table row's infinitesimal
+    # character, and random vectors mixing ints and Fractions of several
+    # denominators, with negative entries; omega is covered in
+    # test_screening.py::test_omega_norms_in_window
+    paths = sorted(fixture_dir.glob("params_*.txt"))
+    vectors = [p.nu for path in paths for p in parse_fixture("params", path.read_text())]
+    assert len(paths) == 4 and any(c.denominator > 1 for nu in vectors for c in nu)
+    vectors += [row.inf_char for row in table_rows]
+    rng = random.Random(53)
+    for _ in range(300):
+        vectors.append(tuple(
+            rng.randint(-9, 9) if rng.random() < 0.4
+            else Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 12)))
+            for _ in range(7)))
+    assert any(type(c) is int for v in vectors for c in v)
+    assert any(isinstance(c, Fraction) and c.denominator > 2 and c < 0 for v in vectors for c in v)
+    for v in vectors:
+        assert infchar_norm_sq(v) == norm_sq(infchar_ambient(v)), f"BUG: norm of {v}"
 
 
 # ---- u-small ----
@@ -475,6 +540,37 @@ def _unpruned_scan(cap, datum, chambers):
 def test_height_scan_pruning_is_complete(datum, chambers):
     # the pruned scan finds exactly what the full walk of the simplex finds
     assert enumerate_by_height(160) == _unpruned_scan(160, datum, chambers)
+
+
+def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
+    # every _kernel_height call of the scan at cap 320, mapped back to its
+    # K-type by the chamber being scanned: mu + 2 rho_c = sum (c_i + 1) z_i
+    scanning = []
+
+    def chambers():
+        for ch in enumerate_chambers():
+            scanning.append(ch)
+            yield ch
+
+    measured = {}
+
+    def kernel_height(c):
+        y = [v + 1 for v in c]
+        total = ZERO
+        for yi, z in zip(y, scanning[-1].weights):
+            total = add(total, scale(yi, z))
+        mu = from_ambient("varpi", sub(total, scale(2, datum.rho_c)))
+        assert mu not in measured, f"BUG: {mu} measured twice"
+        measured[mu] = _kernel_height(c)
+        return measured[mu]
+
+    monkeypatch.setattr(norms, "enumerate_chambers", chambers)
+    monkeypatch.setattr(norms, "_kernel_height", kernel_height)
+    table = enumerate_by_height(320)
+    assert len(scanning) == 56
+    over = {mu for mu, h in measured.items() if h > 320}
+    assert over and all(table[mu] == h for mu, h in measured.items() if mu not in over)
+    assert not over & set(table)
 
 
 def test_height_enumeration_nested_caps():

@@ -6,7 +6,6 @@ from math import isqrt
 import pytest
 
 from e7dirac import criteria
-from e7dirac.atlas_ingest import parse_fixture
 from e7dirac.norms import (
     _tables,
     dirac_inequality_holds,
@@ -332,18 +331,12 @@ def test_omega_membership_examples(omega):
     assert TRIVIAL not in omega
 
 
-def test_omega_norms_in_window(omega, fixture_dir):
+def test_omega_norms_in_window(omega):
     for lam in omega:
         n = norm_sq(infchar_ambient(lam))
         assert Fraction(108) <= n <= Fraction(469, 2), f"BUG: {lam} outside window"
         assert infchar_norm_sq(lam) == n, f"BUG: integer norm of {lam}"
         assert all(c >= 0 for c in lam)
-    # rational coordinates: every nu of the four parameter files
-    paths = sorted(fixture_dir.glob("params_*.txt"))
-    nus = [p.nu for path in paths for p in parse_fixture("params", path.read_text())]
-    assert len(paths) == 4 and any(c.denominator > 1 for nu in nus for c in nu)
-    for nu in nus:
-        assert infchar_norm_sq(nu) == norm_sq(infchar_ambient(nu)), f"BUG: norm of nu {nu}"
 
 
 # ---- Dirac-cohomology candidates ----
