@@ -5,22 +5,33 @@ the hull's facets.  Also the Dirac inequality classifier and the integer
 height used by atlas.
 
 The public functions work on exact ambient vectors.  The module-level
-tables cache integer pairing data per chamber so that the census-sized
-loops (tens of thousands of K-types against all 56 chambers) run on
-machine integers; tests pin the fast paths to the straightforward
-definitions.  The integer kernels take every pairing from _tables() and
-weight_gram2(), which read them off the scaled integer datum with
-structure.inner_times; height_steps() are the row sums of weight_gram2(),
-and the height scan reads its weight coordinates off the chamber walk.
-usmall_facets() derives the u-small hull's facets once, on the first
-query, from the vertices in _tables(); is_usmall and the census scan of
-screening both test them.
+tables cache integer pairing data (per chamber for the spin kernel) so
+that the census-sized loops (tens of thousands of K-types) run on machine
+integers; tests pin the fast paths to the straightforward definitions.
+The integer kernels take every pairing from _tables() and weight_gram2(),
+which read them off the scaled integer datum with structure.inner_times;
+height_steps() are the row sums of weight_gram2(), and the height scan
+reads its weight coordinates off the chamber walk.  usmall_facets()
+derives the u-small hull's facets once, on the first query, from the
+vertices in _tables(); is_usmall and the census scan of screening both
+test them.
 
-Lambda kernel.  In chamber j with fundamental weights z_i = w(zeta_i) and
-simple roots alpha'_i, write mu + 2 rho_c = sum y_i z_i with
-y_i = <mu + 2 rho_c, alpha'_i^vee>, and c_i = y_i - 1.  Since rho_j is the
-sum of the z_i, eta = mu + 2 rho_c - rho_j = sum c_i z_i, and its nearest
-point of the cone spanned by the z_i is sum x_i z_i with
+Lambda kernel.  Let v = mu + 2 rho_c.  In a chamber j = w(Delta+) where v
+is dominant, with weights z_i = w(zeta_i), v = sum y_i z_i with
+y_i = <v, (w alpha_i)^vee> = <w^{-1} v, alpha_i^vee>: y holds the
+zeta-coordinates of w^{-1} v, the one W(G)-dominant point of the orbit of
+v, the same in every such chamber.  _witness_c reads the zeta-coordinates
+of v off one integer table (zeta3) and walks: while some y_i < 0, it
+reflects at the lowest such i, y_k -> y_k - y_i A_ik (A the Cartan
+matrix).  s_i negates alpha_i and permutes the other positive roots, so
+the walk makes exactly as many reflections as there are positive roots
+pairing negatively with v.  v pairs >= 2 with every compact simple root,
+so every root it pairs negatively with is noncompact: at most 27.  (So a
+chamber where v is dominant exists: if w^{-1} v is dominant, each compact
+positive root pairs positively with v and is positive in w(Delta+).)
+With c_i = y_i - 1, as rho_j is the sum of the z_i,
+eta = v - rho_j = sum c_i z_i, and its nearest point of the cone spanned
+by the z_i is sum x_i z_i with
 
     x = argmin_{x >= 0} (c - x)^T G (c - x),   G = ((z_i, z_k)).
 
@@ -35,12 +46,12 @@ cone_project oracle solves its faces with the same adjugates, but tries
 every face by definition and accepts by ambient pairings with the
 chamber's own weights, so it stays an independent reference.
 
-Height invariance.  The height of a K-type may be read in any chamber
-where mu + 2 rho_c is dominant: lambda_a is the same point for all of them
-(lambda_datum asserts it) and lies in the closure of each, so every root
-separating two of them pairs to zero with lambda_a, and rho_j - rho_j',
-the sum of the roots positive for j and negative for j', is orthogonal to
-lambda_a.
+Height invariance.  The kernel's input c depends on v alone, so the norm
+and the height d . x it returns are the same for every chamber j where v
+is dominant: there lambda_a = w(sum x_i zeta_i), and
+(lambda_a, 2 rho_j) = (sum x_i zeta_i, 2 rho).  (lambda_datum projects in
+each such chamber by definition and asserts that the points agree.)  So
+the height scan may measure a K-type in the first chamber that finds it.
 
 Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i.
 The K-type coordinates of z_m are n_{k,m} = <z_m, gamma_k^vee> and
@@ -131,7 +142,6 @@ def _int(x: Fraction, what: str) -> int:
 
 @dataclass(frozen=True)
 class _Tables:
-    chambers: tuple[Chamber, ...]
     # per chamber j:
     # the K-type coordinates (a..f, g) of rho_n_j, integral (asserted).
     # Twice rho_n_j is the sum of the chamber's noncompact positive roots;
@@ -146,13 +156,14 @@ class _Tables:
     # (module docstring, spin kernel), stored as (lin_j..., k_j)
     spin_bound: tuple[tuple[int, ...], ...]
     rc12_rho_n: tuple[int, ...]  # 12*(rho_n_j, rho_c) = rho_n_j . rc12
-    # lambda tables: 3*pair(mu + 2 rho_c, w_j alpha_i) is row i of pair3[j]
-    # dotted with (a..f, g, 1): 3(varpi_k, w_j alpha_i), (zeta, w_j alpha_i)
-    # and 3(2 rho_c, w_j alpha_i)
-    pair3: tuple[tuple[tuple[int, ...], ...], ...]
-    # indices i with w_j alpha_i noncompact; only these rows can be negative,
-    # since mu + 2 rho_c pairs >= 2 with every compact positive root
-    walls: tuple[tuple[int, ...], ...]
+    # the lambda walk (module docstring, lambda kernel): three times the
+    # zeta-coordinates of mu + 2 rho_c, 3 <mu + 2 rho_c, alpha_i^vee>, is
+    # row i of zeta3 dotted with (a..f, g, 1): 3(varpi_k, alpha_i),
+    # (zeta, alpha_i) and 3(2 rho_c, alpha_i)
+    zeta3: tuple[tuple[int, ...], ...]
+    # row i of the Cartan matrix as its nonzero entries (k, A_ik),
+    # A_ik = (alpha_i, alpha_k) = <alpha_k, alpha_i^vee>
+    cartan: tuple[tuple[tuple[int, int], ...], ...]
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
     norm12_rho_c: int  # 12*|rho_c|^2 = 936
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
@@ -174,7 +185,6 @@ def _check_spin_lemmas(rho_c: Vec, gamma, rc12) -> None:
 @lru_cache(maxsize=1)
 def _tables() -> _Tables:
     d = build_root_datum()
-    chs = enumerate_chambers()
     gram12 = tuple(
         tuple(inner_times(12, a, b) for b in d.varpi) for a in d.varpi
     )
@@ -186,9 +196,7 @@ def _tables() -> _Tables:
     norm12 = []
     spin_bound = []
     rc12_rho_n = []
-    pair3 = []
-    walls = []
-    for ch in chs:
+    for ch in enumerate_chambers():
         coords = tuple(_int(x, "rho_n coordinate") for x in from_ambient("varpi", ch.rho_n_j))
         assert min(coords[:6]) >= 0, f"BUG: rho_n_j not K-dominant: {ch.rho_n_j}"
         rho_n.append(coords)
@@ -200,27 +208,27 @@ def _tables() -> _Tables:
             tuple(2 * r - 2 * x for r, x in zip(rc12, w12j)) + (-4 * coords[6],)
             + (norm12[-1] + norm12_rho_c - 2 * rc12_rho_n[-1],)
         )
-        pair3.append(
-            tuple(
-                tuple(inner_times(3, w, a) for w in d.varpi)
-                + (inner_times(1, d.zeta, a), inner_times(6, d.rho_c, a))
-                for a in ch.simples
-            )
-        )
-        walls.append(tuple(i for i, row in enumerate(pair3[-1]) if row[6]))
     gamma = tuple(
         tuple(_int(x, "gamma coordinate") for x in from_ambient("varpi", g))
         for g in d.compact_simple
     )
     _check_spin_lemmas(d.rho_c, gamma, rc12)
+    zeta3 = tuple(
+        tuple(inner_times(3, w, a) for w in d.varpi)
+        + (inner_times(1, d.zeta, a), inner_times(6, d.rho_c, a))
+        for a in d.simple_roots
+    )
+    cartan = tuple(
+        tuple((k, x) for k, b in enumerate(d.simple_roots) if (x := inner_times(1, a, b)))
+        for a in d.simple_roots
+    )
     return _Tables(
-        chambers=chs,
         rho_n=tuple(rho_n),
         norm12_rho_n=tuple(norm12),
         spin_bound=tuple(spin_bound),
         rc12_rho_n=tuple(rc12_rho_n),
-        pair3=tuple(pair3),
-        walls=tuple(walls),
+        zeta3=zeta3,
+        cartan=cartan,
         rc12=rc12,
         norm12_rho_c=norm12_rho_c,
         gram12=gram12,
@@ -347,40 +355,47 @@ class LambdaDatum:
     witness_chamber: int
 
 
-def _allowable_pairings(coords):
-    """(j, y) for each chamber j where mu + 2 rho_c is dominant, in chamber
-    order, with y_i = <mu + 2 rho_c, alpha'_i^vee> over its simple roots."""
-    t = _tables()
-    a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
-    for j, rows in enumerate(t.pair3):
-        for i in t.walls[j]:
-            row = rows[i]
-            if (row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
-                    + row[4] * a4 + row[5] * a5 + row[6] * g + row[7]) < 0:
+def _allowable_chambers(mu):
+    """The chambers whose positive system makes mu + 2 rho_c dominant, in
+    chamber order, by definition: those whose seven simple roots all pair
+    nonnegatively with it.  A generator, so a caller may stop at the first.
+    lambda_datum projects in these; the tests check _witness_c against them."""
+    v = add(ktype_ambient(mu), scale(2, build_root_datum().rho_c))
+    for ch in enumerate_chambers():
+        for a in ch.simples:
+            if dot(v, a) < 0:
                 break
         else:
-            y = [row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
-                 + row[4] * a4 + row[5] * a5 + row[6] * g + row[7] for row in rows]
-            assert all(v >= 0 and v % 3 == 0 for v in y), (
-                f"BUG: pairings {y} of {coords} + 2rho_c")
-            yield j, [v // 3 for v in y]
-
-
-def _allowable_chambers(coords) -> list[int]:
-    """Chambers whose positive system makes mu + 2 rho_c dominant."""
-    return [j for j, _ in _allowable_pairings(coords)]
+            yield ch.index
 
 
 def _witness_c(coords) -> list[int]:
-    """c = y - 1 in the first chamber where mu + 2 rho_c is dominant."""
-    for _, y in _allowable_pairings(coords):
-        return [v - 1 for v in y]
-    raise RuntimeError(f"BUG: no chamber makes {coords} + 2rho_c dominant")
+    """c = y - 1, y the zeta-coordinates of the W(G)-dominant representative
+    of mu + 2 rho_c: the walk of the module docstring, which reflects at the
+    lowest i with y_i < 0 until there is none."""
+    t = _tables()
+    a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
+    y = []
+    for row in t.zeta3:
+        q, r = divmod(row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
+                      + row[4] * a4 + row[5] * a5 + row[6] * g + row[7], 3)
+        assert not r, f"BUG: {coords} + 2rho_c is off the weight lattice"
+        y.append(q)
+    i = 0
+    while i < RANK:
+        yi = y[i]
+        if yi < 0:
+            for k, a in t.cartan[i]:
+                y[k] -= yi * a
+            i = 0
+        else:
+            i += 1
+    return [v - 1 for v in y]
 
 
 def _project_in_chamber(coords, j: int) -> Vec:
     d = build_root_datum()
-    ch = _tables().chambers[j]
+    ch = enumerate_chambers()[j]
     eta = sub(add(ktype_ambient(coords), scale(2, d.rho_c)), ch.rho_j)
     return cone_project(eta, ch)
 
@@ -388,7 +403,7 @@ def _project_in_chamber(coords, j: int) -> Vec:
 def lambda_datum(mu) -> LambdaDatum:
     """Projection datum for the K-type, witnessed by the first chamber where
     mu + 2 rho_c is dominant; equality across all such chambers is asserted."""
-    allow = _allowable_chambers(mu)
+    allow = list(_allowable_chambers(mu))
     if not allow:
         raise RuntimeError(f"BUG: no chamber makes {mu} + 2rho_c dominant")
     first = _project_in_chamber(mu, allow[0])
@@ -406,8 +421,7 @@ def lambda_datum(mu) -> LambdaDatum:
 
 def lambda_norm_sq_fast(mu) -> Fraction:
     """Same value as lambda_datum(mu).lambda_norm_sq, from the integer
-    kernel in the first allowable chamber (the equality across chambers is
-    a tested invariant)."""
+    kernel on the witness walk's c (a tested invariant)."""
     face, num, r = _lambda_kernel(_witness_c(mu))
     return Fraction(sum(v * r[i] for i, v in zip(face.members, num)), 2 * face.det)
 
@@ -552,11 +566,10 @@ def spin_datum(mu) -> SpinDatum:
     """Exact minimum over the 56 chambers of |{mu - rho_n_j} + rho_c|^2,
     with the achieving chambers and their dominant weights."""
     d = build_root_datum()
-    t = _tables()
     v = ktype_ambient(mu)
     best = None
     per_chamber: list[tuple[int, Fraction, tuple[int, ...]]] = []
-    for ch in t.chambers:
+    for ch in enumerate_chambers():
         x = sub(v, ch.rho_n_j)
         dom, _ = dominant_rep(x, "K")
         val = norm_sq(add(dom, d.rho_c))

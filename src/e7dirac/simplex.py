@@ -1,6 +1,6 @@
-"""Exact feasibility testing for small linear programs, with certificates;
-adjugate, the package's one exact linear solver; and hull_facets, the
-facets of the convex hull of integer points.
+"""Exact feasibility testing for small linear programs; adjugate, the
+package's one exact linear solver; and hull_facets, the facets of the
+convex hull of integer points.
 
 Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
 phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
@@ -13,88 +13,22 @@ ratio test breaks ties by the lowest basic variable index.
 
 Artificial columns are withdrawn once they leave the basis; a zero-value
 solution has all artificials at zero anyway, so the answer is unaffected.
-Artificials still basic (at zero) when phase 1 ends are pivoted out on any
-nonzero real entry of their row; the pivot is degenerate, so x does not
-change.  A row with no such entry is a redundant constraint.
+Artificials still basic when phase 1 ends are at zero, so x is read off
+the real basic columns alone.
 
-Every answer carries the certificate the final tableau already holds
-(D is the diagonal of row signs that makes the tableau's b nonnegative,
-den the current Bareiss denominator, den = det of the basis matrix):
-
-* feasible, with a basis B of real columns: M = det A_B^{-1}, read off the
-  artificial block of the tableau times D (BasisCertificate);
-* infeasible: y = -D (den 1 - obj_art) from the artificial part of the
-  phase-1 reduced-cost row, with y^T A the real part of that row, >= 0 at
-  the optimum, and y . b = the scaled objective value, < 0
-  (FarkasCertificate).
-
-A feasible system whose phase-1 basis keeps a redundant row carries none.
 No pipeline path solves an LP: the u-small test runs on the hull's facets,
 and the tests check it against lp_feasible on the membership system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
-    """Columns B of A and the integer M = det A_B^{-1} (det > 0); row k of
-    M belongs to column B[k]."""
-
-    columns: tuple[int, ...]
-    det: int
-    inverse: tuple[tuple[int, ...], ...]
-    feasible = True
-
-    def settles(self, rhs) -> bool:
-        """M b >= 0: then x_B = M b / det, zero elsewhere, solves Ax = b."""
-        for row in self.inverse:
-            if sum(map(mul, row, rhs)) < 0:
-                return False
-        return True
-
-    def verify(self, rows) -> bool:
-        """A_B M = det I, exactly."""
-        m = len(rows)
-        if self.det <= 0 or len(self.columns) != m or len(self.inverse) != m:
-            return False
-        for i, row in enumerate(rows):
-            a_b = [row[c] for c in self.columns]
-            for col in range(m):
-                got = sum(a * self.inverse[k][col] for k, a in enumerate(a_b))
-                if got != (self.det if i == col else 0):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """A vector y with y^T A >= 0."""
-
-    y: tuple[int, ...]
-    feasible = False
-
-    def settles(self, rhs) -> bool:
-        """y . b < 0: then y^T A x >= 0 > y . b for every x >= 0."""
-        return sum(map(mul, self.y, rhs)) < 0
-
-    def verify(self, rows) -> bool:
-        """y^T A >= 0, exactly."""
-        if len(self.y) != len(rows):
-            return False
-        return all(sum(map(mul, self.y, col)) >= 0 for col in zip(*rows))
-
-
-Certificate = BasisCertificate | FarkasCertificate
-
-
 def lp_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
-    return lp_solve(rows, rhs)[0] is not None
+    return lp_solve(rows, rhs) is not None
 
 
 def _pivot(allrows: list[list[int]], prow: list[int], enter: int, denom: int) -> int:
@@ -202,13 +136,11 @@ def hull_facets(points) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(c for c, _ in facets))
 
 
-def lp_solve(rows: list[list[int]], rhs: list[int]
-             ) -> tuple[list[Fraction] | None, Certificate | None]:
-    """A nonnegative exact solution of Ax = b or None, and the certificate
-    of the answer (None only for a feasible system with a redundant row)."""
+def lp_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """A nonnegative exact solution of Ax = b, or None if there is none."""
     m = len(rows)
     if m == 0:
-        return [], None
+        return []
     n = len(rows[0])
     assert all(len(r) == n for r in rows), "BUG: ragged constraint matrix"
     assert len(rhs) == m
@@ -276,27 +208,9 @@ def lp_solve(rows: list[list[int]], rhs: list[int]
         pivots += 1
 
     if obj[last] != 0:
-        # optimal with a positive artificial sum (denom > 0: every phase-1
-        # pivot is positive)
-        y = tuple(-s * (denom - obj[n + i]) for i, s in enumerate(signs))
-        return None, FarkasCertificate(y=y)
-
-    # drive the zero-valued artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if tab[i][j]), -1)
-            if enter >= 0:
-                basis[i] = enter
-                denom = _pivot(allrows, tab[i], enter, denom)
-
+        return None  # optimal with a positive artificial sum
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = Fraction(tab[i][last], denom)
-    if any(bi >= n for bi in basis):
-        return x, None
-    sgn = 1 if denom > 0 else -1
-    inverse = tuple(
-        tuple(sgn * s * row[n + i] for i, s in enumerate(signs)) for row in tab
-    )
-    return x, BasisCertificate(columns=tuple(basis), det=sgn * denom, inverse=inverse)
+    return x

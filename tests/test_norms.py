@@ -42,6 +42,7 @@ from e7dirac.structure import (
     add,
     build_root_datum,
     contragredient,
+    dot,
     from_ambient,
     inner,
     is_k_type,
@@ -171,13 +172,48 @@ def test_lambda_fast_agrees():
         assert lambda_norm_sq_fast(mu) == lambda_datum(mu).lambda_norm_sq
 
 
-def test_lambda_kernel_against_projection_over_census(census, chambers):
-    # the integer kernel against the Fraction cone projection in the witness
-    # chamber, for every u-small K-type; the first-guess face is the one
-    # accepted throughout, as the kernel's docstring states
+@pytest.fixture(scope="module")
+def first_allowable(census, ularge):
+    """The first chamber where mu + 2 rho_c is dominant, by definition, for
+    every K-type of the census and of u-large."""
+    return {mu: next(_allowable_chambers(mu)) for mu in sorted(census) + ularge}
+
+
+def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, datum, chambers,
+                                                              first_allowable):
+    # the walk's c over census and u-large (32966 points), v = mu + 2 rho_c:
+    # the zeta-coordinates of the W(G)-dominant representative of v, and
+    # v's pairings with the simple roots of the first allowable chamber
+    # (dot = 36 <., a^vee> for a root a), each minus 1.  dominant_rep walks
+    # by the same lowest-index rule; its reflections number the positive
+    # roots pairing negatively with v, all among the 27 noncompact ones
+    # (module docstring: v pairs a_i + 2 >= 2 with each compact simple root)
+    assert set(datum.positive_roots) == set(datum.compact_positive) | set(datum.pplus_roots)
+    points = sorted(census) + ularge
+    assert len(points) == 32966
+    most = 0
+    for mu in points:
+        c = _witness_c(mu)
+        v = add(ktype_ambient(mu), scale(2, datum.rho_c))
+        dom, word = dominant_rep(v, "G")
+        assert c == [y - 1 for y in from_ambient("zeta", dom)], f"BUG: walk of {mu}"
+        simples = chambers[first_allowable[mu]].simples
+        assert [dot(v, a) for a in simples] == [36 * (x + 1) for x in c], (
+            f"BUG: chamber pairings of {mu}")
+        negative = sum(dot(v, a) < 0 for a in datum.pplus_roots)
+        assert len(word) == negative, f"BUG: reflection count of {mu}"
+        most = max(most, negative)
+    assert most == 27
+
+
+def test_lambda_kernel_against_projection_over_census(census, chambers, first_allowable):
+    # the integer kernel against the Fraction cone projection in the first
+    # chamber where mu + 2 rho_c is dominant, for every u-small K-type; the
+    # first-guess face is the one accepted throughout, as the kernel's
+    # docstring states
     assert len(census) == USMALL_CENSUS_SIZE
     for mu in sorted(census):
-        j = _allowable_chambers(mu)[0]
+        j = first_allowable[mu]
         lam = _project_in_chamber(mu, j)
         assert lambda_norm_sq_fast(mu) == norm_sq(lam), f"BUG: lambda norm of {mu}"
         assert atlas_height(mu) == inner(lam, scale(2, chambers[j].rho_j)), (
