@@ -51,7 +51,8 @@ and the height d . x it returns are the same for every chamber j where v
 is dominant: there lambda_a = w(sum x_i zeta_i), and
 (lambda_a, 2 rho_j) = (sum x_i zeta_i, 2 rho).  (lambda_datum projects in
 each such chamber by definition and asserts that the points agree.)  So
-the height scan may measure a K-type in the first chamber that finds it.
+the height scan measures a height once per y: K-types with the same y,
+found in one chamber or in several, have the same height.
 
 Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i.
 The K-type coordinates of z_m are n_{k,m} = <z_m, gamma_k^vee> and
@@ -59,9 +60,19 @@ The K-type coordinates of z_m are n_{k,m} = <z_m, gamma_k^vee> and
 So a_k = sum_i y_i n_{k,i} - 2, and n_{k,i} >= 0 (z_i is dominant for the
 chamber and the compact simple roots gamma_k are positive in every
 chamber; asserted, as the cut rests on it).  With budget b left for the
-levels i..6, those levels raise a_k by at most b * max_{i' >= i}
-n_{k,i'} / d_{i'}, d = height_steps() in every chamber; a branch where
-some a_k < 0 cannot reach 0 within that bound holds no K-type and is cut.
+levels i..6, those levels raise a_k by at most b num_k / den_k, where
+num_k / den_k = max_{i' >= i} n_{k,i'} / d_{i'}, d = height_steps() in
+every chamber; a branch where some a_k < 0 cannot reach 0 within that
+bound holds no K-type and is cut.  As b >= 0 and num_k >= 0, that cut is
+a_k den_k + b num_k < 0 alone (it forces a_k < 0).  The children of a node
+at level i take y_i = n: child n has a_k + n n_{k,i} and b - n d_i, so it
+survives iff (a_k + n n_{k,i}) den_k + (b - n d_i) num_k >= 0 for every k,
+with num_k, den_k those of level i + 1.  Each condition is linear in n, so
+the surviving counts form one interval of 0 <= n <= b // d_i, found by
+integer floor and ceiling division (_count_range).  The scan loops over
+that interval alone and checks the cut at the root, y = 0, once per
+chamber: it visits the same nodes in the same order as a test of every
+child would, and makes no call for a child that is cut.
 
 Spin kernel.  The spin norm is the minimum over the chambers j of
 v_j = 12 |p + rho_c|^2, p the K-dominant representative of
@@ -621,8 +632,12 @@ def is_usmall(mu) -> bool:
     """Whether the K-type (a_i >= 0, which the lemma of usmall_facets needs)
     lies in the hull of the W(k)-orbits of the 56 sums of noncompact
     positive roots (one per chamber, twice rho_n_j): u . mu <= h on each of
-    usmall_facets()."""
-    return all(sum(map(mul, u, mu)) <= h for u, h in usmall_facets())
+    usmall_facets(); False at the first facet that fails."""
+    a, b, c, d, e, f, g = mu
+    for (u0, u1, u2, u3, u4, u5, u6), h in usmall_facets():
+        if u0 * a + u1 * b + u2 * c + u3 * d + u4 * e + u5 * f + u6 * g > h:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +668,51 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
+def _scan_tables(ch: Chamber, steps) -> tuple[list, list, list]:
+    """The height scan's tables for one chamber, from its weights z_i:
+    p6[i] = (n_{k,i}) and pz2[i] = 2(z_i, zeta), so that mu has
+    a_k = sum y_i p6[i][k] - 2 and g = sum y_i pz2[i]; and reach[i][k] =
+    max over levels i' >= i of n_{k,i'} / d_{i'} (module docstring, scan
+    pruning) as an integer (numerator, denominator), the suffix maximum
+    compared by cross-multiplication.  Past the last level reach is 0, so
+    the cut there is the leaf condition a_k >= 0."""
+    coords = [from_ambient("varpi", z) for z in ch.weights]
+    p6 = [zm[:6] for zm in coords]
+    assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
+    pz2 = [zm[6] for zm in coords]
+    reach = [((0, 1),) * 6]
+    for i in range(RANK - 1, -1, -1):
+        reach.append(tuple(
+            (n, steps[i]) if n * den >= num * steps[i] else (num, den)
+            for n, (num, den) in zip(p6[i], reach[-1])
+        ))
+    reach.reverse()
+    return p6, pz2, reach
+
+
+def _count_range(acc_a, budget: int, row, step: int, reach_next) -> tuple[int, int] | None:
+    """The counts n at one level of the height scan whose child survives the
+    prune cut, as an interval (lo, hi), or None when none does.
+
+    Child n has a_k + n row_k and budget - n step, and survives iff
+    (a_k + n row_k) den_k + (budget - n step) num_k >= 0 for every k, with
+    (num_k, den_k) = reach_next[k] (module docstring, scan pruning): each
+    condition is c0 + n c1 >= 0, linear in n, so their intersection with
+    0 <= n <= budget // step is one interval."""
+    lo, hi = 0, budget // step
+    for a, r, (num, den) in zip(acc_a, row, reach_next):
+        c0 = a * den + budget * num
+        c1 = r * den - step * num
+        if c1 > 0:
+            if c0 < 0:
+                lo = max(lo, -(c0 // c1))  # ceil(-c0 / c1)
+        elif c1 < 0:
+            hi = min(hi, c0 // -c1)
+        elif c0 < 0:
+            return None
+    return (lo, hi) if lo <= hi else None
+
+
 def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     """All K-types with atlas height <= cap, mapped to their heights.
 
@@ -660,71 +720,63 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     any chamber where mu + 2 rho_c is dominant, coordinates y_i =
     pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + 2|rho|^2,
     because projection only raises the pairing sum.  The scan is complete:
-    it cuts only branches that the prune bound (module docstring) shows to
-    hold no K-type.  A point is measured once, in the first chamber that
-    finds it, which the height invariance allows; a boundary point whose
-    height exceeds the cap is remembered, so later chambers skip it too.
+    it walks at each level only the counts of _count_range, which drops
+    exactly the branches that the prune bound (module docstring) shows to
+    hold no K-type.  A height is measured once per y, which the height
+    invariance allows: the kernel's result is kept for the call, keyed by
+    y, so a K-type that a later chamber finds again costs a lookup at most.
     """
     steps = height_steps()
     two_rho_norm = sum(steps)  # (rho, 2 rho), rho = sum of the zeta_i
     assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
-    above: set[tuple[int, ...]] = set()  # measured, height over the cap
+    heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
     for ch in enumerate_chambers():
-        # mu coordinates from y: a_k = sum y_i p6[i][k] - 2, g = sum y_i pz2[i]
-        coords = [from_ambient("varpi", z) for z in ch.weights]
-        p6 = [zm[:6] for zm in coords]
-        assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
-        pz2 = [zm[6] for zm in coords]
-        # reach[i][k] = max over levels i' >= i of n_{k,i'} / d_{i'}, as an
-        # integer (numerator, denominator); past the last level it is 0, so
-        # the cut there is the leaf condition a_k >= 0
-        reach = []
-        for i in range(RANK):
-            best = [
-                max(range(i, RANK), key=lambda m: Fraction(p6[m][k], steps[m]))
-                for k in range(6)
-            ]
-            reach.append(tuple((p6[m][k], steps[m]) for k, m in enumerate(best)))
-        reach.append(((0, 1),) * 6)
+        p6, pz2, reach = _scan_tables(ch, steps)
         y = [0] * RANK
         acc_a = [-2] * 6  # running a_k including the -2 rho_c shift
         acc_g = 0
+        # the cut at the root, y = 0; _count_range cuts every later node
+        if any(-2 * den + budget_cap * num < 0 for num, den in reach[0]):
+            continue
 
         def descend(i: int, budget: int):
             nonlocal acc_g
-            for a, (num, den) in zip(acc_a, reach[i]):
-                if a < 0 and a * den + budget * num < 0:
-                    return
             if i == RANK:
                 mu = tuple(acc_a) + (acc_g,)
-                if mu not in out and mu not in above:
+                if mu not in out:
                     assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
                     if all(yv >= 1 for yv in y):
                         h = budget_cap - budget - two_rho_norm
                     else:
-                        h = _kernel_height([yv - 1 for yv in y])
+                        key = tuple(y)
+                        h = heights.get(key)
+                        if h is None:
+                            h = heights[key] = _kernel_height([yv - 1 for yv in y])
                     if h <= cap:
                         out[mu] = h
-                    else:
-                        above.add(mu)
                 return
             step = steps[i]
             row = p6[i]
+            span = _count_range(acc_a, budget, row, step, reach[i + 1])
+            if span is None:
+                return
+            lo, hi = span
             zstep = pz2[i]
-            count = 0
-            while count * step <= budget:
+            for k in range(6):
+                acc_a[k] += lo * row[k]
+            acc_g += lo * zstep
+            for count in range(lo, hi + 1):
                 y[i] = count
                 descend(i + 1, budget - count * step)
                 for k in range(6):
                     acc_a[k] += row[k]
                 acc_g += zstep
-                count += 1
             y[i] = 0
             for k in range(6):
-                acc_a[k] -= count * row[k]
-            acc_g -= count * zstep
+                acc_a[k] -= (hi + 1) * row[k]
+            acc_g -= (hi + 1) * zstep
 
         descend(0, budget_cap)
         del descend  # a self-calling closure is a cycle that would keep `out` alive

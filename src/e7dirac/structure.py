@@ -49,6 +49,7 @@ COMPACT_RANK = 6
 
 SCALE = 6
 _SCALE_SQ = SCALE * SCALE  # dot(u, v) = _SCALE_SQ * (u, v)
+_ROOT_DOT = 2 * _SCALE_SQ  # dot(a, a) of a root, whose norm is 2
 
 
 def _rational(c):
@@ -122,10 +123,15 @@ def pair_coroot(v: Vec, root: Vec) -> Fraction:
     return Fraction(2 * dot(v, root), rr)
 
 
-def reflect(v: Vec, root: Vec) -> Vec:
+def reflect(v: Vec, root: Vec, pairing=None) -> Vec:
     """v - <v, root^vee> root; the coefficient is an int on the weight
-    lattice, so a lattice vector stays a tuple of ints."""
-    c = _exact(2 * dot(v, root), dot(root, root))
+    lattice, so a lattice vector stays a tuple of ints.  A caller that
+    already holds pairing = dot(v, root) for a root passes it, and the
+    reflection then takes no dot product: every root has dot = _ROOT_DOT."""
+    if pairing is None:
+        c = _exact(2 * dot(v, root), dot(root, root))
+    else:
+        c = _exact(2 * pairing, _ROOT_DOT)
     return tuple(a - c * b for a, b in zip(v, root)) if c else v
 
 
@@ -194,9 +200,6 @@ class RootDatum:
     zeta: Vec
     varpi: tuple[Vec, ...]  # varpi_1..varpi_6, orthogonal to zeta
     highest_root: Vec
-
-
-_ROOT_DOT = 2 * _SCALE_SQ  # dot(a, a) of a root, whose norm is 2
 
 
 def _generate_positive_roots() -> list[Vec]:

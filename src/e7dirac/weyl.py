@@ -61,8 +61,9 @@ def dominant_rep(v: Vec, group: str) -> tuple[Vec, WeylWord]:
     word: list[int] = []
     while True:
         for i, a in enumerate(simples):
-            if dot(v, a) < 0:
-                v = reflect(v, a)
+            pairing = dot(v, a)
+            if pairing < 0:
+                v = reflect(v, a, pairing)
                 word.append(i + 1)
                 break
         else:

@@ -10,6 +10,8 @@ from e7dirac import norms
 from e7dirac.norms import (
     _allowable_chambers,
     _check_spin_lemmas,
+    _count_range,
+    _scan_tables,
     _tables,
     _kernel_height,
     _lambda_kernel,
@@ -578,9 +580,44 @@ def test_height_scan_pruning_is_complete(datum, chambers):
     assert enumerate_by_height(160) == _unpruned_scan(160, datum, chambers)
 
 
+def test_count_range_matches_the_cut_child_by_child(chambers):
+    # _count_range against the prune cut tested on each child n of the
+    # level, on the scan's own per-chamber tables: the kept counts are
+    # contiguous and are the returned interval
+    steps = height_steps()
+    tables = [_scan_tables(ch, steps) for ch in chambers]
+    rng = random.Random(2022)
+    empty = inner_lo = inner_hi = 0
+    for _ in range(4000):
+        p6, _, reach = rng.choice(tables)
+        i = rng.randrange(len(p6))
+        low = rng.choice((-40, -8, -2))
+        acc_a = [rng.randint(low, 40) for _ in range(6)]
+        budget = rng.randint(0, 800)
+        row, step, nxt = p6[i], steps[i], reach[i + 1]
+        kept = []
+        for n in range(budget // step + 1):
+            a = [x + n * r for x, r in zip(acc_a, row)]
+            left = budget - n * step
+            if not any(ak < 0 and ak * den + left * num < 0 for ak, (num, den) in zip(a, nxt)):
+                kept.append(n)
+        got = _count_range(acc_a, budget, row, step, nxt)
+        if not kept:
+            assert got is None, f"BUG: {got} for an empty level"
+            empty += 1
+            continue
+        assert kept == list(range(kept[0], kept[-1] + 1)), f"BUG: kept counts {kept}"
+        assert got == (kept[0], kept[-1]), f"BUG: {got} for kept counts {kept}"
+        inner_lo += kept[0] > 0
+        inner_hi += kept[-1] < budget // step
+    # every kind of interval is exercised: empty, cut below, cut above
+    assert min(empty, inner_lo, inner_hi) >= 50, (empty, inner_lo, inner_hi)
+
+
 def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
     # every _kernel_height call of the scan at cap 320, mapped back to its
-    # K-type by the chamber being scanned: mu + 2 rho_c = sum (c_i + 1) z_i
+    # K-type by the chamber being scanned: mu + 2 rho_c = sum (c_i + 1) z_i;
+    # no K-type is measured twice, and no y either
     scanning = []
 
     def chambers():
@@ -589,9 +626,12 @@ def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
             yield ch
 
     measured = {}
+    seen_y = set()
 
     def kernel_height(c):
         y = [v + 1 for v in c]
+        assert tuple(y) not in seen_y, f"BUG: y = {y} measured twice"
+        seen_y.add(tuple(y))
         total = ZERO
         for yi, z in zip(y, scanning[-1].weights):
             total = add(total, scale(yi, z))
