@@ -38,10 +38,10 @@ from functools import lru_cache
 from itertools import combinations, groupby, product
 from operator import mul
 
-from .screening import ADMISSIBILITY_SUMS, hp_admissible, quadratic_points
-from .structure import RANK, add, build_root_datum, is_k_type, to_ambient
-from .norms import infchar_ambient, infchar_norm_sq, spin_sq12_with_weights, weight_gram2
-from .weyl import dominant_rep
+from .screening import (ADMISSIBILITY_SUMS, dirac_candidate_gammas, hp_admissible,
+                        quadratic_points)
+from .structure import RANK, is_k_type
+from .norms import infchar_norm_sq, spin_sq12_with_weights, weight_gram2
 
 NU_BOUND = 94                   # strict bound on |nu|^2 for the census
 OLD_NU_BOUND = Fraction(399, 2)  # |rho|^2, the classical comparison bound
@@ -516,11 +516,10 @@ def verify_table_row(row: TableRow) -> TableRowReport:
     """Recompute everything about a table row that does not need external
     data: spin LKTs are genuine K-types, each attains the squared norm of the
     infinitesimal character, each has a dominance witness conjugate to it, and
-    the character itself is dominant and admissible."""
-    d = build_root_datum()
-    lam_amb = infchar_ambient(row.inf_char)
+    the character itself is dominant and admissible.  A witness is an
+    achieving PRV weight p with p + rho_c conjugate to the character: by the
+    lemma of screening.dirac_candidate_gammas, p lies in that set."""
     target = infchar_norm_sq(row.inf_char)
-    dom_char = tuple(dominant_rep(lam_amb, "G")[0])
 
     checks = []
     bad = [m for m in row.spin_lkts if not is_k_type(m)]
@@ -529,6 +528,7 @@ def verify_table_row(row: TableRow) -> TableRowReport:
     if bad:
         return TableRowReport(table_id=row.table_id, x=row.x, checks=tuple(checks))
 
+    conjugates = dirac_candidate_gammas(row.inf_char)
     norm_bad = []
     witness_bad = []
     for mu in row.spin_lkts:
@@ -536,13 +536,7 @@ def verify_table_row(row: TableRow) -> TableRowReport:
         if Fraction(spin12, 12) != target:
             norm_bad.append((mu, Fraction(spin12, 12)))
             continue
-        hit = False
-        for pw in prv_weights.values():
-            wit = add(to_ambient("varpi", pw), d.rho_c)
-            if tuple(dominant_rep(wit, "G")[0]) == dom_char:
-                hit = True
-                break
-        if not hit:
+        if not any(pw in conjugates for pw in prv_weights.values()):
             witness_bad.append(mu)
     checks.append(("spin-norm", not norm_bad,
                    f"wrong spin norms: {norm_bad}" if norm_bad else ""))

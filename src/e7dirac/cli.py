@@ -120,8 +120,8 @@ def run_spin_lkt(ctx, args):
 
 
 def run_dirac_candidates(ctx, args):
-    cs = dirac_candidate_gammas(args.inf_char)
-    rows = [(fmt_vec(g), str(cs.gammas[g])) for g in sorted(cs.gammas)]
+    gammas = dirac_candidate_gammas(args.inf_char)
+    rows = [(fmt_vec(g), str(gammas[g])) for g in sorted(gammas)]
     return ("candidate", "witness_chamber"), rows, ("total", str(len(rows)))
 
 

@@ -276,8 +276,8 @@ def norm_spot_checks(ctx):
 
 def cohomology_candidates(ctx):
     lam = (1, 1, 1, 0, 1, 1, 1)
-    ok = TWELVE_CANDIDATES <= set(dirac_candidate_gammas(lam).gammas)
-    ok = ok and set(dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1)).gammas) == SCALAR_PAIR
+    ok = TWELVE_CANDIDATES <= set(dirac_candidate_gammas(lam))
+    ok = ok and set(dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1))) == SCALAR_PAIR
     family = [((0, 0, 0, 0, 0, n, -12 - 2 * n), 1) for n in range(21)]
     _, achievers, hd = spin_lkts(family, lam)
     ok = ok and hd and sorted(mu[5] for mu, _ in achievers) == list(range(6)) \

@@ -10,11 +10,18 @@ that the census-sized loops (tens of thousands of K-types) run on machine
 integers; tests pin the fast paths to the straightforward definitions.
 The integer kernels take every pairing from _tables() and weight_gram2(),
 which read them off the scaled integer datum with structure.inner_times;
-height_steps() are the row sums of weight_gram2(), and the height scan
-reads its weight coordinates off the chamber walk.  usmall_facets()
-derives the u-small hull's facets once, on the first query, from the
-vertices in _tables(); is_usmall and the census scan of screening both
-test them.
+height_steps() are the row sums of weight_gram2(), and every chamber
+image is read off chamber_weights() (below).  usmall_facets() derives
+the u-small hull's facets once, on the first query, from the vertices in
+_tables(); is_usmall and the census scan of screening both test them.
+
+Chamber images.  Row i of chamber j in chamber_weights(), built on first
+use, holds the K-type coordinates of z_i = w_j(zeta_i): n_{k,i} =
+<z_i, gamma_k^vee>, k < 6, and 2(z_i, zeta); integral, and n_{k,i} >= 0
+as z_i is dominant for the chamber and each gamma_k positive in it
+(asserted).  So w_j(sum y_i zeta_i) has coordinates sum y_i row_i
+(chamber_images), and rho_c has (1, ..., 1, 0).  The height scan, the
+Dirac candidate set and lemma32_witness read every image off this table.
 
 Lambda kernel.  Let v = mu + 2 rho_c.  In a chamber j = w(Delta+) where v
 is dominant, with weights z_i = w(zeta_i), v = sum y_i z_i with
@@ -54,19 +61,16 @@ each such chamber by definition and asserts that the points agree.)  So
 the height scan measures a height once per y: K-types with the same y,
 found in one chamber or in several, have the same height.
 
-Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i.
-The K-type coordinates of z_m are n_{k,m} = <z_m, gamma_k^vee> and
-2(z_m, zeta), read off the chamber walk's weights with from_ambient.
-So a_k = sum_i y_i n_{k,i} - 2, and n_{k,i} >= 0 (z_i is dominant for the
-chamber and the compact simple roots gamma_k are positive in every
-chamber; asserted, as the cut rests on it).  With budget b left for the
-levels i..6, those levels raise a_k by at most b num_k / den_k, where
-num_k / den_k = max_{i' >= i} n_{k,i'} / d_{i'}, d = height_steps() in
-every chamber; a branch where some a_k < 0 cannot reach 0 within that
-bound holds no K-type and is cut.  As b >= 0 and num_k >= 0, that cut is
-a_k den_k + b num_k < 0 alone (it forces a_k < 0).  The children of a node
-at level i take y_i = n: child n has a_k + n n_{k,i} and b - n d_i, so it
-survives iff (a_k + n n_{k,i}) den_k + (b - n d_i) num_k >= 0 for every k,
+Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i, so by
+the chamber images a_k = sum_i y_i n_{k,i} - 2, every n_{k,i} >= 0.  With
+budget b left for the levels i..6, those levels raise a_k by at most
+b num_k / den_k, where num_k / den_k = max_{i' >= i} n_{k,i'} / d_{i'},
+d = height_steps() in every chamber; a branch where some a_k < 0 cannot
+reach 0 within that bound holds no K-type and is cut.  As b >= 0 and
+num_k >= 0, that cut is a_k den_k + b num_k < 0 alone (it forces
+a_k < 0).  The children of a node at level i take y_i = n: child n has
+a_k + n n_{k,i} and b - n d_i, so it survives iff
+(a_k + n n_{k,i}) den_k + (b - n d_i) num_k >= 0 for every k,
 with num_k, den_k those of level i + 1.  Each condition is linear in n, so
 the surviving counts form one interval of 0 <= n <= b // d_i, found by
 integer floor and ceiling division (_count_range).  The scan loops over
@@ -162,7 +166,6 @@ class _Tables:
     # facet lemma of usmall_facets relies on; asserted when the tables are
     # built.
     rho_n: tuple[tuple[int, ...], ...]
-    norm12_rho_n: tuple[int, ...]  # 12*|rho_n_j|^2
     # the spin kernel's lower bound L_j = norm12_ktype(mu) + lin_j . mu + k_j
     # (module docstring, spin kernel), stored as (lin_j..., k_j)
     spin_bound: tuple[tuple[int, ...], ...]
@@ -176,7 +179,6 @@ class _Tables:
     # A_ik = (alpha_i, alpha_k) = <alpha_k, alpha_i^vee>
     cartan: tuple[tuple[tuple[int, int], ...], ...]
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
-    norm12_rho_c: int  # 12*|rho_c|^2 = 936
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
     # the K-type coordinates of the compact simple roots: (row i of the
     # Cartan matrix of k, 0), as every compact root is orthogonal to zeta
@@ -204,7 +206,6 @@ def _tables() -> _Tables:
     norm12_rho_c = sum(rc12)
     assert norm12_rho_c == 936, f"BUG: 12|rho_c|^2 = {norm12_rho_c}"
     rho_n = []
-    norm12 = []
     spin_bound = []
     rc12_rho_n = []
     for ch in enumerate_chambers():
@@ -213,11 +214,11 @@ def _tables() -> _Tables:
         rho_n.append(coords)
         w12j = tuple(sum(map(mul, row, coords)) for row in gram12)  # 12 (varpi_i, rho_n_j)
         # 12|v|^2 = a . gram12 a + 2 g^2 (as 12 (zeta, zeta) / 9 = 2)
-        norm12.append(sum(map(mul, coords, w12j)) + 2 * coords[6] ** 2)
+        norm12 = sum(map(mul, coords, w12j)) + 2 * coords[6] ** 2
         rc12_rho_n.append(sum(map(mul, coords, rc12)))
         spin_bound.append(
             tuple(2 * r - 2 * x for r, x in zip(rc12, w12j)) + (-4 * coords[6],)
-            + (norm12[-1] + norm12_rho_c - 2 * rc12_rho_n[-1],)
+            + (norm12 + norm12_rho_c - 2 * rc12_rho_n[-1],)
         )
     gamma = tuple(
         tuple(_int(x, "gamma coordinate") for x in from_ambient("varpi", g))
@@ -235,16 +236,33 @@ def _tables() -> _Tables:
     )
     return _Tables(
         rho_n=tuple(rho_n),
-        norm12_rho_n=tuple(norm12),
         spin_bound=tuple(spin_bound),
         rc12_rho_n=tuple(rc12_rho_n),
         zeta3=zeta3,
         cartan=cartan,
         rc12=rc12,
-        norm12_rho_c=norm12_rho_c,
         gram12=gram12,
         gamma=gamma,
     )
+
+
+@lru_cache(maxsize=1)
+def chamber_weights() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry j, row i: the K-type coordinates (a..f, g) of w_j(zeta_i)
+    (module docstring, chamber images)."""
+    table = tuple(tuple(tuple(_int(x, "weight coordinate") for x in from_ambient("varpi", z))
+                        for z in ch.weights) for ch in enumerate_chambers())
+    assert all(min(r[:6]) >= 0 for rows in table for r in rows), "BUG: n_(k,i) < 0"
+    return table
+
+
+def chamber_images(y):
+    """The K-type coordinates of w_j(sum y_i zeta_i) for each chamber j, in
+    chamber order: the column sums sum_i y_i row_i of chamber_weights()."""
+    y0, y1, y2, y3, y4, y5, y6 = y
+    for rows in chamber_weights():
+        yield tuple(y0 * c0 + y1 * c1 + y2 * c2 + y3 * c3 + y4 * c4 + y5 * c5 + y6 * c6
+                    for c0, c1, c2, c3, c4, c5, c6 in zip(*rows))
 
 
 @lru_cache(maxsize=1)
@@ -668,18 +686,16 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
-def _scan_tables(ch: Chamber, steps) -> tuple[list, list, list]:
-    """The height scan's tables for one chamber, from its weights z_i:
-    p6[i] = (n_{k,i}) and pz2[i] = 2(z_i, zeta), so that mu has
+def _scan_tables(rows, steps) -> tuple[list, list, list]:
+    """The height scan's tables for one chamber, from its chamber_weights()
+    rows: p6[i] = (n_{k,i}) and pz2[i] = 2(z_i, zeta), so that mu has
     a_k = sum y_i p6[i][k] - 2 and g = sum y_i pz2[i]; and reach[i][k] =
     max over levels i' >= i of n_{k,i'} / d_{i'} (module docstring, scan
     pruning) as an integer (numerator, denominator), the suffix maximum
     compared by cross-multiplication.  Past the last level reach is 0, so
     the cut there is the leaf condition a_k >= 0."""
-    coords = [from_ambient("varpi", z) for z in ch.weights]
-    p6 = [zm[:6] for zm in coords]
-    assert all(n >= 0 for row in p6 for n in row), "BUG: n_{k,i} < 0"
-    pz2 = [zm[6] for zm in coords]
+    p6 = [r[:6] for r in rows]
+    pz2 = [r[6] for r in rows]
     reach = [((0, 1),) * 6]
     for i in range(RANK - 1, -1, -1):
         reach.append(tuple(
@@ -732,8 +748,9 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
     heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
+    weights = chamber_weights()
     for ch in enumerate_chambers():
-        p6, pz2, reach = _scan_tables(ch, steps)
+        p6, pz2, reach = _scan_tables(weights[ch.index], steps)
         y = [0] * RANK
         acc_a = [-2] * 6  # running a_k including the -2 rho_c shift
         acc_g = 0

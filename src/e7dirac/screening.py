@@ -34,22 +34,16 @@ from math import ceil, isqrt
 from operator import mul, sub as int_sub
 
 from .norms import (
+    chamber_images,
+    infchar_ambient,
     infchar_norm_sq,
-    ktype_ambient,
     lambda_norm_sq_fast,
     spin_sq12,
     usmall_facets,
     weight_gram2,
 )
-from .structure import (
-    build_root_datum,
-    from_ambient,
-    inner,
-    ktype_form,
-    sub,
-    to_ambient,
-)
-from .weyl import apply_word, dominant_rep, enumerate_chambers
+from .structure import from_ambient, ktype_form
+from .weyl import dominant_rep
 
 # The sixteen positivity sums on a 7-tuple [a..g]: six pairs and ten triples.
 ADMISSIBILITY_SUMS: tuple[tuple[int, ...], ...] = (
@@ -75,8 +69,9 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
     """For a 7-tuple vanishing exactly on the selected sum's indices (and
     nonnegative integral elsewhere), check that every one of the 56 coset
     representatives sends it to a vector with a zero among the first six
-    fundamental-weight coordinates.  That forces the selected sum to be
-    positive for any character supporting nonzero Dirac cohomology."""
+    fundamental-weight coordinates, read off norms.chamber_images.  That
+    forces the selected sum to be positive for any character supporting
+    nonzero Dirac cohomology."""
     if tuple(zero_indices) not in ADMISSIBILITY_SUMS:
         raise ValueError(f"{zero_indices} is not one of the sixteen admissibility sums")
     vals = []
@@ -90,13 +85,7 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
             raise ValueError(
                 f"coordinate {i} must vanish for the selected sum, got {vals[i]}"
             )
-    d = build_root_datum()
-    v = to_ambient("zeta", vals)
-    for ch in enumerate_chambers():
-        w_v = apply_word(ch.word, v)
-        if all(inner(w_v, g) != 0 for g in d.compact_simple):
-            return False
-    return True
+    return not any(all(image[:6]) for image in chamber_images(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +286,22 @@ def enumerate_omega() -> set[tuple[int, ...]]:
 # Dirac-cohomology candidates
 
 
-@dataclass(frozen=True)
-class DiracCandidateSet:
-    inf_char: tuple
-    gammas: dict  # varpi-basis coordinates -> witnessing chamber index
+def dirac_candidate_gammas(lam) -> dict[tuple, int]:
+    """The K-dominant weights w_j(Lambda_dom) - rho_c, in K-type
+    coordinates, each mapped to the first chamber j giving it; Lambda_dom
+    is the W(G)-dominant point of Lambda, w_j(Lambda_dom) a chamber image.
 
-
-def dirac_candidate_gammas(lam) -> DiracCandidateSet:
-    """The K-dominant weights w(Lambda) - rho_c over the 56 coset
-    representatives, in K-type coordinates, with a witness for each."""
-    d = build_root_datum()
-    v = to_ambient("zeta", lam)
-    dom, _ = dominant_rep(v, "G")
+    Lemma.  A K-dominant p has p + rho_c in W(G) Lambda iff p is in this
+    set ("if" is clear).  For "only if": x = p + rho_c is K-dominant and
+    K-regular, so a positive system containing Delta+(k) makes x dominant
+    (that of a regular point near x).  It is a chamber's, w_j(Delta+), so
+    w_j^{-1} x = Lambda_dom and p = w_j(Lambda_dom) - rho_c."""
+    dom, _ = dominant_rep(infchar_ambient(lam), "G")
     gammas: dict[tuple, int] = {}
-    for ch in enumerate_chambers():
-        w_v = apply_word(ch.word, dom)
-        gamma = sub(w_v, d.rho_c)
-        if all(inner(gamma, g) >= 0 for g in d.compact_simple):
-            coords = from_ambient("varpi", gamma)
-            if coords not in gammas:
-                gammas[coords] = ch.index
-    assert len(gammas) <= 56
-    return DiracCandidateSet(inf_char=tuple(lam), gammas=gammas)
+    for j, (*a, g) in enumerate(chamber_images(from_ambient("zeta", dom))):
+        if min(a) >= 1:
+            gammas.setdefault(tuple(x - 1 for x in a) + (g,), j)
+    return gammas
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +325,14 @@ def spin_lkts(ktypes, lam):
 def dirac_index_no_cancellation(lkt, spin_lkt_set) -> bool:
     """True when the central pairings (mu_i - mu, zeta) of all spin LKTs
     against the LKT, taken raw, are integers of one parity, so the index
-    cannot lose terms to signs."""
+    cannot lose terms to signs.  The pairing is (g_i - g) / 2: the varpi_k
+    are orthogonal to zeta, and (zeta, zeta) = 3/2."""
     if not spin_lkt_set:
         raise ValueError("empty spin LKT set")
-    d = build_root_datum()
-    base = ktype_ambient(lkt)
     parities = set()
     for mu in spin_lkt_set:
-        val = inner(sub(ktype_ambient(mu), base), d.zeta)
-        if val.denominator != 1:
+        diff = mu[6] - lkt[6]
+        if diff % 2:
             raise ValueError(f"pairing of {mu} against the lowest K-type is not integral")
-        parities.add(abs(int(val)) % 2)
+        parities.add(diff // 2 % 2)
     return len(parities) == 1

@@ -464,6 +464,18 @@ def test_verify_catches_wrong_spin(table_rows):
     assert not report.passed
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["spin-norm"], f"BUG: wrong checks tripped: {failed}"
+    # the witness check's failing side: line 1001111's spin LKTs under the
+    # admissible table id 2011010 of equal |Lambda|^2 attain the norm, but
+    # no achieving PRV weight plus rho_c is conjugate to that character
+    src = next(r for r in table_rows if r.table_id == "1001111")
+    assert hp_admissible((2, 0, 1, 1, 0, 1, 0))
+    assert norm_sq_nu((2, 0, 1, 1, 0, 1, 0)) == norm_sq_nu(src.inf_char)
+    forged = type(src)(table_id="2011010", x=src.x, x_prime=src.x_prime, lam=src.lam,
+                       nu=src.nu, spin_lkts=src.spin_lkts, lkt_flags=src.lkt_flags,
+                       unipotent=src.unipotent)
+    report = verify_table_row(forged)
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["dominance-witness"], f"BUG: wrong checks tripped: {failed}"
 
 
 # ---------------------------------------------------------------------------

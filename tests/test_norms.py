@@ -18,6 +18,7 @@ from e7dirac.norms import (
     _project_in_chamber,
     _witness_c,
     atlas_height,
+    chamber_weights,
     cone_project,
     dirac_inequality_holds,
     enumerate_by_height,
@@ -255,16 +256,18 @@ def test_kernel_tables_weyl_invariant(chambers):
 
 
 def test_scan_weight_coords_against_pairings(datum, chambers):
-    # the K-type coordinates of each chamber's weights, as the height scan
-    # reads them off the chamber walk, against the Fraction pairings that
-    # define them: integral, with nonnegative e6 part
+    # the K-type coordinates of each chamber's weights, as chamber_weights()
+    # holds them for the height scan and the chamber images, against the
+    # Fraction pairings that define them: integral, with nonnegative e6 part
+    table = chamber_weights()
+    assert len(table) == len(chambers) == 56
     for ch in chambers:
-        for z in ch.weights:
+        for z, row in zip(ch.weights, table[ch.index], strict=True):
             coords = from_ambient("varpi", z)
             want = (tuple(pair_coroot(z, g) for g in datum.compact_simple)
                     + (2 * inner(z, datum.zeta),))
-            assert coords == want, f"BUG: chamber {ch.index}"
-            assert all(type(x) is int for x in coords) and min(coords[:6]) >= 0
+            assert coords == want == row, f"BUG: chamber {ch.index}"
+            assert all(type(x) is int for x in row) and min(row[:6]) >= 0
     assert sum(map(sum, weight_gram2())) == 2 * norm_sq(datum.rho)
 
 
@@ -324,12 +327,12 @@ def test_spin_tables_against_fraction_pairings(datum, chambers):
     varpi = datum.varpi
     assert t.gram12 == tuple(tuple(12 * inner(a, b) for b in varpi) for a in varpi)
     assert t.rc12 == tuple(12 * inner(w, datum.rho_c) for w in varpi)
-    assert t.norm12_rho_c == 12 * norm_sq(datum.rho_c) == 936
+    assert sum(t.rc12) == 12 * norm_sq(datum.rho_c) == 936
     units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
     for ch in chambers:
         j, r = ch.index, ch.rho_n_j
         assert t.rho_n[j] == from_ambient("varpi", r)
-        assert t.norm12_rho_n[j] == 12 * norm_sq(r)
+        assert norm12_ktype(t.rho_n[j]) == 12 * norm_sq(r)
         assert t.rc12_rho_n[j] == 12 * inner(r, datum.rho_c)
         # L_j(mu) - norm12_ktype(mu) = lin_j . mu + k_j is affine in mu, so
         # it is pinned by its values at 0 and the seven unit vectors
@@ -585,7 +588,7 @@ def test_count_range_matches_the_cut_child_by_child(chambers):
     # level, on the scan's own per-chamber tables: the kept counts are
     # contiguous and are the returned interval
     steps = height_steps()
-    tables = [_scan_tables(ch, steps) for ch in chambers]
+    tables = [_scan_tables(rows, steps) for rows in chamber_weights()]
     rng = random.Random(2022)
     empty = inner_lo = inner_hi = 0
     for _ in range(4000):
@@ -640,6 +643,9 @@ def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
         measured[mu] = _kernel_height(c)
         return measured[mu]
 
+    # the chamber table is built before the patch, so that the chambers
+    # seen are the scan's own, also when this test runs alone
+    chamber_weights()
     monkeypatch.setattr(norms, "enumerate_chambers", chambers)
     monkeypatch.setattr(norms, "_kernel_height", kernel_height)
     table = enumerate_by_height(320)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from math import isqrt
 
 import pytest
@@ -39,7 +39,7 @@ from e7dirac.structure import (
     scale,
     sub,
 )
-from e7dirac.weyl import dominant_rep, enumerate_chambers
+from e7dirac.weyl import apply_word, dominant_rep, enumerate_chambers
 
 from frozen_values import CERTS_KTYPES, HD_TWELVE, PHI_COEFF_ONE
 
@@ -119,7 +119,7 @@ def _reference_candidates():
     t = _tables()
     gram12 = t.gram12
     facets = usmall_facets()
-    ball12 = 4 * max(t.norm12_rho_n)
+    ball12 = 4 * max(map(norm12_ktype, t.rho_n))
     g_max = isqrt(ball12 // 2)
     out = []
     stack_a = [0] * 6
@@ -343,36 +343,62 @@ def test_omega_norms_in_window(omega):
 
 
 def test_candidates_at_rho_are_chamber_vectors():
-    cs = dirac_candidate_gammas(RHO)
-    assert len(cs.gammas) == 56
+    gammas = dirac_candidate_gammas(RHO)
+    assert len(gammas) == 56
     expected = {
         tuple(int(c) for c in from_ambient("varpi", ch.rho_n_j))
         for ch in enumerate_chambers()
     }
-    assert set(cs.gammas) == expected
-    assert (0, 0, 0, 0, 0, 0, 27) in cs.gammas
-    assert (0, 0, 0, 0, 0, 1, 25) in cs.gammas
+    assert set(gammas) == expected
+    assert (0, 0, 0, 0, 0, 0, 27) in gammas
+    assert (0, 0, 0, 0, 0, 1, 25) in gammas
 
 
 def test_candidates_scalar_module_pair():
-    cs = dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1))
-    assert (0, 0, 0, 0, 0, 0, 3) in cs.gammas
-    assert (0, 0, 0, 0, 0, 0, -3) in cs.gammas
+    gammas = dirac_candidate_gammas((1, 1, 1, 0, 1, 0, 1))
+    assert (0, 0, 0, 0, 0, 0, 3) in gammas
+    assert (0, 0, 0, 0, 0, 0, -3) in gammas
 
 
 def test_candidates_cover_hd_twelve():
-    cs = dirac_candidate_gammas((1, 1, 1, 0, 1, 1, 1))
-    missing = HD_TWELVE - set(cs.gammas)
+    gammas = dirac_candidate_gammas((1, 1, 1, 0, 1, 1, 1))
+    missing = HD_TWELVE - set(gammas)
     assert not missing, f"BUG: candidate set misses {missing}"
 
 
-def test_candidates_conjugate_back_to_character():
+def _ambient_candidates(lam):
+    """The candidate set by its ambient construction: each chamber's word
+    applied to the W(G)-dominant point of Lambda, minus rho_c, kept when
+    K-dominant, with the first chamber that gives it as its witness."""
     d = build_root_datum()
+    dom, _ = dominant_rep(infchar_ambient(lam), "G")
+    gammas = {}
+    for ch in enumerate_chambers():
+        gamma = sub(apply_word(ch.word, dom), d.rho_c)
+        if all(inner(gamma, g) >= 0 for g in d.compact_simple):
+            gammas.setdefault(from_ambient("varpi", gamma), ch.index)
+    return gammas
+
+
+def test_candidates_conjugate_back_to_character(table_rows):
+    # the table-read candidate set against the ambient construction, keys,
+    # witnesses and insertion order, for rho, every table character and
+    # every character in {0,1}^7 (empty for some, such as 0); and each
+    # candidate plus rho_c conjugate back to the character on a few of them
+    d = build_root_datum()
+    chars = [RHO, *(row.inf_char for row in table_rows), *product((0, 1), repeat=7)]
+    assert len(chars) == 1 + 40 + 128
+    sizes = []
+    for lam in chars:
+        gammas = dirac_candidate_gammas(lam)
+        assert list(gammas.items()) == list(_ambient_candidates(lam).items()), lam
+        sizes.append(len(gammas))
+    assert 0 in sizes and max(sizes) == 56
     for lam in (RHO, (1, 1, 1, 0, 1, 0, 1), (1, 0, 1, 1, 0, 1, 0)):
-        cs = dirac_candidate_gammas(lam)
-        assert 0 < len(cs.gammas) <= 56
+        gammas = dirac_candidate_gammas(lam)
+        assert 0 < len(gammas) <= 56
         target, _ = dominant_rep(infchar_ambient(lam), "G")
-        for coords in cs.gammas:
+        for coords in gammas:
             v = tuple(a + b for a, b in zip(ktype_ambient(coords), d.rho_c))
             back, _ = dominant_rep(v, "G")
             assert back == target, f"BUG: {coords}+rho_c leaves the orbit"
