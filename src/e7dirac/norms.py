@@ -28,12 +28,13 @@ is dominant, with weights z_i = w(zeta_i), v = sum y_i z_i with
 y_i = <v, (w alpha_i)^vee> = <w^{-1} v, alpha_i^vee>: y holds the
 zeta-coordinates of w^{-1} v, the one W(G)-dominant point of the orbit of
 v, the same in every such chamber.  _witness_c reads the zeta-coordinates
-of v off one integer table (zeta3) and walks: while some y_i < 0, it
-reflects at the lowest such i, y_k -> y_k - y_i A_ik (A the Cartan
-matrix).  s_i negates alpha_i and permutes the other positive roots, so
-the walk makes exactly as many reflections as there are positive roots
-pairing negatively with v.  v pairs >= 2 with every compact simple root,
-so every root it pairs negatively with is noncompact: at most 27.  (So a
+of v off one integer table (zeta3) and walks (dominant_zeta, shared with
+screening's candidate set): while some y_i < 0, it reflects at the lowest
+such i, y_k -> y_k - y_i A_ik (A the Cartan matrix).  s_i negates alpha_i
+and permutes the other positive roots, so the walk makes exactly as many
+reflections as there are positive roots pairing negatively with v.  v
+pairs >= 2 with every compact simple root, so every root it pairs
+negatively with is noncompact: at most 27.  (So a
 chamber where v is dominant exists: if w^{-1} v is dominant, each compact
 positive root pairs positively with v and is positive in w(Delta+).)
 With c_i = y_i - 1, as rho_j is the sum of the z_i,
@@ -76,7 +77,8 @@ the surviving counts form one interval of 0 <= n <= b // d_i, found by
 integer floor and ceiling division (_count_range).  The scan loops over
 that interval alone and checks the cut at the root, y = 0, once per
 chamber: it visits the same nodes in the same order as a test of every
-child would, and makes no call for a child that is cut.
+child would, and makes no call for a child that is cut.  Child n of a
+node gets the tuples mu + n row_i and y[:i] + (n,): nothing is undone.
 
 Spin kernel.  The spin norm is the minimum over the chambers j of
 v_j = 12 |p + rho_c|^2, p the K-dominant representative of
@@ -125,7 +127,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import add as int_add, mul
 
 from .simplex import adjugate, hull_facets
 from .structure import (
@@ -398,28 +400,35 @@ def _allowable_chambers(mu):
             yield ch.index
 
 
-def _witness_c(coords) -> list[int]:
-    """c = y - 1, y the zeta-coordinates of the W(G)-dominant representative
-    of mu + 2 rho_c: the walk of the module docstring, which reflects at the
+def dominant_zeta(y) -> list:
+    """The zeta-coordinates of the W(G)-dominant point of the orbit of
+    sum y_i zeta_i: the walk of the module docstring, which reflects at the
     lowest i with y_i < 0 until there is none."""
-    t = _tables()
-    a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
-    y = []
-    for row in t.zeta3:
-        q, r = divmod(row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
-                      + row[4] * a4 + row[5] * a5 + row[6] * g + row[7], 3)
-        assert not r, f"BUG: {coords} + 2rho_c is off the weight lattice"
-        y.append(q)
+    cartan = _tables().cartan
+    y = list(y)
     i = 0
     while i < RANK:
         yi = y[i]
         if yi < 0:
-            for k, a in t.cartan[i]:
+            for k, a in cartan[i]:
                 y[k] -= yi * a
             i = 0
         else:
             i += 1
-    return [v - 1 for v in y]
+    return y
+
+
+def _witness_c(coords) -> list[int]:
+    """c = y - 1, y the zeta-coordinates of the W(G)-dominant representative
+    of mu + 2 rho_c, read off zeta3 and walked by dominant_zeta."""
+    a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
+    y = []
+    for row in _tables().zeta3:
+        q, r = divmod(row[0] * a0 + row[1] * a1 + row[2] * a2 + row[3] * a3
+                      + row[4] * a4 + row[5] * a5 + row[6] * g + row[7], 3)
+        assert not r, f"BUG: {coords} + 2rho_c is off the weight lattice"
+        y.append(q)
+    return [v - 1 for v in dominant_zeta(y)]
 
 
 def _project_in_chamber(coords, j: int) -> Vec:
@@ -686,37 +695,35 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
-def _scan_tables(rows, steps) -> tuple[list, list, list]:
-    """The height scan's tables for one chamber, from its chamber_weights()
-    rows: p6[i] = (n_{k,i}) and pz2[i] = 2(z_i, zeta), so that mu has
-    a_k = sum y_i p6[i][k] - 2 and g = sum y_i pz2[i]; and reach[i][k] =
-    max over levels i' >= i of n_{k,i'} / d_{i'} (module docstring, scan
-    pruning) as an integer (numerator, denominator), the suffix maximum
-    compared by cross-multiplication.  Past the last level reach is 0, so
-    the cut there is the leaf condition a_k >= 0."""
-    p6 = [r[:6] for r in rows]
-    pz2 = [r[6] for r in rows]
+def _scan_reach(rows, steps) -> list:
+    """The height scan's prune table for one chamber, from its
+    chamber_weights() rows: reach[i][k] = max over levels i' >= i of
+    n_{k,i'} / d_{i'} (module docstring, scan pruning) as an integer
+    (numerator, denominator), the suffix maximum compared by
+    cross-multiplication.  Past the last level reach is 0, so the cut
+    there is the leaf condition a_k >= 0."""
     reach = [((0, 1),) * 6]
     for i in range(RANK - 1, -1, -1):
         reach.append(tuple(
             (n, steps[i]) if n * den >= num * steps[i] else (num, den)
-            for n, (num, den) in zip(p6[i], reach[-1])
+            for n, (num, den) in zip(rows[i], reach[-1])
         ))
     reach.reverse()
-    return p6, pz2, reach
+    return reach
 
 
-def _count_range(acc_a, budget: int, row, step: int, reach_next) -> tuple[int, int] | None:
+def _count_range(mu, budget: int, row, step: int, reach_next) -> tuple[int, int] | None:
     """The counts n at one level of the height scan whose child survives the
     prune cut, as an interval (lo, hi), or None when none does.
 
-    Child n has a_k + n row_k and budget - n step, and survives iff
-    (a_k + n row_k) den_k + (budget - n step) num_k >= 0 for every k, with
+    Child n has a_k + n n_{k,i} and budget - n step, and survives iff
+    (a_k + n n_{k,i}) den_k + (budget - n step) num_k >= 0 for every k, with
     (num_k, den_k) = reach_next[k] (module docstring, scan pruning): each
     condition is c0 + n c1 >= 0, linear in n, so their intersection with
-    0 <= n <= budget // step is one interval."""
+    0 <= n <= budget // step is one interval.  mu and row hold all seven
+    coordinates; zip stops at reach_next's six, so g takes no part."""
     lo, hi = 0, budget // step
-    for a, r, (num, den) in zip(acc_a, row, reach_next):
+    for a, r, (num, den) in zip(mu, row, reach_next):
         c0 = a * den + budget * num
         c1 = r * den - step * num
         if c1 > 0:
@@ -750,51 +757,39 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
     weights = chamber_weights()
     for ch in enumerate_chambers():
-        p6, pz2, reach = _scan_tables(weights[ch.index], steps)
-        y = [0] * RANK
-        acc_a = [-2] * 6  # running a_k including the -2 rho_c shift
-        acc_g = 0
+        rows = weights[ch.index]
+        reach = _scan_reach(rows, steps)
         # the cut at the root, y = 0; _count_range cuts every later node
         if any(-2 * den + budget_cap * num < 0 for num, den in reach[0]):
             continue
 
-        def descend(i: int, budget: int):
-            nonlocal acc_g
+        def descend(i: int, budget: int, mu: tuple, y: tuple):
+            # mu = sum over the levels so far of y_i row_i - 2 rho_c
             if i == RANK:
-                mu = tuple(acc_a) + (acc_g,)
                 if mu not in out:
                     assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
-                    if all(yv >= 1 for yv in y):
+                    if min(y) >= 1:
                         h = budget_cap - budget - two_rho_norm
                     else:
-                        key = tuple(y)
-                        h = heights.get(key)
+                        h = heights.get(y)
                         if h is None:
-                            h = heights[key] = _kernel_height([yv - 1 for yv in y])
+                            h = heights[y] = _kernel_height([v - 1 for v in y])
                     if h <= cap:
                         out[mu] = h
                 return
             step = steps[i]
-            row = p6[i]
-            span = _count_range(acc_a, budget, row, step, reach[i + 1])
+            row = rows[i]
+            span = _count_range(mu, budget, row, step, reach[i + 1])
             if span is None:
                 return
             lo, hi = span
-            zstep = pz2[i]
-            for k in range(6):
-                acc_a[k] += lo * row[k]
-            acc_g += lo * zstep
+            mu = tuple(m + lo * r for m, r in zip(mu, row))
+            budget -= lo * step
             for count in range(lo, hi + 1):
-                y[i] = count
-                descend(i + 1, budget - count * step)
-                for k in range(6):
-                    acc_a[k] += row[k]
-                acc_g += zstep
-            y[i] = 0
-            for k in range(6):
-                acc_a[k] -= (hi + 1) * row[k]
-            acc_g -= (hi + 1) * zstep
+                descend(i + 1, budget, mu, y + (count,))
+                mu = tuple(map(int_add, mu, row))
+                budget -= step
 
-        descend(0, budget_cap)
+        descend(0, budget_cap, (-2,) * 6 + (0,), ())
         del descend  # a self-calling closure is a cycle that would keep `out` alive
     return out

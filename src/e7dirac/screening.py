@@ -35,15 +35,14 @@ from operator import mul, sub as int_sub
 
 from .norms import (
     chamber_images,
-    infchar_ambient,
+    dominant_zeta,
     infchar_norm_sq,
     lambda_norm_sq_fast,
     spin_sq12,
     usmall_facets,
     weight_gram2,
 )
-from .structure import from_ambient, ktype_form
-from .weyl import dominant_rep
+from .structure import ktype_form
 
 # The sixteen positivity sums on a 7-tuple [a..g]: six pairs and ten triples.
 ADMISSIBILITY_SUMS: tuple[tuple[int, ...], ...] = (
@@ -53,16 +52,23 @@ ADMISSIBILITY_SUMS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def hp_admissible(lam) -> bool:
-    """Nonnegative integer coordinates with every one of the sixteen
-    admissibility sums strictly positive."""
+def _naturals(lam) -> list[int] | None:
+    """The coordinates as ints when every one is a nonnegative integer,
+    else None."""
     vals = []
     for c in lam:
         f = Fraction(c)
         if f.denominator != 1 or f < 0:
-            return False
+            return None
         vals.append(int(f))
-    return all(sum(vals[i] for i in s) > 0 for s in ADMISSIBILITY_SUMS)
+    return vals
+
+
+def hp_admissible(lam) -> bool:
+    """Nonnegative integer coordinates with every one of the sixteen
+    admissibility sums strictly positive."""
+    vals = _naturals(lam)
+    return vals is not None and all(sum(vals[i] for i in s) > 0 for s in ADMISSIBILITY_SUMS)
 
 
 def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
@@ -74,12 +80,9 @@ def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
     nonzero Dirac cohomology."""
     if tuple(zero_indices) not in ADMISSIBILITY_SUMS:
         raise ValueError(f"{zero_indices} is not one of the sixteen admissibility sums")
-    vals = []
-    for c in lam:
-        f = Fraction(c)
-        if f.denominator != 1 or f < 0:
-            raise ValueError(f"coordinates must be nonnegative integers, got {lam}")
-        vals.append(int(f))
+    vals = _naturals(lam)
+    if vals is None:
+        raise ValueError(f"coordinates must be nonnegative integers, got {lam}")
     for i in zero_indices:
         if vals[i] != 0:
             raise ValueError(
@@ -108,15 +111,13 @@ def _census_scan() -> list[tuple[int, ...]]:
     bound_cols = [tuple(u[i] for u, _ in bounds) for i in range(6)]
     gs = tuple(u[6] for u, _ in bounds)
     out = []
-    stack_a = [0] * 6
 
-    def scan(i: int, flat_slack, bound_slack):
+    def scan(i: int, flat_slack, bound_slack, prefix: tuple):
         # the slacks are h minus the facet sums of the a-prefix
         if i == 6:
             hi = min(s // ug for s, ug in zip(bound_slack, gs) if ug > 0)
             lo = max(-(s // -ug) for s, ug in zip(bound_slack, gs) if ug < 0)
-            base = ktype_form(stack_a)
-            prefix = tuple(stack_a)
+            base = ktype_form(prefix)
             for g in range(lo + (base - lo) % 3, hi + 1, 3):
                 out.append(prefix + (g,))
             return
@@ -124,13 +125,11 @@ def _census_scan() -> list[tuple[int, ...]]:
         for a in count():
             if min(flat_slack) < 0:
                 break
-            stack_a[i] = a
-            scan(i + 1, flat_slack, bound_slack)
+            scan(i + 1, flat_slack, bound_slack, prefix + (a,))
             flat_slack = tuple(map(int_sub, flat_slack, fcol))
             bound_slack = tuple(map(int_sub, bound_slack, bcol))
-        stack_a[i] = 0
 
-    scan(0, tuple(h for _, h in flat), tuple(h for _, h in bounds))
+    scan(0, tuple(h for _, h in flat), tuple(h for _, h in bounds), ())
     del scan  # a self-calling closure is a cycle that would keep `out` alive
     return out
 
@@ -295,10 +294,10 @@ def dirac_candidate_gammas(lam) -> dict[tuple, int]:
     set ("if" is clear).  For "only if": x = p + rho_c is K-dominant and
     K-regular, so a positive system containing Delta+(k) makes x dominant
     (that of a regular point near x).  It is a chamber's, w_j(Delta+), so
-    w_j^{-1} x = Lambda_dom and p = w_j(Lambda_dom) - rho_c."""
-    dom, _ = dominant_rep(infchar_ambient(lam), "G")
+    w_j^{-1} x = Lambda_dom and p = w_j(Lambda_dom) - rho_c.  Lambda_dom
+    comes from norms.dominant_zeta, the lambda kernel's walk."""
     gammas: dict[tuple, int] = {}
-    for j, (*a, g) in enumerate(chamber_images(from_ambient("zeta", dom))):
+    for j, (*a, g) in enumerate(chamber_images(dominant_zeta(lam))):
         if min(a) >= 1:
             gammas.setdefault(tuple(x - 1 for x in a) + (g,), j)
     return gammas

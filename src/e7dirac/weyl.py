@@ -13,6 +13,10 @@ the K-dominant world.
 
 Vectors are the scaled Vecs of structure: on the weight lattice every walk
 here compares and adds ints.
+
+The pipeline walks W(G) on zeta-coordinates (norms.dominant_zeta), so
+dominant_rep is the tests' reference for that walk, and the W(K) walk of
+the spin_datum oracle and of the spin tables' check in norms.
 """
 
 from __future__ import annotations

@@ -142,6 +142,19 @@ def test_dirac_candidates_scalar_pair():
     assert got == {"0,0,0,0,0,0,3", "0,0,0,0,0,0,-3"}
 
 
+def test_dirac_candidates_non_dominant_char(capsys):
+    # 1,1,-2,2,1,1,1 is the default character 1,1,1,0,1,1,1 moved by two
+    # simple reflections: the same W(G)-orbit, so the same bytes.  A
+    # negative coordinate needs the --inf-char=... form; separated by a
+    # space, argparse reads it as an option
+    moved = run_cli(["dirac-candidates", "--inf-char=1,1,-2,2,1,1,1"])
+    assert moved == run_cli(["dirac-candidates", "--inf-char", "1,1,1,0,1,1,1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["dirac-candidates", "--inf-char", "-1,2,1,1,1,1,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_inline_census_slice_matches_frozen():
     # the criteria carry their own copies of the 23 size-1 census members and
     # of the twelve candidate weights; the frozen copies are the reference

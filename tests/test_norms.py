@@ -11,7 +11,7 @@ from e7dirac.norms import (
     _allowable_chambers,
     _check_spin_lemmas,
     _count_range,
-    _scan_tables,
+    _scan_reach,
     _tables,
     _kernel_height,
     _lambda_kernel,
@@ -585,26 +585,29 @@ def test_height_scan_pruning_is_complete(datum, chambers):
 
 def test_count_range_matches_the_cut_child_by_child(chambers):
     # _count_range against the prune cut tested on each child n of the
-    # level, on the scan's own per-chamber tables: the kept counts are
-    # contiguous and are the returned interval
+    # level, on the scan's own per-chamber rows and reach tables: the kept
+    # counts are contiguous and are the returned interval.  mu and row carry
+    # all seven coordinates, as in the scan; the cut reads a_1..a_6 alone,
+    # so a random g must not move the interval
     steps = height_steps()
-    tables = [_scan_tables(rows, steps) for rows in chamber_weights()]
+    tables = [(rows, _scan_reach(rows, steps)) for rows in chamber_weights()]
     rng = random.Random(2022)
     empty = inner_lo = inner_hi = 0
     for _ in range(4000):
-        p6, _, reach = rng.choice(tables)
-        i = rng.randrange(len(p6))
+        rows, reach = rng.choice(tables)
+        i = rng.randrange(len(rows))
         low = rng.choice((-40, -8, -2))
-        acc_a = [rng.randint(low, 40) for _ in range(6)]
+        mu = tuple(rng.randint(low, 40) for _ in range(6)) + (rng.randint(-500, 500),)
         budget = rng.randint(0, 800)
-        row, step, nxt = p6[i], steps[i], reach[i + 1]
+        row, step, nxt = rows[i], steps[i], reach[i + 1]
+        assert len(row) == 7 and len(nxt) == 6
         kept = []
         for n in range(budget // step + 1):
-            a = [x + n * r for x, r in zip(acc_a, row)]
+            a = [x + n * r for x, r in zip(mu[:6], row[:6])]
             left = budget - n * step
             if not any(ak < 0 and ak * den + left * num < 0 for ak, (num, den) in zip(a, nxt)):
                 kept.append(n)
-        got = _count_range(acc_a, budget, row, step, nxt)
+        got = _count_range(mu, budget, row, step, nxt)
         if not kept:
             assert got is None, f"BUG: {got} for an empty level"
             empty += 1

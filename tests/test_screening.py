@@ -36,6 +36,7 @@ from e7dirac.structure import (
     from_ambient,
     inner,
     norm_sq,
+    reflect,
     scale,
     sub,
 )
@@ -380,20 +381,44 @@ def _ambient_candidates(lam):
     return gammas
 
 
+def _moved_off_dominant(lam, rng):
+    """lam after three simple reflections in the ambient space, each at an
+    i with lam_i > 0 at that step: each adds alpha_i to the positive roots
+    pairing negatively with lam, so the result is not dominant."""
+    d = build_root_datum()
+    for _ in range(3):
+        i = rng.choice([i for i, c in enumerate(lam) if c > 0])
+        lam = from_ambient("zeta", reflect(infchar_ambient(lam), d.simple_roots[i]))
+    return lam
+
+
 def test_candidates_conjugate_back_to_character(table_rows):
     # the table-read candidate set against the ambient construction, keys,
     # witnesses and insertion order, for rho, every table character and
-    # every character in {0,1}^7 (empty for some, such as 0); and each
-    # candidate plus rho_c conjugate back to the character on a few of them
+    # every character in {0,1}^7 (empty for some, such as 0); then for
+    # non-dominant characters (rho and the table characters moved off the
+    # dominant chamber, and a sample of {-1,0,1}^7), where the set must
+    # also be that of the character's dominant point; and each candidate
+    # plus rho_c conjugate back to the character on a few of them
     d = build_root_datum()
-    chars = [RHO, *(row.inf_char for row in table_rows), *product((0, 1), repeat=7)]
+    dominant = [RHO, *(row.inf_char for row in table_rows)]
+    chars = [*dominant, *product((0, 1), repeat=7)]
     assert len(chars) == 1 + 40 + 128
+    rng = random.Random(24)
+    moved = [_moved_off_dominant(lam, rng) for lam in dominant]
+    assert all(min(lam) < 0 for lam in moved)
+    sampled = rng.sample(list(product((-1, 0, 1), repeat=7)), 100)
     sizes = []
-    for lam in chars:
+    for lam in chars + moved + sampled:
         gammas = dirac_candidate_gammas(lam)
         assert list(gammas.items()) == list(_ambient_candidates(lam).items()), lam
         sizes.append(len(gammas))
     assert 0 in sizes and max(sizes) == 56
+    for lam, base in zip(moved + sampled, dominant + [None] * len(sampled)):
+        dom = from_ambient("zeta", dominant_rep(infchar_ambient(lam), "G")[0])
+        assert base is None or dom == tuple(base), (lam, base)
+        got = list(dirac_candidate_gammas(lam).items())
+        assert got == list(dirac_candidate_gammas(dom).items()), lam
     for lam in (RHO, (1, 1, 1, 0, 1, 0, 1), (1, 0, 1, 1, 0, 1, 0)):
         gammas = dirac_candidate_gammas(lam)
         assert 0 < len(gammas) <= 56
