@@ -33,6 +33,7 @@ from .norms import (
     ktype_ambient,
     lambda_datum,
     lambda_norm_sq_fast,
+    lambda_witness,
     norm12_ktype,
     spin_sq12,
 )
@@ -341,12 +342,17 @@ def _random_ktype(rng, span=4, gspan=5):
     return tuple(a) + (ktype_form(a) + 3 * rng.randint(-gspan, gspan),)
 
 
-def ularge_gap_bounded(mu, lam) -> bool:
+def ularge_gap_bounded(mu, lam, first=None) -> bool:
     """spin - lam <= ULARGE_GAP_MAX for the K-type mu of lambda norm lam:
     12 spin is an integer, so this is 12 spin < floor = floor(12 (lam +
-    79)) + 1, and the first chamber value below the floor settles it."""
+    79)) + 1, and the first chamber value below the floor settles it.  The
+    spin kernel walks chamber first before the others: the property suite
+    passes the j* of the witness walk that gave lam (norms.lambda_witness);
+    by default it is taken from a walk of its own."""
+    if first is None:
+        first = lambda_witness(mu)[2]
     floor = math.floor(12 * (lam + ULARGE_GAP_MAX)) + 1
-    return spin_sq12(mu, floor) < floor
+    return spin_sq12(mu, floor, first) < floor
 
 
 def property_suite(ctx):
@@ -388,8 +394,9 @@ def property_suite(ctx):
     positive = False
     for mu in points:
         if mu not in ctx.census:
-            lam = lambda_norm_sq_fast(mu)
-            ok = ok and ularge_gap_bounded(mu, lam)
+            n, d, first = lambda_witness(mu)
+            lam = Fraction(n, d)
+            ok = ok and ularge_gap_bounded(mu, lam, first)
             positive = positive or spin_sq12(mu) > 12 * lam
     props.append(("ularge-gap-bounded", ok and positive))
 

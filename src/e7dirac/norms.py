@@ -98,10 +98,11 @@ Neither needs a walk: L_j = norm12_ktype(mu) + lin_j . mu + k_j with
 lin_j = (2 rc12 - 2 w12_j, -4 g(rho_n_j)), w12_j = 12 (varpi_i, rho_n_j),
 and k_j = 12|rho_n_j|^2 + 936 - 2 rho_n_j . rc12 (the table spin_bound);
 t_j = mu . rc12 - rho_n_j . rc12 (the table rc12_rho_n), as rho_c is
-orthogonal to zeta.  _spin_walk visits the chambers in ascending L'_j and
-stops at the first with L'_j >= the least v so far, since no later
-chamber can go below it; when the achieving chambers are wanted it stops
-only at L'_j > that value, so that tied chambers are walked.
+orthogonal to zeta.  _spin_walk visits the chambers in ascending L'_j
+(after a first chamber, below) and stops at the first with L'_j >= the
+least v so far, since no later chamber can go below it; when the
+achieving chambers are wanted it stops only at L'_j > that value, so that
+tied chambers are walked.
 
 Running value.  The walk starts at p = y, where 12 |p + rho_c|^2 = L_j,
 and reflects at the first i with p_i < 0: p -> p - p_i gamma_i.  The
@@ -116,6 +117,24 @@ floor, which bounds the spin norm from above, and otherwise the exact
 minimum; a dropped chamber lies at or above the least value so far, which
 is not below the floor, so no early return is lost.
 
+First chamber.  Every v_j bounds the spin norm from above, as the spin
+norm is their minimum.  So _spin_walk may walk any chamber first: a value
+below the floor shows 12 spin below it, and a value at or above it only
+seeds the least value, so no early return is lost.  The kernel's callers
+walk j* first, the chamber where v = mu + 2 rho_c is dominant that the
+lambda walk ends in.  The walk reflects at i_1, then i_2, ..., i_m, so it
+ends at w^{-1} v with w = s_{i_1} ... s_{i_m}, and v is dominant in the
+chamber w(Delta+), whose rho is rho_j* = w(rho) = s_{i_1}(... s_{i_m}(rho)).
+_word_chamber replays the word backwards on rho's zeta-coordinates
+(1, ..., 1) with the same Cartan updates, and looks the result up among
+the 56 rho_j (_rho_chambers, built on first use); lambda_witness returns
+j* with the lambda norm of the same walk.  (The tests check that j* is the
+first chamber, in chamber order, where v is dominant.)  Why j* first: with
+c = y - 1 >= 0, eta = mu - rho_n_j* + rho_c lies in the cone, so lambda_a =
+eta; if also mu - rho_n_j* is K-dominant, p = mu - rho_n_j* and v_j* =
+12 |eta|^2 = 12 lambda, 12 * 94 under the certificate floor.  Over the
+u-small census j* alone rejects all but 166 of the 21294 members.
+
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.
 """
@@ -127,7 +146,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import add as int_add, mul
+from operator import add as int_add, itemgetter, mul, sub as int_sub
 
 from .simplex import adjugate, hull_facets
 from .structure import (
@@ -182,9 +201,15 @@ class _Tables:
     cartan: tuple[tuple[tuple[int, int], ...], ...]
     rc12: tuple[int, ...]  # 12*(varpi_i, rho_c)
     gram12: tuple[tuple[int, ...], ...]  # 12*(varpi_i, varpi_k)
+    # the upper triangle of gram12 row by row, the entries off the diagonal
+    # doubled: the 21 coefficients of the quadratic form a . gram12 a
+    tri12: tuple[int, ...]
     # the K-type coordinates of the compact simple roots: (row i of the
     # Cartan matrix of k, 0), as every compact root is orthogonal to zeta
     gamma: tuple[tuple[int, ...], ...]
+    # row i of gamma as its nonzero entries (k, n) among the first six: the
+    # reflection p -> p - p_i gamma_i of the spin kernel's walk
+    gamma_sparse: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _check_spin_lemmas(rho_c: Vec, gamma, rc12) -> None:
@@ -244,7 +269,9 @@ def _tables() -> _Tables:
         cartan=cartan,
         rc12=rc12,
         gram12=gram12,
+        tri12=tuple(gram12[i][k] * (1 if i == k else 2) for i in range(6) for k in range(i, 6)),
         gamma=gamma,
+        gamma_sparse=tuple(tuple((k, n) for k, n in enumerate(row[:6]) if n) for row in gamma),
     )
 
 
@@ -330,16 +357,17 @@ def infchar_norm_sq(coords) -> Fraction:
 
 
 def norm12_ktype(coords) -> int:
-    """12 * |mu|^2 from the coordinates, exact."""
-    t = _tables()
-    a = [int(v) for v in coords[:6]]
-    g = int(coords[6])
-    total = 2 * g * g
-    for i in range(6):
-        if a[i]:
-            row = t.gram12[i]
-            total += a[i] * sum(row[k] * a[k] for k in range(6))
-    return total
+    """12 * |mu|^2 from the integer coordinates, exact: a . gram12 a + 2 g^2
+    (as 12 (zeta, zeta) / 9 = 2), the form unpacked on its upper triangle
+    tri12."""
+    a, b, c, d, e, f, g = coords
+    (q00, q01, q02, q03, q04, q05, q11, q12, q13, q14, q15,
+     q22, q23, q24, q25, q33, q34, q35, q44, q45, q55) = _tables().tri12
+    return (a * (q00 * a + q01 * b + q02 * c + q03 * d + q04 * e + q05 * f)
+            + b * (q11 * b + q12 * c + q13 * d + q14 * e + q15 * f)
+            + c * (q22 * c + q23 * d + q24 * e + q25 * f)
+            + d * (q33 * d + q34 * e + q35 * f)
+            + e * (q44 * e + q45 * f) + q55 * f * f + 2 * g * g)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +428,11 @@ def _allowable_chambers(mu):
             yield ch.index
 
 
-def dominant_zeta(y) -> list:
+def dominant_zeta(y, word: list | None = None) -> list:
     """The zeta-coordinates of the W(G)-dominant point of the orbit of
     sum y_i zeta_i: the walk of the module docstring, which reflects at the
-    lowest i with y_i < 0 until there is none."""
+    lowest i with y_i < 0 until there is none.  Given a list word, the walk
+    appends to it each index it reflects at, in order."""
     cartan = _tables().cartan
     y = list(y)
     i = 0
@@ -412,15 +441,42 @@ def dominant_zeta(y) -> list:
         if yi < 0:
             for k, a in cartan[i]:
                 y[k] -= yi * a
+            if word is not None:
+                word.append(i)
             i = 0
         else:
             i += 1
     return y
 
 
-def _witness_c(coords) -> list[int]:
+@lru_cache(maxsize=1)
+def _rho_chambers() -> dict[tuple[int, ...], int]:
+    """Each chamber's index keyed by the zeta-coordinates of rho_j,
+    <rho_j, alpha_i^vee>: 56 distinct keys, rho's own (1, ..., 1) the key
+    of chamber 0."""
+    table = {tuple(_int(x, "rho_j coordinate") for x in from_ambient("zeta", ch.rho_j)): ch.index
+             for ch in enumerate_chambers()}
+    assert len(table) == 56 and table[(1,) * RANK] == 0, "BUG: rho_j keys"
+    return table
+
+
+def _word_chamber(word) -> int:
+    """The chamber j* = w(Delta+) of a walk's word (i_1, ..., i_m), w =
+    s_{i_1} ... s_{i_m} (module docstring, first chamber): the word replayed
+    backwards on rho's zeta-coordinates gives those of rho_j* = w(rho)."""
+    cartan = _tables().cartan
+    r = [1] * RANK
+    for i in reversed(word):
+        ri = r[i]
+        for k, a in cartan[i]:
+            r[k] -= ri * a
+    return _rho_chambers()[tuple(r)]
+
+
+def _witness_c(coords, word: list | None = None) -> list[int]:
     """c = y - 1, y the zeta-coordinates of the W(G)-dominant representative
-    of mu + 2 rho_c, read off zeta3 and walked by dominant_zeta."""
+    of mu + 2 rho_c, read off zeta3 and walked by dominant_zeta (which
+    records the walk's word in word when one is given)."""
     a0, a1, a2, a3, a4, a5, g = (int(v) for v in coords)
     y = []
     for row in _tables().zeta3:
@@ -428,7 +484,7 @@ def _witness_c(coords) -> list[int]:
                       + row[4] * a4 + row[5] * a5 + row[6] * g + row[7], 3)
         assert not r, f"BUG: {coords} + 2rho_c is off the weight lattice"
         y.append(q)
-    return [v - 1 for v in dominant_zeta(y)]
+    return [v - 1 for v in dominant_zeta(y, word)]
 
 
 def _project_in_chamber(coords, j: int) -> Vec:
@@ -457,11 +513,27 @@ def lambda_datum(mu) -> LambdaDatum:
     )
 
 
+def _lambda_sq(c) -> tuple[int, int]:
+    """|lambda_a|^2 = n / d for the witness walk's c, as integers (n, d),
+    d = 2 det H_SS > 0: num . r_S / (2 det) from the lambda kernel."""
+    face, num, r = _lambda_kernel(c)
+    return sum(v * r[i] for i, v in zip(face.members, num)), 2 * face.det
+
+
 def lambda_norm_sq_fast(mu) -> Fraction:
     """Same value as lambda_datum(mu).lambda_norm_sq, from the integer
     kernel on the witness walk's c (a tested invariant)."""
-    face, num, r = _lambda_kernel(_witness_c(mu))
-    return Fraction(sum(v * r[i] for i, v in zip(face.members, num)), 2 * face.det)
+    return Fraction(*_lambda_sq(_witness_c(mu)))
+
+
+def lambda_witness(mu) -> tuple[int, int, int]:
+    """(n, d, j*) from one witness walk: |lambda_a|^2 = n / d with d > 0,
+    and j* the chamber where mu + 2 rho_c is dominant that the walk's word
+    names (module docstring, first chamber), the spin kernel's first
+    chamber."""
+    word: list[int] = []
+    n, d = _lambda_sq(_witness_c(mu, word))
+    return n, d, _word_chamber(word)
 
 
 # ---------------------------------------------------------------------------
@@ -526,67 +598,95 @@ class SpinDatum:
     prv_weights: dict  # chamber -> K-type coordinates of {mu - rho_n_j}
 
 
-def _spin_walk(coords, floor: int, ties: bool) -> tuple[int, list[tuple[int, list[int]]]]:
-    """The spin kernel (module docstring): chambers in ascending order of
-    the symmetric bound L'_j, each walked to the K-dominant representative
-    p of mu - rho_n_j on the pairings with the compact simple coroots, the
-    running value 12 |p + rho_c|^2 raised by -24 p_i at each reflection and
-    the walk dropped once that value shows the chamber can neither win nor
-    tie.  Returns (v, [(j, first six coordinates of p)]): the first v_j
-    below floor with its chamber, or else the minimum and its chambers,
-    every one of them when ties is set."""
-    t = _tables()
-    a = [int(v) for v in coords[:6]]
-    a0, a1, a2, a3, a4, a5 = a
-    g = int(coords[6])
-    m12 = norm12_ktype(coords)
-    arc = sum(map(mul, a, t.rc12))  # 12 (mu, rho_c)
-    lows, sharp = [], []
-    for (l0, l1, l2, l3, l4, l5, l6, k), rnrc in zip(t.spin_bound, t.rc12_rho_n):
+def _walk_chamber(t: _Tables, a, j: int, low: int, sharp: int, stop):
+    """Chamber j of the spin kernel: p = mu - rho_n_j on its first six
+    coordinates (a those of mu) walked to the K-dominant representative on
+    the pairings with the compact simple coroots, the running value
+    12 |p + rho_c|^2 starting at L_j = low and raised by -24 p_i at each
+    reflection.  Returns (v_j, p), or None as soon as the running value
+    reaches stop (never when stop is None); a walk that ends asserts
+    v_j >= L'_j = sharp."""
+    p = list(map(int_sub, a, t.rho_n[j]))
+    v = low
+    i = 0
+    while i < 6:
+        pi = p[i]
+        if pi < 0:
+            v -= 24 * pi
+            if stop is not None and v >= stop:
+                return None
+            for k, n in t.gamma_sparse[i]:
+                p[k] -= pi * n
+            i = 0
+        else:
+            i += 1
+    assert v >= sharp, f"BUG: chamber {j} value {v} under its bound {sharp} at {a}"
+    return v, p
+
+
+def _spin_bounds(t: _Tables, chambers, mu, arc: int):
+    """(j, L_j, L'_j) for each chamber j of chambers (module docstring, spin
+    kernel): L_j = norm12_ktype(mu) + lin_j . mu + k_j, and with t_j =
+    12 (y, rho_c) = arc - rnrc, L'_j = L_j + max(0, -4 t_j)."""
+    a0, a1, a2, a3, a4, a5, g = mu
+    m12 = norm12_ktype(mu)
+    for j in chambers:
+        l0, l1, l2, l3, l4, l5, l6, k = t.spin_bound[j]
         low = m12 + k + l0 * a0 + l1 * a1 + l2 * a2 + l3 * a3 + l4 * a4 + l5 * a5 + l6 * g
-        lows.append(low)
-        # t_j = 12 (y, rho_c) = arc - rnrc; L'_j = L_j + max(0, -4 t_j)
-        sharp.append(low + 4 * (rnrc - arc) if rnrc > arc else low)
+        rnrc = t.rc12_rho_n[j]
+        yield j, low, (low + 4 * (rnrc - arc) if rnrc > arc else low)
+
+
+def _spin_order(t: _Tables, mu, arc: int, first: int | None):
+    """(j, L_j, L'_j) in the order the spin kernel walks the chambers:
+    chamber first, when given, and then the others in ascending L'_j.  The
+    56 bounds are built and sorted only when the walk asks for more than
+    the first chamber."""
+    if first is not None:
+        yield from _spin_bounds(t, (first,), mu, arc)
+    for entry in sorted(_spin_bounds(t, range(len(t.spin_bound)), mu, arc), key=itemgetter(2)):
+        if entry[0] != first:
+            yield entry
+
+
+def _spin_walk(coords, floor: int, ties: bool,
+               first: int | None = None) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The spin kernel (module docstring): the chambers in the order of
+    _spin_order, each walked by _walk_chamber, a walk dropped once its
+    running value shows the chamber can neither win nor tie.  Returns (v,
+    [(j, first six coordinates of p)]): the first v_j below floor with its
+    chamber, or else the minimum and its chambers, every one of them when
+    ties is set."""
+    t = _tables()
+    mu = tuple(int(v) for v in coords)
+    a = mu[:6]
+    arc = sum(map(mul, a, t.rc12))  # 12 (mu, rho_c)
     slack = 1 if ties else 0
     best, achievers = None, []
-    for j in sorted(range(len(lows)), key=sharp.__getitem__):
-        if best is not None and sharp[j] >= best + slack:
+    for j, low, sharp in _spin_order(t, mu, arc, first):
+        if best is not None and sharp >= best + slack:
             break
-        rn = t.rho_n[j]
-        p = [a[i] - rn[i] for i in range(6)]
-        v = lows[j]  # 12 |p + rho_c|^2, exact at every step
-        i = 0
-        while i < 6:
-            pi = p[i]
-            if pi < 0:
-                v -= 24 * pi
-                if best is not None and v >= best + slack:
-                    break  # v_j >= v: chamber j can neither win nor tie
-                row = t.gamma[i]
-                for k in range(6):
-                    if row[k]:
-                        p[k] -= pi * row[k]
-                i = 0
-            else:
-                i += 1
-        else:
-            assert v >= sharp[j], (
-                f"BUG: chamber {j} value {v} under its bound {sharp[j]} at {coords}")
-            if v < floor:
-                return v, [(j, p)]
-            if best is None or v < best:
-                best, achievers = v, [(j, p)]
-            elif v == best:
-                achievers.append((j, p))
+        walked = _walk_chamber(t, a, j, low, sharp, None if best is None else best + slack)
+        if walked is None:
+            continue  # v_j >= best + slack: chamber j can neither win nor tie
+        v, p = walked
+        if v < floor:
+            return v, [(j, p)]
+        if best is None or v < best:
+            best, achievers = v, [(j, p)]
+        elif v == best:
+            achievers.append((j, p))
     return best, achievers
 
 
-def spin_sq12(coords, floor: int = 0) -> int:
+def spin_sq12(coords, floor: int = 0, first: int | None = None) -> int:
     """12 * spin_norm_sq as a machine integer; the census-loop kernel.
     With a floor, the first chamber value below the floor comes back in
     place of the minimum: a result below the floor shows that 12 *
-    spin_norm_sq is below it too, and a result at or above it is exact."""
-    return _spin_walk(coords, floor, False)[0]
+    spin_norm_sq is below it too, and a result at or above it is exact.
+    The chamber first, when given, is walked before all others (module
+    docstring, first chamber); the contract is the same for any chamber."""
+    return _spin_walk(coords, floor, False, first)[0]
 
 
 def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
@@ -712,6 +812,14 @@ def _scan_reach(rows, steps) -> list:
     return reach
 
 
+@lru_cache(maxsize=1)
+def chamber_reach() -> tuple[list, ...]:
+    """_scan_reach of each chamber's chamber_weights() rows, in chamber
+    order, built on first use."""
+    steps = height_steps()
+    return tuple(_scan_reach(rows, steps) for rows in chamber_weights())
+
+
 def _count_range(mu, budget: int, row, step: int, reach_next) -> tuple[int, int] | None:
     """The counts n at one level of the height scan whose child survives the
     prune cut, as an interval (lo, hi), or None when none does.
@@ -755,10 +863,9 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
     heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
-    weights = chamber_weights()
+    weights, reaches = chamber_weights(), chamber_reach()
     for ch in enumerate_chambers():
-        rows = weights[ch.index]
-        reach = _scan_reach(rows, steps)
+        rows, reach = weights[ch.index], reaches[ch.index]
         # the cut at the root, y = 0; _count_range cuts every later node
         if any(-2 * den + budget_cap * num < 0 for num, den in reach[0]):
             continue

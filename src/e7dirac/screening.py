@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from math import ceil, isqrt
+from math import isqrt
 from operator import mul, sub as int_sub
 
 from .norms import (
     chamber_images,
     dominant_zeta,
     infchar_norm_sq,
-    lambda_norm_sq_fast,
+    lambda_witness,
     spin_sq12,
     usmall_facets,
     weight_gram2,
@@ -157,15 +157,20 @@ MIN_CERT_GAP = 94
 def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
     """u-small K-types whose spin norm beats the lambda norm by at least
     the screening threshold: 12 spin >= floor = ceil(12 (lambda + 94)).
-    The spin kernel runs with that floor, so a chamber value below it
-    rejects mu at once; a result at or above it is the exact spin norm,
-    which gives the gap."""
+    One witness walk gives lambda = n / d and the chamber j* where
+    mu + 2 rho_c is dominant (norms.lambda_witness); the floor is
+    ceil(12 n / d) + 12 * 94 in integers.  The spin kernel walks j* first
+    and stops at the first chamber value below the floor, which rejects
+    mu; j* alone rejects nearly every census member.  A result at or above
+    the floor is the exact spin norm, which gives the gap; only the kept
+    entries build Fractions."""
     out = set()
     for mu in census:
-        lam = lambda_norm_sq_fast(mu)
-        floor = ceil(12 * (lam + MIN_CERT_GAP))
-        spin12 = spin_sq12(mu, floor)
+        n, d, first = lambda_witness(mu)
+        floor = -(-12 * n // d) + 12 * MIN_CERT_GAP
+        spin12 = spin_sq12(mu, floor, first)
         if spin12 >= floor:
+            lam = Fraction(n, d)
             out.add(CertsEntry(ktype=mu, gap=Fraction(spin12, 12) - lam, lambda_norm_sq=lam))
     return out
 

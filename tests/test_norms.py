@@ -26,6 +26,7 @@ from e7dirac.norms import (
     ktype_ambient,
     lambda_datum,
     lambda_norm_sq_fast,
+    lambda_witness,
     norm12_ktype,
     spin_datum,
     height_steps,
@@ -190,16 +191,23 @@ def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, da
     # (dot = 36 <., a^vee> for a root a), each minus 1.  dominant_rep walks
     # by the same lowest-index rule; its reflections number the positive
     # roots pairing negatively with v, all among the 27 noncompact ones
-    # (module docstring: v pairs a_i + 2 >= 2 with each compact simple root)
+    # (module docstring: v pairs a_i + 2 >= 2 with each compact simple root).
+    # The chamber the walk's word names is the first allowable one, and
+    # lambda_witness returns it with the norm of lambda_norm_sq_fast
     assert set(datum.positive_roots) == set(datum.compact_positive) | set(datum.pplus_roots)
     points = sorted(census) + ularge
     assert len(points) == 32966
     most = 0
     for mu in points:
-        c = _witness_c(mu)
+        walked = []
+        c = _witness_c(mu, walked)
         v = add(ktype_ambient(mu), scale(2, datum.rho_c))
         dom, word = dominant_rep(v, "G")
         assert c == [y - 1 for y in from_ambient("zeta", dom)], f"BUG: walk of {mu}"
+        assert [i + 1 for i in walked] == list(word), f"BUG: word of {mu}"
+        n, d, j = lambda_witness(mu)
+        assert j == first_allowable[mu], f"BUG: chamber of {mu}"
+        assert Fraction(n, d) == lambda_norm_sq_fast(mu)
         simples = chambers[first_allowable[mu]].simples
         assert [dot(v, a) for a in simples] == [36 * (x + 1) for x in c], (
             f"BUG: chamber pairings of {mu}")
@@ -409,24 +417,63 @@ def _check_spin_kernel_against_plain_walk(mu):
         f"BUG: floor verdict at {mu}")
 
 
+def _norm12_by_rows(mu):
+    """12 |mu|^2 row by row of gram12: a . gram12 a + 2 g^2."""
+    rows = _tables().gram12
+    return sum(x * sum(map(mul, row, mu[:6])) for x, row in zip(mu[:6], rows)) + 2 * mu[6] ** 2
+
+
 def test_spin_kernel_against_plain_walk_on_census_and_ularge(census, ularge):
     # each census member and each u-large K-type up to the property suite's
-    # height cap
+    # height cap; the unpacked norm12_ktype against the row-by-row form
     assert len(census) == USMALL_CENSUS_SIZE and len(ularge) == 11672
     for mu in sorted(census) + ularge:
         _check_spin_kernel_against_plain_walk(mu)
+        assert norm12_ktype(mu) == _norm12_by_rows(mu), f"BUG: 12|mu|^2 of {mu}"
 
 
-def test_spin_kernel_against_plain_walk_where_the_bound_bites(table_rows, fixture_dir):
-    # every branching K-type, every table spin LKT and the g-axis, where
-    # y = mu - rho_n_j often points against rho_c and L'_j is far above L_j
+@pytest.fixture(scope="module")
+def where_the_bound_bites(table_rows, fixture_dir):
+    """Every branching K-type and the g-axis, where y = mu - rho_n_j often
+    points against rho_c and L'_j is far above L_j, and every table spin
+    LKT: (the bitten set, all of them sorted)."""
     branch = parse_fixture("branching", (fixture_dir / "branching_2969.txt").read_text())
     bitten = {b.ktype for b in branch} | {(0, 0, 0, 0, 0, 0, g) for g in range(-60, 61, 3)}
-    for mu in sorted(bitten | {mu for row in table_rows for mu in row.spin_lkts}):
+    return bitten, sorted(bitten | {mu for row in table_rows for mu in row.spin_lkts})
+
+
+def test_spin_kernel_against_plain_walk_where_the_bound_bites(where_the_bound_bites):
+    bitten, points = where_the_bound_bites
+    for mu in points:
         _check_spin_kernel_against_plain_walk(mu)
     for mu in bitten:
         assert any(low < sharp for low, sharp, _, _ in _plain_spin_by_chamber(mu)), (
             f"L'_j never exceeds L_j at {mu}")
+
+
+def test_spin_first_chamber_floor_verdict(where_the_bound_bites):
+    # the kernel walks chamber first before all others, for the witness
+    # walk's j* and for the chamber of largest value: a floor above v_first
+    # returns v_first, a floor at or below the minimum s12 returns s12, and
+    # the achieving chambers with ties are those of the plain walk
+    _, points = where_the_bound_bites
+    below = 0
+    for mu in points:
+        per_chamber = _plain_spin_by_chamber(mu)
+        values = [v for _, _, v, _ in per_chamber]
+        s12 = min(values)
+        ties = {j: p[:6] for j, (_, _, v, p) in enumerate(per_chamber) if v == s12}
+        far = max(range(len(values)), key=values.__getitem__)
+        for j in (lambda_witness(mu)[2], far):
+            assert spin_sq12(mu, values[j] + 1, j) == values[j], f"BUG: chamber {j} at {mu}"
+            assert spin_sq12(mu, s12, j) == spin_sq12(mu, 0, j) == s12, f"BUG: {j} at {mu}"
+            best, achievers = norms._spin_walk(mu, 0, True, j)
+            assert best == s12 and {k: tuple(p) for k, p in achievers} == ties, (
+                f"BUG: ties from chamber {j} at {mu}")
+            below += values[j] > s12
+    # both sides of the floor are exercised: some first chambers lie above
+    # the minimum, so a floor between them takes the early return
+    assert below
 
 
 def test_infchar_norm_sq_against_ambient_norm(table_rows, fixture_dir):
