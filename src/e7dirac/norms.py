@@ -144,7 +144,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import add as int_add, itemgetter, mul, sub as int_sub
 
@@ -320,6 +320,7 @@ class _Face:
     others: tuple[int, ...]  # the indices outside S
     det: int  # det H_SS > 0
     adj: tuple[tuple[int, ...], ...]  # adj(H_SS), rows and columns in S order
+    cross: tuple[tuple[int, ...], ...]  # H_kS for each k of others, columns in S order
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +333,8 @@ def _face(mask: int) -> _Face:
     det, adj = adjugate([[h[i][k] for k in members] for i in members])
     assert det > 0, "BUG: H is not positive definite"
     others = tuple(i for i in range(RANK) if not mask >> i & 1)
-    return _Face(members=members, others=others, det=det, adj=adj)
+    cross = tuple(tuple(h[k][i] for i in members) for k in others)
+    return _Face(members=members, others=others, det=det, adj=adj, cross=cross)
 
 
 def ktype_ambient(coords) -> Vec:
@@ -545,13 +547,12 @@ def _kkt_numerators(face: _Face, r: list[int]) -> list[int] | None:
     of the face, else None: num >= 0, and (H(x - c))_k >= 0 outside S, which
     is det * r_k <= H_kS num."""
     rs = [r[i] for i in face.members]
-    num = [sum(a * b for a, b in zip(row, rs)) for row in face.adj]
-    if any(v < 0 for v in num):
+    num = [sum(map(mul, row, rs)) for row in face.adj]
+    if num and min(num) < 0:
         return None
-    h = weight_gram2()
-    for k in face.others:
-        row = h[k]
-        if face.det * r[k] > sum(row[i] * v for i, v in zip(face.members, num)):
+    det = face.det
+    for k, row in zip(face.others, face.cross):
+        if det * r[k] > sum(map(mul, row, num)):
             return None
     return num
 
@@ -567,10 +568,9 @@ def _lambda_kernel(c) -> tuple[_Face, list[int], list[int]]:
     tried first (over the u-small census and the height scan it is always
     the accepted one), then every face.
     """
-    h = weight_gram2()
-    r = [sum(a * b for a, b in zip(row, c)) for row in h]
-    guess = sum(1 << i for i in range(RANK) if c[i] > 0)
-    for mask in (guess, *range(1 << RANK)):
+    r = [sum(map(mul, row, c)) for row in weight_gram2()]
+    guess = sum(1 << i for i, x in enumerate(c) if x > 0)
+    for mask in chain((guess,), range(1 << RANK)):
         face = _face(mask)
         num = _kkt_numerators(face, r)
         if num is not None:
