@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from operator import mul
 
 from .screening import (ADMISSIBILITY_SUMS, dirac_candidate_gammas, hp_admissible,
@@ -445,16 +445,13 @@ def enumerate_phi(kgb):
     smallest coordinate zero, and |nu|^2 < 94 for at least one of them.
 
     Every record's form is built and checked first; the census is then the
-    union of the points of the minimal forms (_minimal_forms) under
-    _FORM_BOUND.  Each form's points come from quadratic_points with the
-    census zero patterns (_census_zero_sets): the monotone scan prunes by
-    the value and by the patterns' prefix closure, and settles the last
-    coordinate in closed form (its lemmas 1 and 2).  Each form's run is in
-    lexicographic order and is merged into the union as it comes: sorting
-    the two concatenated runs merges them, and the duplicates, now
-    adjacent, are dropped.  So no set is built, and no more than one run's
-    duplicates are held at a time (the 8 minimal forms of kgb.txt yield
-    515828 points for 178192 characters).
+    set of points of the minimal forms (_minimal_forms) under _FORM_BOUND,
+    with the census zero patterns (_census_zero_sets).  One call of
+    quadratic_points scans all of them at once: the monotone scan prunes
+    by each form's value and by the patterns' prefix closure, settles the
+    last coordinate in closed form, and yields each character once, in
+    lexicographic order, filed by its largest coordinate as it is found
+    (its lemmas 1 to 3).
 
     Returns (sorted tuple of coordinate vectors, partition dict keyed by the
     largest coordinate).
@@ -463,20 +460,8 @@ def enumerate_phi(kgb):
     if not fs:
         raise FixtureError("no fully supported involution records in fixture")
     forms = [_census_form(r) for r in fs]
-    zero_sets = _census_zero_sets()
-    chars = []
-    for q in _minimal_forms(forms):
-        run = quadratic_points(q, 0, _FORM_BOUND, zero_sets)
-        if chars:
-            run += chars
-            run.sort()  # timsort merges the two sorted runs
-            run = [c for c, _ in groupby(run)]
-        chars = run
-    partition = {}
-    for c in chars:
-        partition.setdefault(max(c), []).append(c)
-    partition = {k: tuple(v) for k, v in sorted(partition.items())}
-    return tuple(chars), partition
+    chars, groups = quadratic_points(_minimal_forms(forms), 0, _FORM_BOUND, _census_zero_sets())
+    return tuple(chars), {k: tuple(v) for k, v in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,13 @@ def _root(a: int, b: int, r: int) -> int:
     return (isqrt(b * b + 4 * a * r) - b) // (2 * a)
 
 
-def quadratic_points(q, lo: int, hi: int, patterns=None) -> list[tuple[int, ...]]:
-    """Every c in N^n with lo <= c^T q c <= hi whose zero pattern
-    tuple(map(not_, c)) lies in patterns (every pattern when None), in
-    lexicographic order, for a symmetric integer n x n matrix q, n >= 2.
+def quadratic_points(forms, lo: int, hi: int, patterns=None):
+    """Every c in N^n with lo <= c^T q c <= hi for at least one q of forms,
+    a nonempty sequence of symmetric integer n x n matrices, n >= 2, whose
+    zero pattern tuple(map(not_, c)) lies in patterns (every pattern when
+    None).  Returns (points, groups): the points in lexicographic order,
+    and {largest coordinate: the points with that largest coordinate, in
+    lexicographic order}.
 
     Lemma 1 (monotone scan, prefix closure).  q has nonnegative entries, so
     for c >= 0 the value never decreases when a coordinate grows: setting
@@ -224,58 +227,110 @@ def quadratic_points(q, lo: int, hi: int, patterns=None) -> list[tuple[int, ...]
     y (b + a y) >= lo - v, which is _root(a, b, lo - v - 1) + 1 when
     lo > v and 0 otherwise, up to _root(a, b, hi - v).  The level before
     the last steps b by 2 q_{n-1,n-2} as c_{n-2} grows, and appends each
-    such run of points in one step."""
-    n = len(q)
-    assert n >= 2, "BUG: quadratic_points scans at least two coordinates"
-    assert all(q[i][k] == q[k][i] >= 0 for i in range(n) for k in range(n)), \
-        "BUG: quadratic_points needs a symmetric nonnegative form"
-    assert all(q[i][i] > 0 for i in range(n)), "BUG: quadratic_points needs a positive diagonal"
+    such run of points in one step.
+
+    Lemma 3 (one scan for the union).  The points of the union are the
+    points of a prefix tree that is the union of the forms' trees, so one
+    scan visits each point once, in lexicographic order, with no merge.
+    Each form carries its own value down; by lemma 1 a form is dead below
+    a prefix once c_i passes its top _root(q_ii, b, hi - v), and stays
+    dead, so a child carries only the forms live at it, and a level runs
+    c_i up to the largest top over them.  With lo <= 0 each form's last
+    coordinates are an interval from 0 (lemma 2), so their union is the
+    interval up to the largest end, and the zero pattern alone decides
+    whether y = 0 and y > 0 are allowed.  With lo > 0 the union of the
+    forms' intervals need not be an interval, so a lower bound is taken
+    for one form only.  The largest coordinate m of c[:n-1] goes down
+    too, so the run c[:n-1] + (y,) is filed as it is found: the y <= m
+    have largest coordinate m, and each y > m has y."""
+    n = len(forms[0]) if forms else 0
+    assert n >= 2, "BUG: quadratic_points scans a form of at least two coordinates"
+    for q in forms:
+        assert len(q) == n and all(q[i][k] == q[k][i] >= 0 for i in range(n) for k in range(n)), \
+            "BUG: quadratic_points needs symmetric nonnegative forms of one size"
+        assert all(q[i][i] > 0 for i in range(n)), "BUG: quadratic_points needs a positive diagonal"
+    assert lo <= 0 or len(forms) == 1, "BUG: quadratic_points takes lo > 0 for one form only"
     if patterns is None:
         patterns = product((True, False), repeat=n)
     live = {p[:k] for p in patterns for k in range(len(p) + 1)}
     if not live or hi < max(lo, 0):
-        return []
+        return [], {}
     assert all(len(p) <= n for p in live), "BUG: a zero pattern longer than the form"
     # (c_i = 0 can lead to a kept point, c_i > 0 can) for each live prefix
     kids = {p: (p + (True,) in live, p + (False,) in live) for p in live if len(p) < n}
     assert all(zero_ok or pos_ok for zero_ok, pos_ok in kids.values()), \
         "BUG: a zero pattern shorter than the form"
-    last = q[n - 1]
-    a, db = last[n - 1], 2 * last[n - 2]
+    ends = {p: (kids.get(p + (True,)), kids.get(p + (False,))) for p in live if len(p) == n - 2}
+    width = hi - lo
     out = []
+    # a coordinate y of a point has q_ii y^2 <= hi
+    groups = [[] for _ in range(max(_root(q[i][i], 0, hi) for q in forms for i in range(n)) + 1)]
+    singles = [(y,) for y in range(len(groups))]
 
-    def scan(i: int, acc: int, prefix: tuple, pat: tuple):
-        # acc = value of prefix = c[:i] <= hi; c_i = x adds x (cross + q_ii x),
-        # which stays within hi up to top
-        row = q[i]
-        cross = 2 * sum(map(mul, row, prefix))
-        qii = row[i]
+    def scan(i: int, prefix: tuple, pat: tuple, m: int, up: list, x_up: int):
+        # up = (top, f, value, cross, q_ii) at the parent for each form live
+        # there, f = (q, 4 a, 2 a, db) with a = q_{n-1,n-1} and
+        # db = 2 q_{n-1,n-2} (lemma 2), x_up = c_{i-1}, m = max(prefix,
+        # default=0): a form stays live while x_up <= top (lemma 1), and
+        # c_i = x adds x (cross + q_ii x), within hi up to the form's top
         zero_ok, pos_ok = kids[pat]
-        top = _root(qii, cross, hi - acc) if pos_ok else 0
-        xs = range(0 if zero_ok else 1, top + 1)
+        tops = []
+        x_top = 0
+        for top, f, acc, cross, qii in up:
+            if top >= x_up:
+                acc += x_up * (cross + qii * x_up)
+                row = f[0][i]
+                cross = 2 * sum(map(mul, row, prefix))
+                qii = row[i]
+                top = (isqrt(cross * cross + 4 * qii * (hi - acc)) - cross) // (2 * qii) if pos_ok else 0
+                if top > x_top:
+                    x_top = top
+                if i < n - 2:
+                    tops.append((top, f, acc, cross, qii))
+                else:  # y adds y (yb + a y), yb = b + db x, to the value hi - r of c[:n-1]
+                    q, a4, a2, db = f
+                    tops.append((top, hi - acc, cross, qii, a4, a2, db, 2 * sum(map(mul, q[n - 1], prefix))))
+        xs = range(0 if zero_ok else 1, x_top + 1)
         if i < n - 2:
             for x in xs:
-                scan(i + 1, acc + x * (cross + qii * x), prefix + (x,), pat + (not x,))
+                scan(i + 1, prefix + (x,), pat + (not x,), x if x > m else m, tops, x)
             return
-        # the level before the last: y = c_{n-1} in closed form (lemma 2)
-        at_zero = kids[pat + (True,)] if zero_ok else None
-        at_pos = kids[pat + (False,)] if pos_ok else None
-        b = 2 * sum(map(mul, last, prefix))
+        # the level before the last: the y = c_{n-1} within hi run up to the
+        # largest closed-form root over the forms live at x (lemmas 2, 3)
+        at_zero, at_pos = ends[pat]
         for x in xs:
-            value = acc + x * (cross + qii * x)
             y_zero, y_pos = at_pos if x else at_zero
-            yb = b + db * x
-            y_hi = _root(a, yb, hi - value) if y_pos else 0
-            y_lo = 0 if y_zero else 1
-            if value < lo:
-                y_lo = max(y_lo, _root(a, yb, lo - value - 1) + 1)
-            if y_lo <= y_hi:
-                p = prefix + (x,)
-                out.extend([p + (y,) for y in range(y_lo, y_hi + 1)])
+            y_lo, y_hi = 0 if y_zero else 1, 0
+            for top, r, cross, qii, a4, a2, db, b in tops:
+                if x <= top:
+                    yb = b + db * x
+                    r -= x * (cross + qii * x)  # hi - value of c[:n-1], within hi
+                    y = (isqrt(yb * yb + a4 * r) - yb) // a2 if y_pos else 0
+                    if y > y_hi:
+                        y_hi = y
+                    if r > width:  # the value is under lo > 0, so this is the one form
+                        y_lo = (isqrt(yb * yb + a4 * (r - width - 1)) - yb) // a2 + 1
+            if y_lo > y_hi:
+                continue
+            if y_lo == y_hi:
+                pts = [prefix + (x, y_lo)]
+            else:
+                pts = list(map((prefix + (x,)).__add__, singles[y_lo:y_hi + 1]))
+            out.extend(pts)
+            # file by the largest coordinate: mx for the y <= mx, y itself above
+            mx = x if x > m else m
+            if y_hi <= mx:
+                groups[mx] += pts
+            else:
+                k = max(mx + 1 - y_lo, 0)
+                groups[mx] += pts[:k]
+                for pt in pts[k:]:
+                    groups[pt[-1]].append(pt)
 
-    scan(0, 0, (), ())
+    scan(0, (), (), 0, [(0, (q, 4 * q[n - 1][n - 1], 2 * q[n - 1][n - 1], 2 * q[n - 1][n - 2]), 0, 0, 0)
+                        for q in forms], 0)
     del scan  # a self-calling closure is a cycle that would keep `out` alive
-    return out
+    return out, {k: g for k, g in enumerate(groups) if g}
 
 
 def enumerate_omega() -> set[tuple[int, ...]]:
@@ -283,7 +338,7 @@ def enumerate_omega() -> set[tuple[int, ...]]:
     fundamental-weight basis) with squared norm in the screening window:
     the points of H = weight_gram2, which holds twice the norms, between
     OMEGA_LO2 and OMEGA_HI2."""
-    return set(quadratic_points(weight_gram2(), OMEGA_LO2, OMEGA_HI2))
+    return set(quadratic_points((weight_gram2(),), OMEGA_LO2, OMEGA_HI2)[0])
 
 
 # ---------------------------------------------------------------------------

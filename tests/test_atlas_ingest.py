@@ -246,6 +246,11 @@ def test_phi_census_counts(phi_census):
     assert set(partition[1]) == set(PHI_COEFF_ONE), "BUG: smallest census slice"
     assert CENSUS_CHAR in set(partition[8]), "BUG: example character missing"
     assert all(min(c) == 0 for c in chars), "BUG: census member with no zero"
+    # the partition is the grouping by largest coordinate, each part in
+    # lexicographic order
+    assert all(max(c) == k for k, part in partition.items() for c in part)
+    assert all(list(part) == sorted(part) for part in partition.values())
+    assert sorted(c for part in partition.values() for c in part) == list(chars)
 
 
 def _box_points(q, bound):
@@ -324,7 +329,7 @@ def test_quadratic_points_match_box(phi_slice):
     for q, windows, top in cases:
         box = _box_points(q, max(hi for _, hi, _ in windows))
         for lo, hi, patterns in windows:
-            got = quadratic_points(q, lo, hi, patterns)
+            got, _ = quadratic_points((q,), lo, hi, patterns)
             want = [c for c, v in box if lo <= v <= hi
                     and (patterns is None or tuple(map(not_, c)) in patterns)]
             assert got == want, f"BUG: scan and box disagree on [{lo}, {hi}]"
@@ -333,20 +338,20 @@ def test_quadratic_points_match_box(phi_slice):
 
 def test_quadratic_points_pattern_edges(phi_slice):
     q = _census_form(phi_slice[0])
-    assert quadratic_points(q, 0, _FORM_BOUND, frozenset()) == []
-    assert quadratic_points(q, 5, 4) == [] and quadratic_points(q, 0, -1) == []
+    assert quadratic_points((q,), 0, _FORM_BOUND, frozenset()) == ([], {})
+    assert quadratic_points((q,), 5, 4) == ([], {}) == quadratic_points((q,), 0, -1)
     # one pattern: the points with exactly the zeros of (0, 2, 4), pruned to
     # that one path through the closure
     only = (True, False, True, False, True, False, False)
-    got = quadratic_points(q, 0, _FORM_BOUND, {only})
-    assert got and got == [c for c in quadratic_points(q, 0, _FORM_BOUND)
+    got, _ = quadratic_points((q,), 0, _FORM_BOUND, {only})
+    assert got and got == [c for c in quadratic_points((q,), 0, _FORM_BOUND)[0]
                            if tuple(map(not_, c)) == only]
     # a pattern of the wrong length leaves a live prefix without a live
     # child, or a prefix longer than the form
     with pytest.raises(AssertionError, match="shorter than the form"):
-        quadratic_points(q, 0, _FORM_BOUND, {only[:6]})
+        quadratic_points((q,), 0, _FORM_BOUND, {only[:6]})
     with pytest.raises(AssertionError, match="longer than the form"):
-        quadratic_points(q, 0, _FORM_BOUND, {only + (True,)})
+        quadratic_points((q,), 0, _FORM_BOUND, {only + (True,)})
 
 
 def test_minimal_forms_lose_no_census_point(phi_slice):
@@ -357,12 +362,12 @@ def test_minimal_forms_lose_no_census_point(phi_slice):
     kept = _minimal_forms(forms)
     assert len(kept) == 2, f"BUG: {len(kept)} minimal forms on the slice"
     zero_sets = _census_zero_sets()  # equal to hp_admissible: test below
-    union = {c for q in forms for c in quadratic_points(q, 0, _FORM_BOUND, zero_sets)}
+    union = {c for q in forms for c in quadratic_points((q,), 0, _FORM_BOUND, zero_sets)[0]}
     assert tuple(sorted(union)) == enumerate_phi({rec.id: rec for rec in phi_slice})[0]
-    kept_points = [set(quadratic_points(p, 0, _FORM_BOUND)) for p in kept]
+    kept_points = [set(quadratic_points((p,), 0, _FORM_BOUND)[0]) for p in kept]
     for q in forms:
         if q not in kept:
-            points = quadratic_points(q, 0, _FORM_BOUND)
+            points, _ = quadratic_points((q,), 0, _FORM_BOUND)
             assert any(kp.issuperset(points) for kp in kept_points), \
                 "BUG: a dropped form has a point no kept form has"
 
@@ -370,7 +375,8 @@ def test_minimal_forms_lose_no_census_point(phi_slice):
 def test_phi_scan_against_reference_on_whole_census(kgb, phi_census):
     # every minimal form of the full kgb.txt: the pruned scan gives the
     # reference scan's points, filtered leaf by leaf, in the same order,
-    # and their union is the 178192-point census
+    # and their union is the 178192-point census, which is the joint scan
+    # of all eight forms
     forms = _minimal_forms([_census_form(rec) for rec in kgb.values()
                             if rec.support == FULL_SUPPORT])
     assert len(forms) == 8, f"BUG: {len(forms)} minimal forms in kgb.txt"
@@ -378,11 +384,13 @@ def test_phi_scan_against_reference_on_whole_census(kgb, phi_census):
     union = set()
     for q in forms:
         want = _reference_points(q, _FORM_BOUND, lambda c: tuple(map(not_, c)) in zero_sets)
-        assert quadratic_points(q, 0, _FORM_BOUND, zero_sets) == want, \
+        assert quadratic_points((q,), 0, _FORM_BOUND, zero_sets)[0] == want, \
             "BUG: pruned scan and reference scan disagree"
         union.update(want)
     assert len(union) == criteria.CHARACTER_CENSUS_SIZE == 178192
     assert tuple(sorted(union)) == phi_census[0]
+    joint, _ = quadratic_points(forms, 0, _FORM_BOUND, zero_sets)
+    assert tuple(joint) == phi_census[0], "BUG: joint scan and census disagree"
 
 
 def test_phi_census_errors(kgb):

@@ -27,6 +27,7 @@ from e7dirac.screening import (
     dirac_index_no_cancellation,
     hp_admissible,
     lemma32_witness,
+    quadratic_points,
     spin_lkts,
 )
 from e7dirac.structure import (
@@ -321,6 +322,46 @@ def test_closed_form_root():
         least = _root(a, b, r - 1) + 1 if r > 0 else 0
         assert f(a, b, least) >= r and (least == 0 or f(a, b, least - 1) < r), (a, b, r)
     assert _root(1, 0, 0) == 0 and _root(1, 0, 10 ** 40) == 10 ** 20
+
+
+def test_joint_scan_is_union_of_single_form_scans():
+    # lemma 3 of quadratic_points on random small forms: the joint scan is
+    # the sorted union of the single-form scans, filed by largest
+    # coordinate, each part in lexicographic order; a single form's lower
+    # bound keeps the points of its lo = 0 scan with value >= lo
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        forms = []
+        for _ in range(rng.randint(1, 5)):
+            q = [[0] * n for _ in range(n)]
+            for i in range(n):
+                q[i][i] = rng.randint(1, 3)
+                for k in range(i):
+                    q[i][k] = q[k][i] = rng.randint(0, 3)
+            forms.append(tuple(map(tuple, q)))
+        hi = rng.randint(0, 60)
+        patterns = None
+        if rng.random() < 0.5:
+            every = list(product((True, False), repeat=n))
+            patterns = set(rng.sample(every, rng.randint(0, len(every))))
+        value = lambda q, c: sum(q[i][k] * c[i] * c[k] for i in range(n) for k in range(n))
+        points, groups = quadratic_points(forms, 0, hi, patterns)
+        singles = [quadratic_points((q,), 0, hi, patterns) for q in forms]
+        assert points == sorted(set().union(*(single for single, _ in singles)))
+        assert all(min(value(q, c) for q in forms) <= hi for c in points)
+        assert patterns is None or all(tuple(not x for x in c) in patterns for c in points)
+        regrouped = {}
+        for c in points:
+            regrouped.setdefault(max(c), []).append(c)
+        assert groups == regrouped and list(groups) == sorted(groups)
+        assert all(part == sorted(part) for part in groups.values())
+        lo = rng.randint(1, hi + 1)
+        assert quadratic_points(forms[:1], lo, hi, patterns)[0] == \
+            [c for c in singles[0][0] if value(forms[0], c) >= lo]
+        if len(forms) > 1:
+            with pytest.raises(AssertionError, match="one form only"):
+                quadratic_points(forms[:2], lo, hi, patterns)
 
 
 def test_omega_count(omega):

@@ -5,10 +5,14 @@ it catches a rename or deletion that would break fixture regeneration.
 Every module of the package is checked for imported names it never uses,
 which a deletion elsewhere in the module easily leaves behind, and for
 private module-level functions that no source, test, tool or benchmark
-file references, which a refactor easily leaves behind."""
+file references, which a refactor easily leaves behind.  Every committed
+benchmark record BENCH_<n>.json at the repository root must parse and
+say where, how and by which protocol it was measured."""
 
 import ast
 import importlib.util
+import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -110,3 +114,14 @@ def test_package_has_no_orphaned_private_functions():
     assert len(modules) > 5 and others
     orphans = _orphaned_private_functions(modules, others)
     assert not orphans, f"private functions that nothing references: {orphans}"
+
+
+def test_benchmark_records_parse_and_name_their_setting():
+    records = [path for path in sorted(ROOT.glob("BENCH_*.json"))
+               if re.fullmatch(r"BENCH_\d+\.json", path.name)]
+    assert len(records) >= 12
+    for path in records:
+        record = json.loads(path.read_text())
+        assert isinstance(record, dict), f"{path.name} is not a JSON object"
+        missing = [key for key in ("host", "command", "protocol") if key not in record]
+        assert not missing, f"{path.name} lacks {missing}"
