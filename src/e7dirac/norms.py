@@ -63,22 +63,38 @@ the height scan measures a height once per y: K-types with the same y,
 found in one chamber or in several, have the same height.
 
 Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i, so by
-the chamber images a_k = sum_i y_i n_{k,i} - 2, every n_{k,i} >= 0.  With
-budget b left for the levels i..6, those levels raise a_k by at most
-b num_k / den_k, where num_k / den_k = max_{i' >= i} n_{k,i'} / d_{i'},
-d = height_steps() in every chamber; a branch where some a_k < 0 cannot
-reach 0 within that bound holds no K-type and is cut.  As b >= 0 and
-num_k >= 0, that cut is a_k den_k + b num_k < 0 alone (it forces
-a_k < 0).  The children of a node at level i take y_i = n: child n has
-a_k + n n_{k,i} and b - n d_i, so it survives iff
-(a_k + n n_{k,i}) den_k + (b - n d_i) num_k >= 0 for every k,
-with num_k, den_k those of level i + 1.  Each condition is linear in n, so
-the surviving counts form one interval of 0 <= n <= b // d_i, found by
-integer floor and ceiling division (_count_range).  The scan loops over
-that interval alone and checks the cut at the root, y = 0, once per
-chamber: it visits the same nodes in the same order as a test of every
-child would, and makes no call for a child that is cut.  Child n of a
-node gets the tuples mu + n row_i and y[:i] + (n,): nothing is undone.
+the chamber images a_k = sum_i y_i n_{k,i} - 2, every n_{k,i} >= 0.  It
+fixes the y_i one level at a time, in a fixed order of the indices.  With
+budget b left for the levels not yet fixed, those levels raise a_k by at
+most b num_k / den_k, where num_k / den_k is the maximum of
+n_{k,i'} / d_{i'} over those levels i', d = height_steps() in every
+chamber; a branch where some a_k < 0 cannot reach 0 within that bound holds
+no K-type and is cut.  The argument holds for any fixed order, as this
+reach is the maximum over the levels still open, whichever they are.  As
+b >= 0 and num_k >= 0, the cut is a_k den_k + b num_k < 0 alone (it
+forces a_k < 0).  The children of a node at level i take y_i = n: child n
+has a_k + n n_{k,i} and b - n d_i, so it survives iff
+c0 + n c1 >= 0 for every k, with c0 = a_k den_k + b num_k,
+c1 = n_{k,i} den_k - d_i num_k and num_k, den_k the reach of the levels
+after i.  c1 depends on the chamber and the level alone, so it is kept,
+split by sign, in scan_tables(), and a node computes only c0.  Each
+condition is linear in n, so the surviving counts form one interval of
+0 <= n <= b // d_i, found by integer floor and ceiling division
+(_count_range).  The scan loops over that interval alone and checks the
+cut at the root, y = 0, once per chamber: it visits the same nodes in the
+same order as a test of every child would, and makes no call for a child
+that is cut.  Child n of a node gets the tuples mu + n row_i and
+y + (n,): nothing is undone.
+
+Scan order.  scan_order() fixes the levels by descending d_i, which is
+(3, 4, 2, 5, 1, 0, 6).  A level of step d_i has at most b // d_i + 1
+counts, so the top levels, where the budget is whole and every node
+branches, have the fewest, and the wide ranges of the small steps come
+last, where the cuts have already dropped most branches.  At cap 320 the
+scan makes 17982 _count_range calls (inner nodes) in this order against
+32324 in index order, and at cap 400 45280 against 71320.  The leaves,
+16002 and 63600, are the same in every order: the last cut is the leaf
+condition a_k >= 0 itself.
 
 Spin kernel.  The spin norm is the minimum over the chambers j of
 v_j = 12 |p + rho_c|^2, p the K-dominant representative of
@@ -795,52 +811,94 @@ def atlas_height(mu) -> int:
 # bounded enumeration by height
 
 
+@lru_cache(maxsize=1)
+def scan_order() -> tuple[int, ...]:
+    """The order in which the height scan fixes y_0..y_6: by descending
+    height step d_i = height_steps() (module docstring, scan order).  The
+    steps are distinct, so the order is unique (asserted)."""
+    steps = height_steps()
+    order = tuple(sorted(range(RANK), key=steps.__getitem__, reverse=True))
+    assert all(steps[i] > steps[k] for i, k in zip(order, order[1:])), \
+        f"BUG: scan order {order} for steps {steps}"
+    return order
+
+
 def _scan_reach(rows, steps) -> list:
-    """The height scan's prune table for one chamber, from its
-    chamber_weights() rows: reach[i][k] = max over levels i' >= i of
-    n_{k,i'} / d_{i'} (module docstring, scan pruning) as an integer
+    """The height scan's prune table for one chamber, its rows and steps
+    given in scan order: reach[p][k] = max over levels p' >= p of
+    n_{k,p'} / d_{p'} (module docstring, scan pruning) as an integer
     (numerator, denominator), the suffix maximum compared by
     cross-multiplication.  Past the last level reach is 0, so the cut
     there is the leaf condition a_k >= 0."""
     reach = [((0, 1),) * 6]
-    for i in range(RANK - 1, -1, -1):
+    for row, step in zip(reversed(rows), reversed(steps)):
         reach.append(tuple(
-            (n, steps[i]) if n * den >= num * steps[i] else (num, den)
-            for n, (num, den) in zip(rows[i], reach[-1])
+            (n, step) if n * den >= num * step else (num, den)
+            for n, (num, den) in zip(row, reach[-1])
         ))
     reach.reverse()
     return reach
 
 
+def _level_cuts(row, step: int, reach_next):
+    """_count_range's constants for one level of one chamber, (num_k, den_k)
+    = reach_next[k] the reach of the levels after it, split by the sign of
+    c1 = n_{k,i} den_k - d_i num_k, which depends on neither the node nor
+    the cap: (rising, falling, flat), rising holding (k, den_k, num_k, c1)
+    for c1 > 0, falling (k, den_k, num_k, -c1) for c1 < 0 and flat
+    (k, den_k, num_k) for c1 = 0."""
+    rising, falling, flat = [], [], []
+    for k, (r, (num, den)) in enumerate(zip(row, reach_next)):
+        c1 = r * den - step * num
+        if c1 > 0:
+            rising.append((k, den, num, c1))
+        elif c1 < 0:
+            falling.append((k, den, num, -c1))
+        else:
+            flat.append((k, den, num))
+    return tuple(rising), tuple(falling), tuple(flat)
+
+
 @lru_cache(maxsize=1)
-def chamber_reach() -> tuple[list, ...]:
-    """_scan_reach of each chamber's chamber_weights() rows, in chamber
-    order, built on first use."""
-    steps = height_steps()
-    return tuple(_scan_reach(rows, steps) for rows in chamber_weights())
+def scan_tables() -> tuple[tuple, ...]:
+    """What each level of the height scan needs, for each chamber in
+    chamber order, built on first use: (rows, reach, cuts), all in scan
+    order, rows the chamber's chamber_weights() rows, reach their
+    _scan_reach with height_steps(), and cuts each level's _level_cuts."""
+    order = scan_order()
+    steps = [height_steps()[i] for i in order]
+    out = []
+    for weights in chamber_weights():
+        rows = tuple(weights[i] for i in order)
+        reach = _scan_reach(rows, steps)
+        cuts = tuple(_level_cuts(row, step, nxt) for row, step, nxt in zip(rows, steps, reach[1:]))
+        out.append((rows, reach, cuts))
+    return tuple(out)
 
 
-def _count_range(mu, budget: int, row, step: int, reach_next) -> tuple[int, int] | None:
+def _count_range(mu, budget: int, step: int, cuts) -> tuple[int, int] | None:
     """The counts n at one level of the height scan whose child survives the
     prune cut, as an interval (lo, hi), or None when none does.
 
     Child n has a_k + n n_{k,i} and budget - n step, and survives iff
     (a_k + n n_{k,i}) den_k + (budget - n step) num_k >= 0 for every k, with
-    (num_k, den_k) = reach_next[k] (module docstring, scan pruning): each
-    condition is c0 + n c1 >= 0, linear in n, so their intersection with
-    0 <= n <= budget // step is one interval.  mu and row hold all seven
-    coordinates; zip stops at reach_next's six, so g takes no part."""
-    lo, hi = 0, budget // step
-    for a, r, (num, den) in zip(mu, row, reach_next):
-        c0 = a * den + budget * num
-        c1 = r * den - step * num
-        if c1 > 0:
-            if c0 < 0:
-                lo = max(lo, -(c0 // c1))  # ceil(-c0 / c1)
-        elif c1 < 0:
-            hi = min(hi, c0 // -c1)
-        elif c0 < 0:
+    (num_k, den_k) the reach of the next level (module docstring, scan
+    pruning): each condition is c0 + n c1 >= 0, linear in n, so their
+    intersection with 0 <= n <= budget // step is one interval.  cuts is the
+    level's _level_cuts, which hold c1; only c0 = a_k den_k + budget num_k
+    is computed here.  mu holds all seven coordinates; the cuts read the
+    first six, so g takes no part."""
+    rising, falling, flat = cuts
+    for k, den, num in flat:
+        if mu[k] * den + budget * num < 0:
             return None
+    lo, hi = 0, budget // step
+    for k, den, num, c1 in rising:
+        c0 = mu[k] * den + budget * num
+        if c0 < 0:
+            lo = max(lo, -(c0 // c1))  # ceil(-c0 / c1)
+    for k, den, num, c1 in falling:
+        hi = min(hi, (mu[k] * den + budget * num) // c1)
     return (lo, hi) if lo <= hi else None
 
 
@@ -851,28 +909,34 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     any chamber where mu + 2 rho_c is dominant, coordinates y_i =
     pair(mu + 2 rho_c, w alpha_i) >= 0 with sum d_i y_i <= cap + 2|rho|^2,
     because projection only raises the pairing sum.  The scan is complete:
-    it walks at each level only the counts of _count_range, which drops
-    exactly the branches that the prune bound (module docstring) shows to
-    hold no K-type.  A height is measured once per y, which the height
-    invariance allows: the kernel's result is kept for the call, keyed by
-    y, so a K-type that a later chamber finds again costs a lookup at most.
+    it fixes y level by level in scan_order() and walks at each level only
+    the counts of _count_range, which drops exactly the branches that the
+    prune bound (module docstring) shows to hold no K-type.  A height is
+    measured once per y, which the height invariance allows: the kernel's
+    result is kept for the call, keyed by y, so a K-type that a later
+    chamber finds again costs a lookup at most.  The result holds the
+    K-types in the order found: chamber by chamber, and within a chamber
+    lexicographic in y taken in scan order.
     """
-    steps = height_steps()
-    two_rho_norm = sum(steps)  # (rho, 2 rho), rho = sum of the zeta_i
+    two_rho_norm = sum(height_steps())  # (rho, 2 rho), rho = sum of the zeta_i
     assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
+    order = scan_order()
+    steps = [height_steps()[i] for i in order]
+    # y is kept in scan order, as are steps and the tables: y[where[i]] is y_i
+    where = [order.index(i) for i in range(RANK)]
     budget_cap = cap + two_rho_norm
     out: dict[tuple[int, ...], int] = {}
     heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
-    weights, reaches = chamber_weights(), chamber_reach()
+    tables = scan_tables()
     for ch in enumerate_chambers():
-        rows, reach = weights[ch.index], reaches[ch.index]
+        rows, reach, cuts = tables[ch.index]
         # the cut at the root, y = 0; _count_range cuts every later node
         if any(-2 * den + budget_cap * num < 0 for num, den in reach[0]):
             continue
 
-        def descend(i: int, budget: int, mu: tuple, y: tuple):
+        def descend(p: int, budget: int, mu: tuple, y: tuple):
             # mu = sum over the levels so far of y_i row_i - 2 rho_c
-            if i == RANK:
+            if p == RANK:
                 if mu not in out:
                     assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
                     if min(y) >= 1:
@@ -880,20 +944,20 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
                     else:
                         h = heights.get(y)
                         if h is None:
-                            h = heights[y] = _kernel_height([v - 1 for v in y])
+                            h = heights[y] = _kernel_height([y[q] - 1 for q in where])
                     if h <= cap:
                         out[mu] = h
                 return
-            step = steps[i]
-            row = rows[i]
-            span = _count_range(mu, budget, row, step, reach[i + 1])
+            step = steps[p]
+            row = rows[p]
+            span = _count_range(mu, budget, step, cuts[p])
             if span is None:
                 return
             lo, hi = span
             mu = tuple(m + lo * r for m, r in zip(mu, row))
             budget -= lo * step
             for count in range(lo, hi + 1):
-                descend(i + 1, budget, mu, y + (count,))
+                descend(p + 1, budget, mu, y + (count,))
                 mu = tuple(map(int_add, mu, row))
                 budget -= step
 

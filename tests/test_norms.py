@@ -11,7 +11,6 @@ from e7dirac.norms import (
     _allowable_chambers,
     _check_spin_lemmas,
     _count_range,
-    _scan_reach,
     _tables,
     _kernel_height,
     _lambda_kernel,
@@ -28,6 +27,8 @@ from e7dirac.norms import (
     lambda_norm_sq_fast,
     lambda_witness,
     norm12_ktype,
+    scan_order,
+    scan_tables,
     spin_datum,
     height_steps,
     infchar_ambient,
@@ -42,6 +43,7 @@ from e7dirac.criteria import USMALL_CENSUS_SIZE
 from e7dirac.criteria import _random_ktype as random_ktype
 from e7dirac.simplex import lp_feasible
 from e7dirac.structure import (
+    RANK,
     ZERO,
     add,
     build_root_datum,
@@ -630,21 +632,35 @@ def test_height_scan_pruning_is_complete(datum, chambers):
 
 def test_count_range_matches_the_cut_child_by_child(chambers):
     # _count_range against the prune cut tested on each child n of the
-    # level, on the scan's own per-chamber rows and reach tables: the kept
-    # counts are contiguous and are the returned interval.  mu and row carry
-    # all seven coordinates, as in the scan; the cut reads a_1..a_6 alone,
-    # so a random g must not move the interval
-    steps = height_steps()
-    tables = [(rows, _scan_reach(rows, steps)) for rows in chamber_weights()]
+    # level, on the scan's own tables: each chamber's rows, steps and reach
+    # in scan order, and each level's precomputed cuts.  The reference reads
+    # (num, den) alone off the reach, never the signs the cuts are split
+    # by: the kept counts are contiguous and are the returned interval.  mu
+    # and row carry all seven coordinates, as in the scan; the cut reads
+    # a_1..a_6 alone, so a random g must not move the interval
+    order = scan_order()
+    steps = [height_steps()[i] for i in order]
+    tables = scan_tables()
+    assert len(tables) == len(chambers)
+    # the tables themselves: the chamber's rows in scan order, and reach[p]
+    # the largest n_{k,p'} / d_{p'} over the levels p' >= p, 0 past the last
+    for (rows, reach, cuts), weights in zip(tables, chamber_weights()):
+        assert rows == tuple(weights[i] for i in order)
+        assert len(reach) == RANK + 1 and len(cuts) == RANK
+        for p, level in enumerate(reach):
+            for k, (num, den) in enumerate(level):
+                want = max((Fraction(row[k], step) for row, step in
+                            zip(rows[p:], steps[p:])), default=Fraction(0))
+                assert den > 0 and Fraction(num, den) == want, (p, k)
     rng = random.Random(2022)
     empty = inner_lo = inner_hi = 0
     for _ in range(4000):
-        rows, reach = rng.choice(tables)
-        i = rng.randrange(len(rows))
+        rows, reach, cuts = rng.choice(tables)
+        p = rng.randrange(RANK)
         low = rng.choice((-40, -8, -2))
         mu = tuple(rng.randint(low, 40) for _ in range(6)) + (rng.randint(-500, 500),)
         budget = rng.randint(0, 800)
-        row, step, nxt = rows[i], steps[i], reach[i + 1]
+        row, step, nxt = rows[p], steps[p], reach[p + 1]
         assert len(row) == 7 and len(nxt) == 6
         kept = []
         for n in range(budget // step + 1):
@@ -652,7 +668,7 @@ def test_count_range_matches_the_cut_child_by_child(chambers):
             left = budget - n * step
             if not any(ak < 0 and ak * den + left * num < 0 for ak, (num, den) in zip(a, nxt)):
                 kept.append(n)
-        got = _count_range(mu, budget, row, step, nxt)
+        got = _count_range(mu, budget, step, cuts[p])
         if not kept:
             assert got is None, f"BUG: {got} for an empty level"
             empty += 1
@@ -663,6 +679,47 @@ def test_count_range_matches_the_cut_child_by_child(chambers):
         inner_hi += kept[-1] < budget // step
     # every kind of interval is exercised: empty, cut below, cut above
     assert min(empty, inner_lo, inner_hi) >= 50, (empty, inner_lo, inner_hi)
+
+
+def test_scan_heights_on_both_paths_match_the_projection(chambers):
+    # the scan fixes the levels by descending height step
+    steps = height_steps()
+    assert scan_order() == tuple(sorted(range(RANK), key=lambda i: -steps[i]))
+    # a point whose witness walk has some c_i < 0 takes its height from
+    # _lambda_kernel, which gets c in index order while the scan keeps y in
+    # scan order; a point with c >= 0 takes it from the spent budget.  A
+    # seeded sample of each against (lambda_a, 2 rho_j) by definition
+    table = enumerate_by_height(320)
+    kernel, budget = [], []
+    for mu in sorted(table):
+        (kernel if min(_witness_c(mu)) < 0 else budget).append(mu)
+    rng = random.Random(320)
+    for mu in rng.sample(kernel, 100) + rng.sample(budget, 100):
+        ld = lambda_datum(mu)
+        two_rho = scale(2, chambers[ld.witness_chamber].rho_j)
+        assert inner(ld.lambda_a, two_rho) == table[mu], f"BUG: scan height wrong for {mu}"
+
+
+def test_height_scan_work_at_cap_320(monkeypatch):
+    # the scan's inner nodes, one _count_range call each, and its leaves:
+    # the counts of the last level's intervals, the one level whose step is
+    # the smallest (scan_order asserts the steps distinct).  In index order
+    # the scan made 32324 calls for the same 16002 leaves
+    count_range = norms._count_range
+    last = height_steps()[scan_order()[-1]]
+    calls = leaves = 0
+
+    def counting(mu, budget, step, cuts):
+        nonlocal calls, leaves
+        span = count_range(mu, budget, step, cuts)
+        calls += 1
+        if step == last and span is not None:
+            leaves += span[1] - span[0] + 1
+        return span
+
+    monkeypatch.setattr(norms, "_count_range", counting)
+    assert len(enumerate_by_height(320)) == 7682
+    assert (calls, leaves) == (17982, 16002)
 
 
 def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
