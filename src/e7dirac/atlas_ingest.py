@@ -23,6 +23,14 @@ matrices and must be involutive and orthogonal for the invariant form, and
 their split part (the (-1)-eigenspace) has dimension at most REAL_RANK = 3,
 the real rank of E7(-25).
 
+The parser checks each matrix theta with matrix-vector products, not 7x7
+matrix products.  With H = weight_gram2(), m = max |theta_ij| and h = max H_ij,
+it takes B = 2^s above both RANK m^2 + 1 and 2 RANK h m, which bound the
+entries of theta^2 - 1 and of H theta - theta^T H, and v = (1, B, ..., B^6).
+Then theta (theta v) = v holds iff theta^2 = 1, and H (theta v) =
+theta^T (H v) iff H theta is symmetric, which for an involution is
+theta^T H theta = H (lemma of _check_involution).
+
 The support field of a kgb record must be its split support, the simple
 roots occurring in the orthogonal roots beta_j that span the split part:
 {i : (H - H theta)_ii != 0} with H = weight_gram2(), since that entry is
@@ -105,9 +113,11 @@ def _fields(line: str):
     return [f.strip() for f in line.split("|")]
 
 
-def _ints(text: str, line_no: int, n: int, what: str) -> tuple:
+def _ints(text: str, line_no: int, n: int | None, what: str) -> tuple:
+    """The comma-separated integers of text: n of them, or any number if n
+    is None."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise _err(line_no, f"{what}: expected {n} entries, got {len(parts)}")
     try:
         return tuple(int(p) for p in parts)
@@ -123,12 +133,15 @@ def _ktype(text: str, line_no: int, what: str) -> tuple:
     return coords
 
 
-def _rationals(text: str, line_no: int, what: str) -> tuple:
+def _rationals(text: str, line_no: int, what: str, known: dict) -> tuple:
+    """RANK rationals; known maps each entry text already read in this file
+    to its value, so that repeated entries are parsed once."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != RANK:
         raise _err(line_no, f"{what}: expected {RANK} entries, got {len(parts)}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(known[p] if p in known else known.setdefault(p, Fraction(p))
+                     for p in parts)
     except (ValueError, ZeroDivisionError):
         raise _err(line_no, f"{what}: bad rational in {text!r}") from None
 
@@ -143,16 +156,41 @@ def apply_theta(theta, coords) -> tuple:
     return tuple(sum(theta[i][j] * coords[j] for j in range(RANK)) for i in range(RANK))
 
 
-_IDENTITY = tuple(tuple(int(i == k) for k in range(RANK)) for i in range(RANK))
+@lru_cache(maxsize=8)
+def _probe(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(v, H v) with v = (1, B, ..., B^6) for H = weight_gram2() and the
+    B = 2^s that _check_involution needs when max |theta_ij| = m."""
+    h = weight_gram2()
+    s = max(RANK * m * m + 1, 2 * RANK * max(map(max, h)) * m).bit_length()
+    v = tuple(1 << (s * j) for j in range(RANK))
+    return v, tuple(sum(map(mul, row, v)) for row in h)
 
 
-def _check_involution(theta, ident: int, line_no: int) -> None:
-    if _matmul(theta, theta) != _IDENTITY:
+def _check_involution(theta, ident: int, line_no: int) -> tuple:
+    """Check theta^2 = 1 and theta^T H theta = H with H = weight_gram2(), by
+    matrix-vector products; return diag(H theta).
+
+    Lemma.  Let B = 2^s and v = (1, B, ..., B^6).  An integer matrix X whose
+    entries are all below B in size has Xv = 0 only if X = 0: in each row,
+    sum_j x_j B^j = 0 makes x_0 divisible by B, so x_0 = 0, and dividing by
+    B the same holds for x_1, and so on.  With m = max |theta_ij| and
+    h = max H_ij, the entries of theta^2 - 1 are at most RANK m^2 + 1 in
+    size and those of H theta - theta^T H at most 2 RANK h m; _probe takes
+    B above both.  So theta (theta v) = v iff theta^2 = 1, and
+    H (theta v) = theta^T (H v) iff H theta is symmetric, which given
+    theta^2 = 1 is theta^T H theta = H (theta^T H = H theta times theta
+    on the right)."""
+    m = max(max(map(max, theta)), -min(map(min, theta)))
+    v, hv = _probe(m)
+    tv = tuple(sum(map(mul, row, v)) for row in theta)
+    if tuple(sum(map(mul, row, tv)) for row in theta) != v:
         raise _err(line_no, f"kgb {ident}: matrix is not an involution")
-    g2 = weight_gram2()
-    # theta^T (2G) theta = 2G, i.e. the involution is orthogonal for B
-    if _matmul(_matmul(tuple(zip(*theta)), g2), theta) != g2:
+    h = weight_gram2()
+    cols = tuple(zip(*theta))
+    if (tuple(sum(map(mul, row, tv)) for row in h)
+            != tuple(sum(map(mul, col, hv)) for col in cols)):
         raise _err(line_no, f"kgb {ident}: matrix does not preserve the form")
+    return tuple(sum(map(mul, row, col)) for row, col in zip(h, cols))
 
 
 def _iter_lines(text: str):
@@ -167,7 +205,7 @@ def _parse_support(text: str, line_no: int) -> frozenset:
         return FULL_SUPPORT
     if text == "empty":
         return frozenset()
-    idx = _ints(text, line_no, len([p for p in text.split(",")]), "support")
+    idx = _ints(text, line_no, None, "support")
     bad = [i for i in idx if not 0 <= i < RANK]
     if bad:
         raise _err(line_no, f"support index out of range: {bad[0]}")
@@ -192,6 +230,24 @@ def parse_fixture(kind: str, text: str):
     raise ValueError(f"unknown fixture kind: {kind!r}")
 
 
+def _matrix(text: str, ident: int, line_no: int) -> tuple:
+    """The RANK rows of a kgb matrix field.  A field of RANK rows of RANK
+    entries is read with one split.  Any other field, or one with an entry
+    int() rejects, goes through the per-row path: it raises the row-count,
+    row-length or entry error, or accepts an entry that str.strip() turns
+    into an integer (it strips characters that int() does not)."""
+    rows = text.split(";")
+    if len(rows) == RANK and all(r.count(",") == RANK - 1 for r in rows):
+        try:
+            return tuple(zip(*[map(int, text.replace(";", ",").split(","))] * RANK))
+        except ValueError:
+            pass
+    rows = [r.strip() for r in rows]
+    if len(rows) != RANK:
+        raise _err(line_no, f"kgb {ident}: expected {RANK} matrix rows, got {len(rows)}")
+    return tuple(_ints(r, line_no, RANK, f"kgb {ident} matrix row") for r in rows)
+
+
 def _parse_kgb(text: str):
     h = weight_gram2()
     out = {}
@@ -208,17 +264,13 @@ def _parse_kgb(text: str):
         if ident in out:
             raise _err(no, f"kgb: duplicate id {ident}")
         support = _parse_support(f[1], no)
-        rows = [r.strip() for r in f[2].split(";")]
-        if len(rows) != RANK:
-            raise _err(no, f"kgb {ident}: expected {RANK} matrix rows, got {len(rows)}")
-        theta = tuple(_ints(r, no, RANK, f"kgb {ident} matrix row") for r in rows)
-        _check_involution(theta, ident, no)
+        theta = _matrix(f[2], ident, no)
+        h_theta = _check_involution(theta, ident, no)
         split = (RANK - sum(theta[i][i] for i in range(RANK))) // 2
         if split > REAL_RANK:
             raise _err(no, f"kgb {ident}: split part of dimension {split} exceeds "
                            f"the real rank {REAL_RANK}")
-        split_support = {i for i in range(RANK)
-                         if h[i][i] != sum(h[i][j] * theta[j][i] for j in range(RANK))}
+        split_support = {i for i in range(RANK) if h[i][i] != h_theta[i]}
         if support != split_support:
             raise _err(no, f"kgb {ident}: support field {f[1]!r} is not the split "
                            f"support {sorted(split_support)}")
@@ -228,6 +280,7 @@ def _parse_kgb(text: str):
 
 def _parse_params(text: str):
     out = []
+    known = {}
     for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 4:
@@ -237,7 +290,7 @@ def _parse_params(text: str):
         except ValueError:
             raise _err(no, f"params: bad KGB id {f[0]!r}") from None
         lam = _ints(f[1], no, RANK, "lambda")
-        nu = _rationals(f[2], no, "nu")
+        nu = _rationals(f[2], no, "nu", known)
         flags = set()
         if f[3]:
             for flag in (p.strip() for p in f[3].split(",")):
@@ -277,6 +330,7 @@ def _parse_branching(text: str):
 def _parse_table(text: str):
     out = []
     seen = set()
+    known = {}
     for no, line in _iter_lines(text):
         f = _fields(line)
         if len(f) != 7:
@@ -298,7 +352,7 @@ def _parse_table(text: str):
             raise _err(no, f"table: duplicate row {table_id}/{x}")
         seen.add((table_id, x))
         lam = _ints(f[3], no, RANK, "lambda")
-        nu = _rationals(f[4], no, "nu")
+        nu = _rationals(f[4], no, "nu", known)
         spins = []
         flags = []
         for part in (p.strip() for p in f[5].split(";")):
@@ -376,8 +430,8 @@ def _census_form(rec: KgbRecord) -> tuple[tuple[int, ...], ...]:
     """Q = (H - H theta)/2 with H = weight_gram2(), so that
     c^T Q c = 2|nu|^2 for zeta-basis coordinates c and nu = (1 - theta)c/2.
 
-    Lemma.  The parser checks theta^2 = 1 and theta^T H theta = H, hence
-    theta^T H = theta^T H theta theta = H theta, and with v^T H v = 2|v|^2,
+    Lemma.  The parser checks theta^2 = 1 and theta^T H = H theta (see
+    _check_involution), hence theta^T H theta = H, and with v^T H v = 2|v|^2,
     8|nu|^2 = c^T (1 - theta)^T H (1 - theta) c = 2 c^T (H - H theta) c.
     So the census condition |nu|^2 < 94 is c^T Q c <= _FORM_BOUND.
 

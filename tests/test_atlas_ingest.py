@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -95,6 +96,108 @@ def test_parse_kgb_errors():
     # -1 is an involution preserving the form, with split part of dimension 7
     with pytest.raises(FixtureError, match="line 1: kgb 9999: .* real rank 3"):
         parse_fixture("kgb", f"9999 | full | {IDENTITY_TEXT.replace('1', '-1')}")
+    # a malformed matrix field goes through the per-row path and its messages
+    rows = IDENTITY_TEXT.split(";")
+    for field, msg in (
+            (";".join(["1,0,0,0,0,0"] + rows[1:]),
+             "kgb 1 matrix row: expected 7 entries, got 6"),
+            (";".join(["1.5,0,0,0,0,0,0"] + rows[1:]),
+             "kgb 1 matrix row: non-integer entry in '1.5,0,0,0,0,0,0'"),
+            (";".join(["1,,0,0,0,0,0"] + rows[1:]),
+             "kgb 1 matrix row: non-integer entry in '1,,0,0,0,0,0'"),
+            (";".join(rows[:1] + rows), "kgb 1: expected 7 matrix rows, got 8"),
+            # 49 entries in 7 rows, but the first row holds 8 and the second 6
+            (IDENTITY_TEXT.replace(";0,", ",0;", 1),
+             "kgb 1 matrix row: expected 7 entries, got 8")):
+        with pytest.raises(FixtureError, match=f"^{re.escape(f'line 1: {msg}')}$"):
+            parse_fixture("kgb", f"1 | full | {field}")
+
+
+def _plain_kgb_outcome(ident, support_text, support, theta):
+    """The record, or the FixtureError text, that the kgb checks after the
+    row shape give, from the definitions: theta theta = 1, then
+    theta^T H theta = H, then the real rank, then the split support
+    {i : (H - H theta)_ii != 0}, each as plain loops."""
+    h = weight_gram2()
+    n = range(RANK)
+    square = [[sum(theta[i][k] * theta[k][j] for k in n) for j in n] for i in n]
+    if square != [[int(i == j) for j in n] for i in n]:
+        return f"line 1: kgb {ident}: matrix is not an involution"
+    h_theta = [[sum(h[i][k] * theta[k][j] for k in n) for j in n] for i in n]
+    pulled = [[sum(theta[k][i] * h_theta[k][j] for k in n) for j in n] for i in n]
+    if pulled != [list(row) for row in h]:
+        return f"line 1: kgb {ident}: matrix does not preserve the form"
+    split = (RANK - sum(theta[i][i] for i in n)) // 2
+    if split > REAL_RANK:
+        return (f"line 1: kgb {ident}: split part of dimension {split} exceeds "
+                f"the real rank {REAL_RANK}")
+    split_support = {i for i in n if h[i][i] != h_theta[i][i]}
+    if support != split_support:
+        return (f"line 1: kgb {ident}: support field {support_text!r} is not the "
+                f"split support {sorted(split_support)}")
+    return KgbRecord(id=ident, support=support, theta=theta)
+
+
+def _parse_outcome(ident, support_text, theta):
+    body = ";".join(",".join(map(str, row)) for row in theta)
+    try:
+        return parse_fixture("kgb", f"{ident} | {support_text} | {body}")[ident]
+    except FixtureError as e:
+        return str(e)
+
+
+def test_kgb_checks_match_plain_definitions(fixture_dir):
+    lines = [line for line in (fixture_dir / "kgb.txt").read_text().splitlines()
+             if not line.startswith("#")]
+    shipped = parse_fixture("kgb", "\n".join(lines))
+    supports = [line.split("|")[1].strip() for line in lines]
+    records = [shipped[int(line.split("|", 1)[0])] for line in lines]
+    assert len(shipped) == len(records) == 1093
+    for text, rec in zip(supports, records):
+        assert _plain_kgb_outcome(rec.id, text, rec.support, rec.theta) == rec
+
+    # per record one seeded single-entry change (up to -10^30, far past the
+    # B of the record it came from), then in turn the negated matrix, a
+    # conjugate by an elementary matrix 1 + t E_ab (an involution whose
+    # entries reach t^2), or the support field of the record before
+    rng = random.Random(30)
+    big = (10**12, -10**12, -10**30)
+    cases = []
+    for k, (text, rec) in enumerate(zip(supports, records)):
+        theta = [list(row) for row in rec.theta]
+        i, j = rng.randrange(RANK), rng.randrange(RANK)
+        old = theta[i][j]
+        theta[i][j] = rng.choice((old + 1, old - 1, -old - 1, 0, 2, -3) + big)
+        cases.append((rec, text, rec.support, theta))
+        if k % 3 == 0:
+            cases.append((rec, text, rec.support, [[-v for v in row] for row in rec.theta]))
+        elif k % 3 == 1:
+            a, b = rng.sample(range(RANK), 2)
+            t = rng.choice((1, -1, 2) + big)
+            conj = [list(row) for row in rec.theta]
+            for row in conj:  # theta (1 - t E_ab): column b -= t column a
+                row[b] -= t * row[a]
+            conj[a] = [x + t * y for x, y in zip(conj[a], conj[b])]  # then row a += t row b
+            cases.append((rec, text, rec.support, conj))
+        else:
+            cases.append((rec, supports[k - 1], records[k - 1].support, rec.theta))
+    # 1 + e_k (B e_0 - e_1)^T squares to 1 + 2 e_k (B e_0 - e_1)^T, which
+    # vanishes on (1, B, ..., B^6): a check with that B fixed passes it
+    for s in range(1, 101):
+        crafted = [list(row) for row in IDENTITY]
+        crafted[2 + s % 5][:2] = [1 << s, -1]
+        cases.append((records[0], "empty", frozenset(), crafted))
+
+    branches = {"not an involution", "does not preserve the form", "exceeds the real rank",
+                "is not the split support"}
+    reached, accepted = set(), 0
+    for rec, text, support, theta in cases:
+        theta = tuple(map(tuple, theta))
+        want = _plain_kgb_outcome(rec.id, text, support, theta)
+        assert _parse_outcome(rec.id, text, theta) == want, (rec.id, text, theta)
+        reached.update(b for b in branches if b in str(want))
+        accepted += isinstance(want, KgbRecord)
+    assert reached == branches and accepted, "BUG: a branch of the kgb checks is not reached"
 
 
 def test_parse_kgb_checks_the_support_field(fixture_dir):
