@@ -342,15 +342,12 @@ def _random_ktype(rng, span=4, gspan=5):
     return tuple(a) + (ktype_form(a) + 3 * rng.randint(-gspan, gspan),)
 
 
-def ularge_gap_bounded(mu, lam, first=None) -> bool:
+def ularge_gap_bounded(mu, lam, first) -> bool:
     """spin - lam <= ULARGE_GAP_MAX for the K-type mu of lambda norm lam:
     12 spin is an integer, so this is 12 spin < floor = floor(12 (lam +
     79)) + 1, and the first chamber value below the floor settles it.  The
-    spin kernel walks chamber first before the others: the property suite
-    passes the j* of the witness walk that gave lam (norms.lambda_witness);
-    by default it is taken from a walk of its own."""
-    if first is None:
-        first = lambda_witness(mu)[2]
+    spin kernel walks chamber first before the others: the j* of the
+    witness walk that gave lam (norms.lambda_witness)."""
     floor = math.floor(12 * (lam + ULARGE_GAP_MAX)) + 1
     return spin_sq12(mu, floor, first) < floor
 

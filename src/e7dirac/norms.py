@@ -20,8 +20,8 @@ use, holds the K-type coordinates of z_i = w_j(zeta_i): n_{k,i} =
 <z_i, gamma_k^vee>, k < 6, and 2(z_i, zeta); integral, and n_{k,i} >= 0
 as z_i is dominant for the chamber and each gamma_k positive in it
 (asserted).  So w_j(sum y_i zeta_i) has coordinates sum y_i row_i
-(chamber_images), and rho_c has (1, ..., 1, 0).  The height scan, the
-Dirac candidate set and lemma32_witness read every image off this table.
+(chamber_images), and rho_c has (1, ..., 1, 0).  The height scan and the
+Dirac candidate set read every image off this table.
 
 Lambda kernel.  Let v = mu + 2 rho_c.  In a chamber j = w(Delta+) where v
 is dominant, with weights z_i = w(zeta_i), v = sum y_i z_i with
@@ -607,13 +607,6 @@ def _kernel_height(c) -> int:
 # spin
 
 
-@dataclass(frozen=True)
-class SpinDatum:
-    spin_norm_sq: Fraction
-    achieving_chambers: frozenset[int]
-    prv_weights: dict  # chamber -> K-type coordinates of {mu - rho_n_j}
-
-
 def _walk_chamber(t: _Tables, a, j: int, low: int, sharp: int, stop):
     """Chamber j of the spin kernel: p = mu - rho_n_j on its first six
     coordinates (a those of mu) walked to the K-dominant representative on
@@ -707,33 +700,13 @@ def spin_sq12(coords, floor: int = 0, first: int | None = None) -> int:
 
 def spin_sq12_with_weights(coords) -> tuple[int, dict[int, tuple[int, ...]]]:
     """12 * spin_norm_sq and, for each achieving chamber j, the K-type
-    coordinates of {mu - rho_n_j}: the integer form of spin_datum's
-    spin_norm_sq and prv_weights.  The K-Weyl group fixes the central
-    coordinate, so it is g(mu) - g(rho_n_j)."""
+    coordinates of {mu - rho_n_j}: the integer form of the spin_datum
+    oracle's (tests/oracles.py) spin_norm_sq and prv_weights.  The K-Weyl
+    group fixes the central coordinate, so it is g(mu) - g(rho_n_j)."""
     t = _tables()
     best, achievers = _spin_walk(coords, 0, True)
     g = int(coords[6])
     return best, {j: tuple(p) + (g - t.rho_n[j][6],) for j, p in sorted(achievers)}
-
-
-def spin_datum(mu) -> SpinDatum:
-    """Exact minimum over the 56 chambers of |{mu - rho_n_j} + rho_c|^2,
-    with the achieving chambers and their dominant weights."""
-    d = build_root_datum()
-    v = ktype_ambient(mu)
-    best = None
-    per_chamber: list[tuple[int, Fraction, tuple[int, ...]]] = []
-    for ch in enumerate_chambers():
-        x = sub(v, ch.rho_n_j)
-        dom, _ = dominant_rep(x, "K")
-        val = norm_sq(add(dom, d.rho_c))
-        coords = tuple(int(c) for c in from_ambient("varpi", dom))
-        per_chamber.append((ch.index, val, coords))
-        if best is None or val < best:
-            best = val
-    achieving = frozenset(j for j, val, _ in per_chamber if val == best)
-    prv = {j: coords for j, val, coords in per_chamber if val == best}
-    return SpinDatum(spin_norm_sq=best, achieving_chambers=achieving, prv_weights=prv)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +757,7 @@ def is_usmall(mu) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dirac inequality and height
+# Dirac inequality
 
 
 def dirac_inequality_holds(lam, mu) -> str:
@@ -799,12 +772,6 @@ def dirac_inequality_holds(lam, mu) -> str:
     if lam_sq == spin_sq:
         return "equality"
     return "violated"
-
-
-def atlas_height(mu) -> int:
-    """Sum of the coroot pairings of lambda_a over the witness chamber's
-    positive system; equals (lambda_a, 2 rho_j), always an integer."""
-    return _kernel_height(_witness_c(mu))
 
 
 # ---------------------------------------------------------------------------

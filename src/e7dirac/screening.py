@@ -71,26 +71,6 @@ def hp_admissible(lam) -> bool:
     return vals is not None and all(sum(vals[i] for i in s) > 0 for s in ADMISSIBILITY_SUMS)
 
 
-def lemma32_witness(lam, zero_indices: tuple[int, ...] = (0, 2)) -> bool:
-    """For a 7-tuple vanishing exactly on the selected sum's indices (and
-    nonnegative integral elsewhere), check that every one of the 56 coset
-    representatives sends it to a vector with a zero among the first six
-    fundamental-weight coordinates, read off norms.chamber_images.  That
-    forces the selected sum to be positive for any character supporting
-    nonzero Dirac cohomology."""
-    if tuple(zero_indices) not in ADMISSIBILITY_SUMS:
-        raise ValueError(f"{zero_indices} is not one of the sixteen admissibility sums")
-    vals = _naturals(lam)
-    if vals is None:
-        raise ValueError(f"coordinates must be nonnegative integers, got {lam}")
-    for i in zero_indices:
-        if vals[i] != 0:
-            raise ValueError(
-                f"coordinate {i} must vanish for the selected sum, got {vals[i]}"
-            )
-    return not any(all(image[:6]) for image in chamber_images(vals))
-
-
 # ---------------------------------------------------------------------------
 # u-small census
 

@@ -1,34 +1,16 @@
-"""Exact feasibility testing for small linear programs; adjugate, the
-package's one exact linear solver; and hull_facets, the facets of the
-convex hull of integer points.
+"""adjugate, the package's one exact linear solver, and hull_facets, the
+facets of the convex hull of integer points.
 
-Decides whether {x >= 0 : Ax = b} is nonempty for integer A, b using a
-phase-1 simplex.  The tableau is kept integer with Bareiss-style pivots
-(every update divides exactly by the previous pivot), so there is no
-rounding anywhere and no Fraction overhead in the inner loop.  The
-entering variable follows Dantzig's rule (most negative reduced cost) for
-the first 50 pivots and Bland's rule (lowest index) after that, so a run
-that could cycle ends under Bland's rule, which rules cycling out.  The
-ratio test breaks ties by the lowest basic variable index.
-
-Artificial columns are withdrawn once they leave the basis; a zero-value
-solution has all artificials at zero anyway, so the answer is unaffected.
-Artificials still basic when phase 1 ends are at zero, so x is read off
-the real basic columns alone.
-
-No pipeline path solves an LP: the u-small test runs on the hull's facets,
-and the tests check it against lp_feasible on the membership system.
+adjugate keeps its tableau integer with Bareiss-style pivots (_pivot:
+every update divides exactly by the previous pivot), so there is no
+rounding anywhere and no Fraction in the inner loop.  No pipeline path
+solves an LP: the u-small test runs on the hull's facets.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
-
-
-def lp_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
-    return lp_solve(rows, rhs) is not None
 
 
 def _pivot(allrows: list[list[int]], prow: list[int], enter: int, denom: int) -> int:
@@ -134,83 +116,3 @@ def hull_facets(points) -> tuple[tuple[int, ...], ...]:
         facets = [(c, z | bit if v == 0 else z) for (c, z), v in zip(facets, vals) if v >= 0]
         facets += new
     return tuple(sorted(c for c, _ in facets))
-
-
-def lp_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """A nonnegative exact solution of Ax = b, or None if there is none."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    assert all(len(r) == n for r in rows), "BUG: ragged constraint matrix"
-    assert len(rhs) == m
-
-    # tableau rows: n real columns, m artificial columns, rhs column
-    signs = [-1 if b < 0 else 1 for b in rhs]
-    tab: list[list[int]] = []
-    for i in range(m):
-        sign = signs[i]
-        row = [sign * int(v) for v in rows[i]]
-        row.extend(1 if j == i else 0 for j in range(m))
-        row.append(sign * int(rhs[i]))
-        tab.append(row)
-
-    # phase-1 objective: minimize the artificial sum; reduced-cost row for
-    # the artificial basis is minus the column sums over the real columns.
-    obj = [0] * (n + m + 1)
-    for j in range(n):
-        obj[j] = -sum(tab[i][j] for i in range(m))
-    obj[n + m] = -sum(tab[i][n + m] for i in range(m))
-
-    basis = [n + i for i in range(m)]
-    denom = 1
-    alive = [True] * (n + m)  # artificial columns die when they leave the basis
-    allrows = tab + [obj]
-    last = n + m
-    pivots = 0
-
-    while obj[last] != 0:  # objective is zero exactly when all artificials are
-        # Dantzig rule while cheap, Bland once long enough to risk cycling.
-        enter = -1
-        if pivots < 50:
-            best = 0
-            for j in range(last):
-                v = obj[j]
-                if v < best and alive[j]:
-                    best = v
-                    enter = j
-        else:
-            for j in range(last):
-                if alive[j] and obj[j] < 0:
-                    enter = j
-                    break
-        if enter < 0:
-            break
-        # ratio test, ties by smallest basic variable index (Bland)
-        leave = -1
-        for i in range(m):
-            if tab[i][enter] <= 0:
-                continue
-            if leave < 0:
-                leave = i
-            else:
-                lhs = tab[i][last] * tab[leave][enter]
-                rhs_ = tab[leave][last] * tab[i][enter]
-                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            # objective unbounded below cannot happen in phase 1
-            raise RuntimeError("BUG: phase-1 simplex claims an unbounded direction")
-        if basis[leave] >= n:
-            alive[basis[leave]] = False
-        basis[leave] = enter
-        denom = _pivot(allrows, tab[leave], enter, denom)
-        pivots += 1
-
-    if obj[last] != 0:
-        return None  # optimal with a positive artificial sum
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(tab[i][last], denom)
-    return x

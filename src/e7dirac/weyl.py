@@ -3,8 +3,8 @@ the dimension formula for K-types.
 
 Weyl words are tuples of simple-reflection indices (1..7 for the full
 group, 1..6 for K).  A word (l1, ..., lk) acts by applying the reflection
-at alpha_l1 first: apply_word(word, v) = s_lk(... s_l1(v) ...).  Inverting
-a word is reversing it.
+at alpha_l1 first: it sends v to s_lk(... s_l1(v) ...).  Inverting a word
+is reversing it.
 
 The 56 chambers are the positive systems of g containing the fixed
 positive system of k.  They are found by a breadth-first search that
@@ -16,7 +16,7 @@ here compares and adds ints.
 
 The pipeline walks W(G) on zeta-coordinates (norms.dominant_zeta), so
 dominant_rep is the tests' reference for that walk, and the W(K) walk of
-the spin_datum oracle and of the spin tables' check in norms.
+the spin tables' check in norms.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ from .structure import (
 )
 
 WeylWord = tuple[int, ...]
-
-
-def apply_word(word: WeylWord, v: Vec) -> Vec:
-    d = build_root_datum()
-    for letter in word:
-        v = reflect(v, d.simple_roots[letter - 1])
-    return v
 
 
 def dominant_rep(v: Vec, group: str) -> tuple[Vec, WeylWord]:

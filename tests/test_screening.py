@@ -14,6 +14,7 @@ from e7dirac.norms import (
     is_usmall,
     ktype_ambient,
     lambda_norm_sq_fast,
+    lambda_witness,
     norm12_ktype,
     spin_sq12,
     usmall_facets,
@@ -26,7 +27,6 @@ from e7dirac.screening import (
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
     hp_admissible,
-    lemma32_witness,
     quadratic_points,
     spin_lkts,
 )
@@ -41,9 +41,10 @@ from e7dirac.structure import (
     scale,
     sub,
 )
-from e7dirac.weyl import apply_word, dominant_rep, enumerate_chambers
+from e7dirac.weyl import dominant_rep, enumerate_chambers
 
 from frozen_values import CERTS_KTYPES, HD_TWELVE, PHI_COEFF_ONE
+from oracles import apply_word, lemma32_witness
 
 TRIVIAL = (0, 0, 0, 0, 0, 0, 0)
 RHO = (1, 1, 1, 1, 1, 1, 1)
@@ -284,20 +285,22 @@ def test_certs_floor_path_matches_exact_spin(census, certs):
 
 
 def test_ularge_gap_floor_path_matches_exact_spin(ularge):
-    # ularge_gap_bounded answers by a chamber value under its floor; on
-    # every u-large K-type of the property suite's scan it agrees with the
-    # exact gap, also when lambda is moved so that the gap lands on the
-    # bound or 1/12 or 1/24 past it
+    # ularge_gap_bounded answers by a chamber value under its floor, walking
+    # first the j* of the witness walk that gives lambda, as the property
+    # suite does; on every u-large K-type of the property suite's scan it
+    # agrees with the exact gap, also when lambda is moved so that the gap
+    # lands on the bound or 1/12 or 1/24 past it
     bound = criteria.ULARGE_GAP_MAX
     gaps = []
     for mu in ularge:
-        lam = lambda_norm_sq_fast(mu)
+        n, d, first = lambda_witness(mu)
+        lam = Fraction(n, d)
         spin = Fraction(spin_sq12(mu), 12)
         gaps.append(spin - lam)
-        assert criteria.ularge_gap_bounded(mu, lam) == (spin - lam <= bound), mu
-        assert criteria.ularge_gap_bounded(mu, spin - bound)
+        assert criteria.ularge_gap_bounded(mu, lam, first) == (spin - lam <= bound), mu
+        assert criteria.ularge_gap_bounded(mu, spin - bound, first)
         for past in (Fraction(1, 12), Fraction(1, 24)):
-            assert not criteria.ularge_gap_bounded(mu, spin - bound - past), mu
+            assert not criteria.ularge_gap_bounded(mu, spin - bound - past, first), mu
     assert 0 < max(gaps) <= bound
 
 

@@ -19,12 +19,13 @@ from e7dirac.structure import (
     vec,
 )
 from e7dirac.weyl import (
-    apply_word,
     dominant_rep,
     enumerate_chambers,
     spin_module_dimension_check,
     weyl_dim_k,
 )
+
+from oracles import apply_word
 
 
 @pytest.fixture(scope="module")
