@@ -46,14 +46,12 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
-from .screening import (ADMISSIBILITY_SUMS, dirac_candidate_gammas, hp_admissible,
-                        quadratic_points)
+from .screening import (ADMISSIBILITY_SUMS, NU_BOUND, dirac_candidate_gammas,
+                        hp_admissible, quadratic_points)
 from .structure import RANK, is_k_type
-from .norms import infchar_norm_sq, spin_sq12_with_weights, weight_gram2
+from .norms import height_steps, infchar_norm_sq, spin_sq12_with_weights, weight_gram2
 
-NU_BOUND = 94                   # strict bound on |nu|^2 for the census
-OLD_NU_BOUND = Fraction(399, 2)  # |rho|^2, the classical comparison bound
-REAL_RANK = 3                   # real rank of E7(-25): largest split dimension
+REAL_RANK = 3  # real rank of E7(-25): largest split dimension
 
 FULL_SUPPORT = frozenset(range(RANK))
 
@@ -217,17 +215,9 @@ def _parse_support(text: str, line_no: int) -> frozenset:
 def parse_fixture(kind: str, text: str):
     """Parse the text of one fixture file.  Returns a dict for 'kgb' (id ->
     record) and 'dirac_counts' (subset -> count), a list of records otherwise."""
-    if kind == "kgb":
-        return _parse_kgb(text)
-    if kind == "params":
-        return _parse_params(text)
-    if kind == "branching":
-        return _parse_branching(text)
-    if kind == "table":
-        return _parse_table(text)
-    if kind == "dirac_counts":
-        return _parse_dirac_counts(text)
-    raise ValueError(f"unknown fixture kind: {kind!r}")
+    if kind not in _PARSERS:
+        raise ValueError(f"unknown fixture kind: {kind!r}")
+    return _PARSERS[kind](text)
 
 
 def _matrix(text: str, ident: int, line_no: int) -> tuple:
@@ -398,6 +388,10 @@ def _parse_dirac_counts(text: str):
     return out
 
 
+_PARSERS = {"kgb": _parse_kgb, "params": _parse_params, "branching": _parse_branching,
+            "table": _parse_table, "dirac_counts": _parse_dirac_counts}
+
+
 # ---------------------------------------------------------------------------
 # parameter arithmetic
 
@@ -423,7 +417,7 @@ def infinitesimal_char(p: AtlasParameter, rec: KgbRecord) -> tuple:
 # census of infinitesimal characters
 
 
-_FORM_BOUND = 2 * NU_BOUND - 1  # 2|nu|^2 is an integer < 2*94
+_FORM_BOUND = 2 * NU_BOUND - 1  # 2|nu|^2 is an integer < 2 NU_BOUND
 
 
 def _census_form(rec: KgbRecord) -> tuple[tuple[int, ...], ...]:
@@ -433,7 +427,7 @@ def _census_form(rec: KgbRecord) -> tuple[tuple[int, ...], ...]:
     Lemma.  The parser checks theta^2 = 1 and theta^T H = H theta (see
     _check_involution), hence theta^T H theta = H, and with v^T H v = 2|v|^2,
     8|nu|^2 = c^T (1 - theta)^T H (1 - theta) c = 2 c^T (H - H theta) c.
-    So the census condition |nu|^2 < 94 is c^T Q c <= _FORM_BOUND.
+    So the census condition |nu|^2 < NU_BOUND is c^T Q c <= _FORM_BOUND.
 
     Q is integral and nonnegative: an integral theta preserving H is an
     automorphism of the E7 weight lattice, so an element of W(E7) (Conway-
@@ -496,7 +490,7 @@ def _census_zero_sets() -> frozenset[tuple[bool, ...]]:
 def enumerate_phi(kgb):
     """Census of the integral infinitesimal characters admitted by the fully
     supported records of kgb (id -> record): admissible coordinates,
-    smallest coordinate zero, and |nu|^2 < 94 for at least one of them.
+    smallest coordinate zero, and |nu|^2 < NU_BOUND for at least one of them.
 
     Every record's form is built and checked first; the census is then the
     set of points of the minimal forms (_minimal_forms) under _FORM_BOUND,
@@ -523,9 +517,10 @@ def enumerate_phi(kgb):
 
 
 def hj_filter(params, kgb):
-    """(total, fully supported, |nu|^2 <= 399/2, |nu|^2 < 94), the last two
-    among the fully supported parameters: those whose involution record in
-    kgb (id -> record) has full support."""
+    """(total, fully supported, |nu|^2 <= |rho|^2, |nu|^2 < NU_BOUND), the
+    last two among the fully supported parameters: those whose record in kgb
+    (id -> record) has full support.  |rho|^2 = (rho, 2 rho) / 2."""
+    rho_sq = Fraction(sum(height_steps()), 2)
     total = len(params)
     fs = old = new = 0
     for p in params:
@@ -533,7 +528,7 @@ def hj_filter(params, kgb):
             continue
         fs += 1
         q = norm_sq_nu(p.nu)
-        if q <= OLD_NU_BOUND:
+        if q <= rho_sq:
             old += 1
         if q < NU_BOUND:
             new += 1

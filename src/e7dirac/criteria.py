@@ -38,9 +38,8 @@ from .norms import (
     spin_sq12,
 )
 from .screening import (
-    MIN_CERT_GAP,
-    OMEGA_NORM_HI,
-    OMEGA_NORM_LO,
+    NU_BOUND,
+    OMEGA_WINDOW,
     compute_certs,
     dirac_candidate_gammas,
     dirac_index_no_cancellation,
@@ -102,7 +101,7 @@ TWELVE_CANDIDATES = frozenset([
 ])
 SCALAR_PAIR = frozenset([(0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 0, -3)])
 
-# parameters, |nu|^2 <= 399/2 and |nu|^2 < 94 among the fully supported
+# parameters, |nu|^2 <= |rho|^2 and |nu|^2 < NU_BOUND among the fully supported
 FUNNEL = (525, 246, 218, 29)
 # the branching table at [1,0,1,1,0,1,0]: K-types, least spin norm, HD != 0
 BRANCHING = (157, Fraction(159, 2), False)
@@ -117,6 +116,7 @@ STRING_TOTAL = 878
 HEIGHT_CAP = 400
 # the largest spin-vs-lambda gap a u-large K-type may have up to HEIGHT_CAP
 ULARGE_GAP_MAX = 79
+assert ULARGE_GAP_MAX < NU_BOUND, "BUG: a u-large gap reaches the certificate floor"
 
 PARAMS_FILES = ("params_1011108.txt", "params_1111111.txt", "params_1110111.txt")
 
@@ -178,8 +178,8 @@ class Context:
             kind, path = FIXTURE_FILES[name], self.fdir / name
             kgb = self.kgb if kind in ("params", "table") else None
             try:
-                text = path.read_text()
-            except OSError as e:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as e:
                 raise ingest.FixtureError(f"cannot read fixture {path}: {e}") from None
             try:
                 rows = ingest.parse_fixture(kind, text)
@@ -248,7 +248,7 @@ def usmall_census(ctx):
 
 def certificate_set(ctx):
     ok = len(ctx.certs) == CERT_COUNT and all(
-        e.ktype in ctx.census and e.gap >= MIN_CERT_GAP
+        e.ktype in ctx.census and e.gap >= NU_BOUND
         and CERT_LAMBDA_RANGE[0] <= e.lambda_norm_sq <= CERT_LAMBDA_RANGE[1]
         for e in ctx.certs)
     return ok, f"{len(ctx.certs)} certificates"
@@ -257,7 +257,7 @@ def certificate_set(ctx):
 def norm_window_characters(ctx):
     ok = len(ctx.omega) == OMEGA_SIZE and all(
         all(isinstance(c, int) and c >= 0 for c in lam)
-        and OMEGA_NORM_LO <= norm_sq(infchar_ambient(lam)) <= OMEGA_NORM_HI
+        and OMEGA_WINDOW[0] <= norm_sq(infchar_ambient(lam)) <= OMEGA_WINDOW[1]
         for lam in ctx.omega)
     return ok, f"{len(ctx.omega)} characters in the window"
 
@@ -345,9 +345,9 @@ def _random_ktype(rng, span=4, gspan=5):
 def ularge_gap_bounded(mu, lam, first) -> bool:
     """spin - lam <= ULARGE_GAP_MAX for the K-type mu of lambda norm lam:
     12 spin is an integer, so this is 12 spin < floor = floor(12 (lam +
-    79)) + 1, and the first chamber value below the floor settles it.  The
-    spin kernel walks chamber first before the others: the j* of the
-    witness walk that gave lam (norms.lambda_witness)."""
+    ULARGE_GAP_MAX)) + 1, and the first chamber value below the floor
+    settles it.  The spin kernel walks chamber first before the others: the
+    j* of the witness walk that gave lam (norms.lambda_witness)."""
     floor = math.floor(12 * (lam + ULARGE_GAP_MAX)) + 1
     return spin_sq12(mu, floor, first) < floor
 

@@ -148,8 +148,8 @@ j* with the lambda norm of the same walk.  (The tests check that j* is the
 first chamber, in chamber order, where v is dominant.)  Why j* first: with
 c = y - 1 >= 0, eta = mu - rho_n_j* + rho_c lies in the cone, so lambda_a =
 eta; if also mu - rho_n_j* is K-dominant, p = mu - rho_n_j* and v_j* =
-12 |eta|^2 = 12 lambda, 12 * 94 under the certificate floor.  Over the
-u-small census j* alone rejects all but 166 of the 21294 members.
+12 |eta|^2 = 12 lambda, 12 screening.NU_BOUND under the certificate floor.
+Over the u-small census j* alone rejects all but 166 of the 21294 members.
 
 A K-type is passed as its 7 coordinates [a..f, g] (see structure).
 An infinitesimal character is 7 rationals in the fundamental-weight basis.

@@ -131,15 +131,21 @@ class CertsEntry:
     lambda_norm_sq: Fraction
 
 
-MIN_CERT_GAP = 94
+# The sharpened Helgason-Johnson bound |nu|^2 < NU_BOUND (classically
+# |nu|^2 <= |rho|^2): the census bound of atlas_ingest and the certificate
+# floor.  A lowest K-type carrying the Dirac cohomology at lambda + nu, nu
+# orthogonal to lambda, has spin norm |lambda + nu|^2 and lambda norm
+# |lambda|^2, so its spin - lambda gap is |nu|^2: the certificates are the
+# u-small K-types whose gap does not by itself force |nu|^2 < NU_BOUND.
+NU_BOUND = 94
 
 
 def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
     """u-small K-types whose spin norm beats the lambda norm by at least
-    the screening threshold: 12 spin >= floor = ceil(12 (lambda + 94)).
+    NU_BOUND: 12 spin >= floor = ceil(12 (lambda + NU_BOUND)).
     One witness walk gives lambda = n / d and the chamber j* where
     mu + 2 rho_c is dominant (norms.lambda_witness); the floor is
-    ceil(12 n / d) + 12 * 94 in integers.  The spin kernel walks j* first
+    ceil(12 n / d) + 12 NU_BOUND in integers.  The spin kernel walks j* first
     and stops at the first chamber value below the floor, which rejects
     mu; j* alone rejects nearly every census member.  A result at or above
     the floor is the exact spin norm, which gives the gap; only the kept
@@ -147,7 +153,7 @@ def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
     out = set()
     for mu in census:
         n, d, first = lambda_witness(mu)
-        floor = -(-12 * n // d) + 12 * MIN_CERT_GAP
+        floor = -(-12 * n // d) + 12 * NU_BOUND
         spin12 = spin_sq12(mu, floor, first)
         if spin12 >= floor:
             lam = Fraction(n, d)
@@ -159,12 +165,10 @@ def compute_certs(census: set[tuple[int, ...]]) -> set[CertsEntry]:
 # the norm-window characters
 
 
-OMEGA_NORM_LO = Fraction(108)
-OMEGA_NORM_HI = Fraction(469, 2)
-# the window on the scale of weight_gram2, which holds twice the norms
-OMEGA_HI2 = int(2 * OMEGA_NORM_HI)
-OMEGA_LO2 = int(2 * OMEGA_NORM_LO)
-assert (OMEGA_LO2, OMEGA_HI2) == (2 * OMEGA_NORM_LO, 2 * OMEGA_NORM_HI) == (216, 469)
+# lo <= |Lambda|^2 <= hi: the least certificate lambda norm plus NU_BOUND
+# (14 + 94) and the largest lambda norm plus the largest gap (49 + 371/2),
+# so the window holds every certificate's spin norm lambda + gap.
+OMEGA_WINDOW = (Fraction(108), Fraction(469, 2))
 
 
 def _root(a: int, b: int, r: int) -> int:
@@ -315,10 +319,11 @@ def quadratic_points(forms, lo: int, hi: int, patterns=None):
 
 def enumerate_omega() -> set[tuple[int, ...]]:
     """Dominant integral characters (nonnegative integer coordinates in the
-    fundamental-weight basis) with squared norm in the screening window:
-    the points of H = weight_gram2, which holds twice the norms, between
-    OMEGA_LO2 and OMEGA_HI2."""
-    return set(quadratic_points((weight_gram2(),), OMEGA_LO2, OMEGA_HI2)[0])
+    fundamental-weight basis) with squared norm in OMEGA_WINDOW: the points
+    of H = weight_gram2, which holds twice the norms, from the ceiling of
+    twice its lower end to the floor of twice its upper end."""
+    lo, hi = OMEGA_WINDOW
+    return set(quadratic_points((weight_gram2(),), -(-2 * lo // 1), 2 * hi // 1)[0])
 
 
 # ---------------------------------------------------------------------------

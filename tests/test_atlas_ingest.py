@@ -10,7 +10,6 @@ import pytest
 from e7dirac import criteria
 from e7dirac.atlas_ingest import (
     FULL_SUPPORT,
-    NU_BOUND,
     REAL_RANK,
     AtlasParameter,
     FixtureError,
@@ -30,7 +29,7 @@ from e7dirac.atlas_ingest import (
     _minimal_forms,
 )
 from e7dirac.norms import weight_gram2
-from e7dirac.screening import hp_admissible, quadratic_points
+from e7dirac.screening import NU_BOUND, hp_admissible, quadratic_points
 from e7dirac.structure import RANK, build_root_datum, inner
 
 from frozen_values import PHI_COEFF_ONE

@@ -342,6 +342,18 @@ def test_verify_rejects_a_negative_table_spin_weight(tmp_path, capsys, monkeypat
                           "table.txt: line 2: spin lkt: negative e6 coordinate")
 
 
+@pytest.mark.parametrize("command", ["verify", "strings"])
+def test_fixture_not_utf8_exits_3(tmp_path, capsys, monkeypatch, command):
+    # undecodable bytes make the file unreadable, not a failed verification
+    fixtures = _fixtures_with(tmp_path, "dirac_counts.txt", "")
+    (fixtures / "dirac_counts.txt").write_bytes(
+        Path(FIXTURES, "dirac_counts.txt").read_bytes() + b"\xff\xfe")
+    monkeypatch.setattr(criteria, "CRITERIA", None)  # a criterion run would fail
+    code, out = run_main([command, "--fixtures", str(fixtures)])
+    _assert_fixture_error(code, out, capsys.readouterr().err,
+                          f"cannot read fixture {fixtures / 'dirac_counts.txt'}: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("text, message", [
     # x=1 is a kgb record without full support
     ("1 | 1,0,1,1,1,0,8 | -11/2,-11/2,11/2,0,0,0,11/2 | fs\n",

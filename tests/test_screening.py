@@ -21,7 +21,8 @@ from e7dirac.norms import (
 )
 from e7dirac.screening import (
     ADMISSIBILITY_SUMS,
-    MIN_CERT_GAP,
+    NU_BOUND,
+    OMEGA_WINDOW,
     _census_scan,
     _root,
     dirac_candidate_gammas,
@@ -252,7 +253,7 @@ def test_certs_match_frozen_list(certs):
 
 def test_certs_entry_invariants(certs):
     for e in certs:
-        assert e.gap >= MIN_CERT_GAP
+        assert e.gap >= NU_BOUND
         assert 14 <= e.lambda_norm_sq <= 49
         assert is_usmall(e.ktype)
 
@@ -278,7 +279,7 @@ def test_certs_floor_path_matches_exact_spin(census, certs):
     for mu in census:
         lam = lambda_norm_sq_fast(mu)
         gap = Fraction(spin_sq12(mu), 12) - lam
-        if gap >= MIN_CERT_GAP:
+        if gap >= NU_BOUND:
             exact[mu] = (gap, lam)
     assert len(exact) == criteria.CERT_COUNT
     assert {e.ktype: (e.gap, e.lambda_norm_sq) for e in certs} == exact
@@ -365,6 +366,16 @@ def test_joint_scan_is_union_of_single_form_scans():
         if len(forms) > 1:
             with pytest.raises(AssertionError, match="one form only"):
                 quadratic_points(forms[:2], lo, hi, patterns)
+
+
+def test_omega_window_comes_from_the_certificates(certs):
+    # the least lambda norm plus NU_BOUND (14 + 94) and the largest lambda
+    # norm plus the largest gap (49 + 371/2); every certificate's spin norm
+    # lambda + gap lies in the window
+    lams = [e.lambda_norm_sq for e in certs]
+    assert OMEGA_WINDOW == (min(lams) + NU_BOUND, max(lams) + max(e.gap for e in certs)) \
+        == (Fraction(108), Fraction(469, 2))
+    assert all(OMEGA_WINDOW[0] <= e.lambda_norm_sq + e.gap <= OMEGA_WINDOW[1] for e in certs)
 
 
 def test_omega_count(omega):

@@ -1,7 +1,9 @@
 """Repository tooling checks.
 
 The fixture builder imports package names at module level, so importing
-it catches a rename or deletion that would break fixture regeneration.
+it catches a rename or deletion that would break fixture regeneration;
+and its writers, run into a temporary directory, reproduce fixtures/ byte
+for byte.
 Every module of the package is checked for imported names it never uses,
 which a deletion elsewhere in the module easily leaves behind, and for
 private module-level functions that no source, test, tool or benchmark
@@ -11,7 +13,10 @@ that nothing under src/, tools/ or perfbench/ names is either dead or a
 test reference, which belongs in tests/oracles.py; and a definition there
 that no test names has rotted.  The package computes no floats: no float
 literal, float() call, /=, math function beyond the integer ones, or true
-division other than a Path join.  Every committed benchmark record
+division other than a Path join.  The screening bounds have one home:
+no module restates NU_BOUND or an end of OMEGA_WINDOW outside their
+definitions in screening, or |rho|^2 as a literal outside the criterion
+that checks it.  Every committed benchmark record
 BENCH_<n>.json at the repository root must parse and say where, how and
 by which protocol it was measured."""
 
@@ -24,15 +29,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD_FIXTURES = ROOT / "tools" / "build_fixtures.py"
+FIXTURES = ROOT / "fixtures"
 PACKAGE = ROOT / "src" / "e7dirac"
 REFERRING_DIRS = ("src", "tests", "tools", "perfbench")
 
 
-def test_build_fixtures_imports():
+def _build_fixtures():
     spec = importlib.util.spec_from_file_location("build_fixtures", BUILD_FIXTURES)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+def test_build_fixtures_imports():
+    assert callable(_build_fixtures().main)
+
+
+def test_build_fixtures_reproduces_the_fixtures(tmp_path):
+    # the writers only: the tool's closing check_everything pass re-runs the
+    # acceptance criteria, which the suite already runs on fixtures/
+    _build_fixtures().write_fixtures(tmp_path)
+    names = sorted(path.name for path in FIXTURES.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        got, want = (tmp_path / name).read_bytes(), (FIXTURES / name).read_bytes()
+        assert got.splitlines() == want.splitlines() and got == want, f"{name} differs"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -239,6 +260,56 @@ def test_package_computes_no_floats():
     for name, tree in modules.items():
         found = _float_uses(tree, PATH_JOINS.get(name, frozenset()))
         assert not found, f"{name}.py may compute a float: {found}"
+
+
+# NU_BOUND and the ends of OMEGA_WINDOW, on the norm scale and on twice it
+BOUND_CONSTANTS = {94, 108, 216, 469}
+BOUND_HOMES = {("screening", "NU_BOUND"), ("screening", "OMEGA_WINDOW")}
+RHO_SQ_HOME = ("criteria", "norm_spot_checks")  # checks |rho|^2 against the paper
+
+
+def _stray_bounds(modules: dict[str, ast.Module]) -> list[str]:
+    """Where the modules restate a screening bound: an int constant of
+    BOUND_CONSTANTS outside the top-level statements that BOUND_HOMES name,
+    or the call Fraction(399, 2), which is |rho|^2, outside RHO_SQ_HOME.
+    Strings, docstrings included, do not count."""
+    found = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+            homes = {(name, ast.unparse(t)) for t in targets} | {(name, getattr(stmt, "name", ""))}
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Constant) and type(node.value) is int
+                        and node.value in BOUND_CONSTANTS and not homes & BOUND_HOMES):
+                    found.append(f"{name}.py: {node.value} (line {node.lineno})")
+                elif (isinstance(node, ast.Call) and RHO_SQ_HOME not in homes
+                      and ast.unparse(node) == "Fraction(399, 2)"):
+                    found.append(f"{name}.py: Fraction(399, 2) (line {node.lineno})")
+    return sorted(found)
+
+
+def test_stray_bounds_detector():
+    modules = {
+        "screening": ast.parse("NU_BOUND = 94\nOMEGA_WINDOW = (Fraction(108), Fraction(469, 2))\n"
+                               "CERT_FLOOR = 94\nlo2, hi2 = 216, 469\n"),
+        "criteria": ast.parse("def norm_spot_checks(ctx):\n    return Fraction(399, 2)\n"
+                              "CLASSICAL = Fraction(399, 2)\nx = Fraction(399, 4)\n"),
+        "cli": ast.parse('"""|nu|^2 < 94 and |Lambda|^2 >= 108"""\n'
+                         'LABEL = "nu_norm_sq_le_399/2"\nSIZE = 4676\n'
+                         "def hj(q):\n    return q < 94 or q <= Fraction(399, 2)\n"),
+    }
+    assert _stray_bounds(modules) == [
+        "cli.py: 94 (line 5)", "cli.py: Fraction(399, 2) (line 5)",
+        "criteria.py: Fraction(399, 2) (line 3)", "screening.py: 216 (line 4)",
+        "screening.py: 469 (line 4)", "screening.py: 94 (line 3)"]
+
+
+def test_screening_bounds_have_one_home():
+    modules = _package()
+    assert len(modules) > 5 and "screening" in modules
+    stray = _stray_bounds(modules)
+    assert not stray, (f"screening bounds restated outside their home (import NU_BOUND or "
+                       f"OMEGA_WINDOW from screening, read |rho|^2 off the datum): {stray}")
 
 
 def test_benchmark_records_parse_and_name_their_setting():

@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
-"""Rebuild the bundled fixture files under fixtures/.
+"""Rebuild the bundled fixture files, by default under fixtures/:
+
+    python tools/build_fixtures.py [OUT_DIR]
 
 The involution catalog, parameter lists, branching list, verification table,
 and string counts are produced deterministically from the root datum plus the
 transcribed verification table below, so re-running this script reproduces
-the directory byte-for-byte.  Involutions are realized as Weyl elements
-acting by -1 on the span of a pairwise orthogonal set of positive roots;
-the catalog keeps every reflection, every orthogonal pair, and the orthogonal
-triples whose orthogonality count is 12 (the reachable triple class).  Ids
-quoted by the verification table are pinned to involutions that reproduce the
-table's (lambda, nu) data; the remaining ids are assigned canonically.
+the directory byte-for-byte (tests/test_tools.py runs the writers into a
+temporary directory and compares every file).  Involutions are realized as
+Weyl elements acting by -1 on the span of a pairwise orthogonal set of
+positive roots; the catalog keeps every reflection, every orthogonal pair,
+and the orthogonal triples whose orthogonality count is 12 (the reachable
+triple class).  Ids quoted by the verification table are pinned to
+involutions that reproduce the table's (lambda, nu) data; the remaining ids
+are assigned canonically.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 from e7dirac.atlas_ingest import (
     FULL_SUPPORT,
-    NU_BOUND,
-    OLD_NU_BOUND,
+    apply_theta,
     infinitesimal_char,
     norm_sq_nu,
     nu_from_involution,
@@ -29,18 +33,17 @@ from e7dirac.atlas_ingest import (
 )
 from e7dirac.criteria import BRANCHING, FUNNEL, NU_NORMS, STRING_SUMS, Context
 from e7dirac.norms import enumerate_by_height, spin_sq12
-from e7dirac.screening import hp_admissible
+from e7dirac.screening import NU_BOUND, hp_admissible
 from e7dirac.structure import (
     RANK,
     build_root_datum,
     from_ambient,
     inner,
     norm_sq,
-    sub,
     to_ambient,
 )
 
-OUT = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # Verification table, one tuple per printed line:
 # (inf-char digits, id, paired id or None, lambda, nu strings,
@@ -196,21 +199,15 @@ def set_support(d, ixs):
 
 def theta_matrix(d, ixs):
     """Matrix (rows) on zeta-basis coordinates of the involution acting by -1
-    on the span of the given orthogonal roots."""
-    pos = d.positive_roots
-    cols = []
-    for j in range(RANK):
-        w = d.fundamental_weights[j]
-        acc = [Fraction(0)] * 8
-        for i in ixs:
-            b = pos[i]
-            c = inner(w, b)  # pairing with the coroot; roots have norm 2
-            acc = [a + c * x for a, x in zip(acc, b)]
-        img = sub(w, tuple(acc))
-        col = from_ambient("zeta", img)
-        assert all(c.denominator == 1 for c in col), "BUG: non-integral involution"
-        cols.append(tuple(int(c) for c in col))
-    return tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
+    on the span of the given orthogonal roots.  Column j is the image
+    w_j - sum_b (w_j, b) b of the fundamental weight w_j, whose k-th
+    coordinate is delta_jk - sum_b (w_j, b) (b, alpha_k), as roots have
+    norm 2."""
+    roots = [d.positive_roots[i] for i in ixs]
+    coef = [[int(inner(w, b)) for w in d.fundamental_weights] for b in roots]
+    pair = [[int(inner(b, a)) for a in d.simple_roots] for b in roots]
+    return tuple(tuple(int(k == j) - sum(c[j] * p[k] for c, p in zip(coef, pair))
+                       for j in range(RANK)) for k in range(RANK))
 
 
 def proj_minus(d, v, ixs):
@@ -223,19 +220,16 @@ def proj_minus(d, v, ixs):
     return tuple(acc)
 
 
-def solve_row(d, fs_sets, inf_char, lam, nu):
-    """Reflection sets whose involution reproduces the row's nu from its
-    infinitesimal character and is consistent with its lambda."""
-    char_amb = to_ambient("zeta", inf_char)
-    lam_amb = to_ambient("zeta", lam)
-    nu_amb = to_ambient("zeta", nu)
-    target = sub(char_amb, nu_amb)
-    out = []
-    for s in fs_sets:
-        if proj_minus(d, char_amb, s) == nu_amb and \
-                sub(lam_amb, proj_minus(d, lam_amb, s)) == target:
-            out.append(s)
-    return out
+def solve_row(thetas, inf_char, lam, nu):
+    """The reflection sets of thetas (set -> matrix) whose involution
+    reproduces the row's nu from its infinitesimal character c and is
+    consistent with its lambda: in zeta-basis coordinates,
+    nu = (c - theta c)/2 and c - nu = (lam + theta lam)/2."""
+    two_nu = [2 * v for v in nu]
+    target = [2 * (c - v) for c, v in zip(inf_char, nu)]
+    return [s for s, theta in thetas.items()
+            if [c - t for c, t in zip(inf_char, apply_theta(theta, inf_char))] == two_nu
+            and [a + t for a, t in zip(lam, apply_theta(theta, lam))] == target]
 
 
 def fmt_coords(coords):
@@ -273,6 +267,7 @@ def build_involutions(d):
 
 def assign_ids(d, fs_sets, non_fs_sets):
     """Pin table ids to solving reflection sets, then fill in the rest."""
+    thetas = {s: theta_matrix(d, s) for s in fs_sets}
     pins = {}
 
     def pin(ident, s):
@@ -284,18 +279,18 @@ def assign_ids(d, fs_sets, non_fs_sets):
     for digits, x, x_prime, lam, nu_strs, _spins, _flag in TABLE_ROWS:
         inf_char = tuple(int(c) for c in digits)
         nu = tuple(Fraction(v) for v in nu_strs)
-        sols = solve_row(d, fs_sets, inf_char, lam, nu)
+        sols = solve_row(thetas, inf_char, lam, nu)
         assert sols, f"BUG: no involution reproduces row {digits}/{x}"
         pin(x, sols[0])
         if x_prime is not None:
             pin(x_prime, sols[1] if len(sols) > 1 else sols[0])
 
-    sols = solve_row(d, fs_sets, BIG_CHAR, BIG_CHAR,
+    sols = solve_row(thetas, BIG_CHAR, BIG_CHAR,
                      tuple(Fraction(v) for v in (4, 0, 0, 0, 0, 4, 1)))
     assert len(sols) == 1, f"BUG: {len(sols)} involutions for the big parameter"
     pin(TRIVIAL_ID, sols[0])
 
-    sols = solve_row(d, fs_sets, BRANCH_CHAR, BRANCH_LAMBDA,
+    sols = solve_row(thetas, BRANCH_CHAR, BRANCH_LAMBDA,
                      tuple(Fraction(v) for v in BRANCH_NU))
     assert len(sols) == 2, f"BUG: {len(sols)} involutions for the branching parameter"
     pin(BRANCH_ID, sols[0])
@@ -325,17 +320,17 @@ def assign_ids(d, fs_sets, non_fs_sets):
     return records, set_to_id
 
 
-def write_kgb(d, records):
+def write_kgb(out, d, records):
     lines = ["# involution records: id | support | matrix rows on zeta-basis "
              "coordinates (rows ';'-separated)"]
     for ident in sorted(records):
         s = records[ident]
         lines.append(kgb_line(ident, set_support(d, s), theta_matrix(d, s)))
-    (OUT / "kgb.txt").write_text("\n".join(lines) + "\n")
+    (out / "kgb.txt").write_text("\n".join(lines) + "\n")
     return len(records)
 
 
-def write_simple_params(d, records):
+def write_simple_params(out, d, records):
     header = "# parameters: x | lambda | nu | flags"
 
     def nu_of(ident, inf_char):
@@ -345,14 +340,14 @@ def write_simple_params(d, records):
     lines = [header]
     lines.append(params_line(TRIVIAL_ID, BIG_CHAR, nu_of(TRIVIAL_ID, BIG_CHAR),
                              "unitary,fs"))
-    (OUT / "params_1111111.txt").write_text("\n".join(lines) + "\n")
+    (out / "params_1111111.txt").write_text("\n".join(lines) + "\n")
 
     row = next(r for r in TABLE_ROWS if r[1] == 2989)
     lines = [header]
     for ident in (2989, 2988):
         lines.append(params_line(ident, row[3], tuple(Fraction(v) for v in row[4]),
                                  "unitary,fs"))
-    (OUT / "params_1110111.txt").write_text("\n".join(lines) + "\n")
+    (out / "params_1110111.txt").write_text("\n".join(lines) + "\n")
 
     lines = [header]
     lines.append(params_line(BRANCH_ID, BRANCH_LAMBDA,
@@ -362,19 +357,21 @@ def write_simple_params(d, records):
         lines.append(params_line(x, row[3], tuple(Fraction(v) for v in row[4]),
                                  "unitary,fs"))
     lines.sort(key=lambda ln: -1 if ln.startswith("#") else int(ln.split("|")[0]))
-    (OUT / "params_1011010.txt").write_text("\n".join(lines) + "\n")
+    (out / "params_1011010.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_census_params(d, fs_sets, non_fs_sets, set_to_id):
+def write_census_params(out, d, fs_sets, non_fs_sets, set_to_id):
     """Parameter list at the census character: every fully supported
-    involution bucketed by |nu|^2, filled out with partially supported rows."""
+    involution bucketed by |nu|^2 against NU_BOUND and |rho|^2, filled out
+    with partially supported rows."""
     char_amb = to_ambient("zeta", CENSUS_CHAR)
+    rho_sq = norm_sq(d.rho)
     new, mid, high = [], [], []
     for s in fs_sets:
         q = norm_sq(proj_minus(d, char_amb, s))
         if q < NU_BOUND:
             new.append(s)
-        elif q <= OLD_NU_BOUND:
+        elif q <= rho_sq:
             mid.append(s)
         else:
             high.append(s)
@@ -396,10 +393,10 @@ def write_census_params(d, fs_sets, non_fs_sets, set_to_id):
     rows.sort(key=lambda r: r[0])
     lines = ["# parameters: x | lambda | nu | flags"]
     lines.extend(params_line(*r) for r in rows)
-    (OUT / "params_1011108.txt").write_text("\n".join(lines) + "\n")
+    (out / "params_1011108.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_branching():
+def write_branching(out):
     pool = []
     for mu, height in sorted(enumerate_by_height(BRANCH_HEIGHT_CAP).items(),
                              key=lambda kv: (kv[1], kv[0])):
@@ -412,10 +409,10 @@ def write_branching():
     lines = ["# branching rows: multiplicity | K-type | height"]
     for mu, height in chosen:
         lines.append(f"1 | {fmt_coords(mu)} | {height}")
-    (OUT / "branching_2969.txt").write_text("\n".join(lines) + "\n")
+    (out / "branching_2969.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_table():
+def write_table(out):
     lines = ["# verification table: inf-char | x | x' | lambda | nu | "
              "spin weights | unipotent"]
     for digits, x, x_prime, lam, nu_strs, spins, flag in TABLE_ROWS:
@@ -424,10 +421,10 @@ def write_table():
         xp = "-" if x_prime is None else str(x_prime)
         lines.append(f"{digits} | {x} | {xp} | {fmt_coords(lam)} | "
                      f"{','.join(nu_strs)} | {spin_txt} | {int(flag)}")
-    (OUT / "table.txt").write_text("\n".join(lines) + "\n")
+    (out / "table.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_dirac_counts():
+def write_dirac_counts(out):
     lines = ["# string counts: support subset | count"]
     lines.append(f"empty | {N_EMPTY}")
     for size in range(1, RANK):
@@ -440,19 +437,19 @@ def write_dirac_counts():
             assert len(values) == len(subsets)
         for s, v in zip(subsets, values):
             lines.append(f"{fmt_coords(s)} | {v}")
-    (OUT / "dirac_counts.txt").write_text("\n".join(lines) + "\n")
+    (out / "dirac_counts.txt").write_text("\n".join(lines) + "\n")
 
 
-def check_everything(d):
-    """Re-read every file through the real parser and re-derive the numbers
-    the fixtures are supposed to carry."""
-    kgb = parse_fixture("kgb", (OUT / "kgb.txt").read_text())
+def check_everything(out):
+    """Re-read every file of out through the real parser and re-derive the
+    numbers the fixtures are supposed to carry."""
+    kgb = parse_fixture("kgb", (out / "kgb.txt").read_text())
     print(f"kgb records: {len(kgb)}")
 
     params_files = {}
     for name in ("params_1111111", "params_1110111", "params_1011010",
                  "params_1011108"):
-        params_files[name] = parse_fixture("params", (OUT / f"{name}.txt").read_text())
+        params_files[name] = parse_fixture("params", (out / f"{name}.txt").read_text())
 
     for name, params in params_files.items():
         for p in params:
@@ -473,11 +470,11 @@ def check_everything(d):
     assert nu_from_involution(BIG_CHAR, kgb[0]) == (Fraction(0),) * RANK
     print("infinitesimal characters: ok")
 
-    branch = parse_fixture("branching", (OUT / "branching_2969.txt").read_text())
+    branch = parse_fixture("branching", (out / "branching_2969.txt").read_text())
     assert all(b.height <= BRANCH_HEIGHT_CAP for b in branch)
 
     # the paper's counts, by the acceptance criteria e7dirac verify runs
-    ctx = Context(OUT)
+    ctx = Context(out)
     for name, (ok, detail) in ctx.results.items():
         assert ok, f"BUG: {name}: {detail}"
         print(f"{name}: {detail}")
@@ -485,20 +482,29 @@ def check_everything(d):
     assert hp_admissible(CENSUS_CHAR)
 
 
-def main():
-    OUT.mkdir(exist_ok=True)
+def write_fixtures(out):
+    """Write every fixture file into the existing directory out."""
     d = build_root_datum()
     _occurring, fs_sets, non_fs_sets = build_involutions(d)
     records, set_to_id = assign_ids(d, fs_sets, non_fs_sets[:279])
-    n = write_kgb(d, records)
+    n = write_kgb(out, d, records)
     print(f"wrote kgb.txt ({n} records)")
-    write_simple_params(d, records)
-    write_census_params(d, fs_sets, non_fs_sets[:279], set_to_id)
-    write_branching()
-    write_table()
-    write_dirac_counts()
+    write_simple_params(out, d, records)
+    write_census_params(out, d, fs_sets, non_fs_sets[:279], set_to_id)
+    write_branching(out)
+    write_table(out)
+    write_dirac_counts(out)
     print("wrote parameter, branching, table, and string-count files")
-    check_everything(d)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Rebuild the bundled fixture files.")
+    parser.add_argument("out", nargs="?", type=Path, default=FIXTURES,
+                        help="output directory (default: the repository's fixtures/)")
+    out = parser.parse_args(argv).out
+    out.mkdir(exist_ok=True)
+    write_fixtures(out)
+    check_everything(out)
     print("all fixture checks passed")
 
 
