@@ -27,13 +27,12 @@ from . import atlas_ingest as ingest
 from .norms import (
     cone_project,
     dirac_inequality_holds,
-    enumerate_by_height,
+    height_witnesses,
     infchar_ambient,
     is_usmall,
     ktype_ambient,
     lambda_datum,
     lambda_norm_sq_fast,
-    lambda_witness,
     norm12_ktype,
     spin_sq12,
 )
@@ -347,7 +346,8 @@ def ularge_gap_bounded(mu, lam, first) -> bool:
     12 spin is an integer, so this is 12 spin < floor = floor(12 (lam +
     ULARGE_GAP_MAX)) + 1, and the first chamber value below the floor
     settles it.  The spin kernel walks chamber first before the others: the
-    j* of the witness walk that gave lam (norms.lambda_witness)."""
+    first chamber j* where mu + 2 rho_c is dominant, which norms.lambda_witness
+    and the height scan's witness (norms.height_witnesses) both give."""
     floor = math.floor(12 * (lam + ULARGE_GAP_MAX)) + 1
     return spin_sq12(mu, floor, first) < floor
 
@@ -385,13 +385,14 @@ def property_suite(ctx):
     # certificate threshold up to the height cap.  Every census member lies
     # under the cap, so the facet scan and the height scan, two independent
     # enumerations, must give the same u-small set.  Some gap must be
-    # positive, which the exact spin norm shows until one is seen.
-    points = enumerate_by_height(HEIGHT_CAP)
-    ok = ctx.census == {mu for mu in points if is_usmall(mu)}
+    # positive, which the exact spin norm shows until one is seen.  The scan
+    # hands over each K-type's lambda norm and j* (no witness walk).
+    codes, witness = height_witnesses(HEIGHT_CAP)
+    ok = ctx.census == {mu for mu in codes if is_usmall(mu)}
     positive = False
-    for mu in points:
+    for mu, code in codes.items():
         if mu not in ctx.census:
-            n, d, first = lambda_witness(mu)
+            n, d, first = witness(code)
             lam = Fraction(n, d)
             ok = ok and ularge_gap_bounded(mu, lam, first)
             positive = positive or spin_sq12(mu) > 12 * lam

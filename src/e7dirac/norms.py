@@ -59,21 +59,23 @@ and the height d . x it returns are the same for every chamber j where v
 is dominant: there lambda_a = w(sum x_i zeta_i), and
 (lambda_a, 2 rho_j) = (sum x_i zeta_i, 2 rho).  (lambda_datum projects in
 each such chamber by definition and asserts that the points agree.)  So
-the height scan measures a height once per y: K-types with the same y,
-found in one chamber or in several, have the same height.
+the height scan measures a height once per y: K-types whose v lie in one
+W(G)-orbit share y and the height.  At cap 400, 19426 of the 32966 K-types
+have some y_i = 0 and take the kernel, which runs 6346 times.
 
 Scan pruning.  The height scan walks mu + 2 rho_c = sum_i y_i z_i, so by
 the chamber images a_k = sum_i y_i n_{k,i} - 2, every n_{k,i} >= 0.  It
-fixes the y_i one level at a time, in a fixed order of the indices.  With
-budget b left for the levels not yet fixed, those levels raise a_k by at
-most b num_k / den_k, where num_k / den_k is the maximum of
-n_{k,i'} / d_{i'} over those levels i', d = height_steps() in every
-chamber; a branch where some a_k < 0 cannot reach 0 within that bound holds
-no K-type and is cut.  The argument holds for any fixed order, as this
-reach is the maximum over the levels still open, whichever they are.  As
+fixes the y_i one level at a time, in a fixed order of the indices, from
+a root y^0 (y^0_i is 0 or 1, below).  With budget b left for the levels
+not yet fixed, those levels raise a_k by at most b num_k / den_k, where
+num_k / den_k is the maximum of n_{k,i'} / d_{i'} over those levels i',
+d = height_steps() in every chamber; a branch where some a_k < 0 cannot
+reach 0 within that bound holds no K-type and is cut.  The argument holds
+for any fixed order, as this reach is the maximum over the levels still
+open, whichever they are, and for any root, as a level only adds.  As
 b >= 0 and num_k >= 0, the cut is a_k den_k + b num_k < 0 alone (it
-forces a_k < 0).  The children of a node at level i take y_i = n: child n
-has a_k + n n_{k,i} and b - n d_i, so it survives iff
+forces a_k < 0).  The children of a node at level i take y_i = y^0_i + n:
+child n has a_k + n n_{k,i} and b - n d_i, so it survives iff
 c0 + n c1 >= 0 for every k, with c0 = a_k den_k + b num_k,
 c1 = n_{k,i} den_k - d_i num_k and num_k, den_k the reach of the levels
 after i.  c1 depends on the chamber and the level alone, so it is kept,
@@ -81,20 +83,47 @@ split by sign, in scan_tables(), and a node computes only c0.  Each
 condition is linear in n, so the surviving counts form one interval of
 0 <= n <= b // d_i, found by integer floor and ceiling division
 (_count_range).  The scan loops over that interval alone and checks the
-cut at the root, y = 0, once per chamber: it visits the same nodes in the
-same order as a test of every child would, and makes no call for a child
-that is cut.  Child n of a node gets the tuples mu + n row_i and
-y + (n,): nothing is undone.
+cut at the root once per chamber: it visits the same nodes in the same
+order as a test of every child would, and makes no call for a child that
+is cut.  Child n of a node gets mu + n row_i, and y packed in one int
+plus n in the level's field: nothing is undone.
 
 Scan order.  scan_order() fixes the levels by descending d_i, which is
 (3, 4, 2, 5, 1, 0, 6).  A level of step d_i has at most b // d_i + 1
 counts, so the top levels, where the budget is whole and every node
 branches, have the fewest, and the wide ranges of the small steps come
 last, where the cuts have already dropped most branches.  At cap 320 the
-scan makes 17982 _count_range calls (inner nodes) in this order against
-32324 in index order, and at cap 400 45280 against 71320.  The leaves,
-16002 and 63600, are the same in every order: the last cut is the leaf
+scan makes 9706 _count_range calls (inner nodes) in this order against
+19053 in index order, and at cap 400 25771 against 43228.  The leaves,
+7806 and 33309, are the same in every order: the last cut is the leaf
 condition a_k >= 0 itself.
+
+First chamber in the scan.  The scan finds each K-type once, in j*, the
+first chamber where v = mu + 2 rho_c is dominant.  Lemma.  v pairs >= 2
+with every compact positive root, so every chamber where v is dominant
+has the compact positive roots positive: it is one of the 56.  In chamber
+j = w_j(Delta+) with v = sum y_i z_i, let Z be the walls i with y_i = 0.
+The chambers where v is dominant are w_j u(Delta+), u in the subgroup
+W_Z generated by the s_i, i in Z (the stabilizer of the dominant w_j^{-1}
+v): j's class under the walls in Z, where the neighbour across wall i is
+w_j s_i, the chamber whose rho is rho_j - w_j(alpha_i) = ch.rho_j -
+ch.simples[i], with the same y and Z.  Call wall i of j a descent when
+its neighbour is numbered lower.  enumerate_chambers numbers the chambers
+breadth-first from chamber 0 across noncompact walls, so in order of the
+length of w_j, which a wall crossing moves by one: wall i is a descent iff
+l(w_j s_i) < l(w_j), iff w_j(alpha_i) is a negative root, which for a
+noncompact root is g < 0 in K-type coordinates (chamber_descents asserts
+both readings agree; no compact wall is one, and none leads to one of the
+56).  A coset w W_Z has one element of least length, the one with no
+descent in Z, and every other element has one (Humphreys, Reflection
+Groups and Coxeter Groups, 1.10).  So j is the first chamber of its class,
+j*, iff Z holds no descent of j: the scan's chamber j starts at y^0_i = 1
+on its descents, 0 elsewhere, and keeps y_i >= 1 there.  No branch it
+drops holds a K-type whose first chamber is j, and each K-type whose first
+chamber is j is reached, with the same y and so in the same order as a
+scan from y = 0.  j* is lambda_witness's chamber too: the witness walk
+ends at w^{-1} v by the fewest reflections, the least length.  (The tests
+check the rule against the classes built wall by wall for all 128 Z.)
 
 Spin kernel.  The spin norm is the minimum over the chambers j of
 v_j = 12 |p + rho_c|^2, p the K-dominant representative of
@@ -531,11 +560,16 @@ def lambda_datum(mu) -> LambdaDatum:
     )
 
 
-def _lambda_sq(c) -> tuple[int, int]:
-    """|lambda_a|^2 = n / d for the witness walk's c, as integers (n, d),
-    d = 2 det H_SS > 0: num . r_S / (2 det) from the lambda kernel."""
-    face, num, r = _lambda_kernel(c)
+def _face_lambda(face: _Face, num, r) -> tuple[int, int]:
+    """|lambda_a|^2 = n / d for an accepted face of the lambda kernel, as
+    integers (n, d), d = 2 det H_SS > 0: num . r_S / (2 det)."""
     return sum(v * r[i] for i, v in zip(face.members, num)), 2 * face.det
+
+
+def _lambda_sq(c) -> tuple[int, int]:
+    """|lambda_a|^2 = n / d for the witness walk's c, from the lambda
+    kernel."""
+    return _face_lambda(*_lambda_kernel(c))
 
 
 def lambda_norm_sq_fast(mu) -> Fraction:
@@ -594,13 +628,24 @@ def _lambda_kernel(c) -> tuple[_Face, list[int], list[int]]:
     raise RuntimeError("BUG: no face satisfies the KKT conditions; G is positive definite")
 
 
-def _kernel_height(c) -> int:
-    face, num, _ = _lambda_kernel(c)
+def _face_height(c, face: _Face, num) -> int:
     d = height_steps()
     h, rem = divmod(sum(d[i] * v for i, v in zip(face.members, num)), face.det)
     if rem or h < 0:
         raise RuntimeError(f"BUG: height at c = {c} came out {h} + {rem}/{face.det}")
     return h
+
+
+def _kernel_height(c) -> int:
+    face, num, _ = _lambda_kernel(c)
+    return _face_height(c, face, num)
+
+
+def _kernel_measure(c) -> tuple[int, int, int]:
+    """(h, n, d) from one _lambda_kernel call: the height h and
+    |lambda_a|^2 = n / d."""
+    face, num, r = _lambda_kernel(c)
+    return (_face_height(c, face, num), *_face_lambda(face, num, r))
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +914,123 @@ def _count_range(mu, budget: int, step: int, cuts) -> tuple[int, int] | None:
     return (lo, hi) if lo <= hi else None
 
 
+@lru_cache(maxsize=1)
+def chamber_descents() -> tuple[int, ...]:
+    """Entry j: the walls of chamber j whose neighbour is numbered lower, as
+    a mask (module docstring, first chamber in the scan), read off
+    chamber_weights(), built on first use.  In K-type coordinates the root
+    w_j(alpha_i) is sum_k A_ik row_k (A the Cartan matrix), and the
+    neighbour across wall i is the chamber with rho = rho_j - w_j(alpha_i),
+    rho_j the sum of the rows.  Asserted: a wall has a neighbour among the
+    56 iff its root is noncompact, which is g != 0 (compact roots are
+    orthogonal to zeta), and the neighbour is numbered lower iff g < 0."""
+    cartan = _tables().cartan
+    table = chamber_weights()
+    rhos = [tuple(map(sum, zip(*rows))) for rows in table]
+    index = {rho: j for j, rho in enumerate(rhos)}
+    descents = []
+    for j, rows in enumerate(table):
+        mask = 0
+        for i in range(RANK):
+            root = [sum(a * rows[k][q] for k, a in cartan[i]) for q in range(RANK)]
+            k = index.get(tuple(map(int_sub, rhos[j], root)))
+            g = root[6]
+            if k is None:
+                assert g == 0, f"BUG: noncompact wall {i} of chamber {j} leads outside the 56"
+                continue
+            assert g and (k < j) == (g < 0), f"BUG: wall {i} of chamber {j} to chamber {k}"
+            mask |= (k < j) << i
+        descents.append(mask)
+    return tuple(descents)
+
+
+def _field_width(cap: int) -> int:
+    """Bits per coordinate of the height scan's packed y at cap: y_i sits in
+    bits width i to width (i + 1) - 1.  Each y_i <= cap + 2|rho|^2, so the
+    top bit of each field stays clear, which _scan's zero test needs."""
+    return (cap + sum(height_steps())).bit_length() + 1
+
+
+def _unpack(key: int, width: int) -> list[int]:
+    """y_0..y_6 from the height scan's packed y."""
+    field = (1 << width) - 1
+    return [key >> width * i & field for i in range(RANK)]
+
+
+def _scan(cap: int, measure, codes: bool) -> tuple[dict, dict]:
+    """The height scan of enumerate_by_height, in which each K-type of
+    height <= cap is found once, in its first chamber j*; (out, measured).
+    The height of a leaf with some y_i = 0 is the head of measure(c),
+    c = y - 1, which runs once per y, its result kept in measured under the
+    packed y.  out maps each K-type to its height, or with codes to
+    key << 6 | j*, key its packed y."""
+    two_rho_norm = sum(height_steps())  # (rho, 2 rho), rho = sum of the zeta_i
+    assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
+    order = scan_order()
+    steps = [height_steps()[i] for i in order]
+    budget_cap = cap + two_rho_norm
+    width = _field_width(cap)
+    units = [1 << width * i for i in order]
+    ones = sum(units)
+    tops = ones << width - 1
+    out: dict[tuple[int, ...], int] = {}
+    measured: dict[int, tuple] = {}
+    tables = scan_tables()
+    assert len(tables) <= 64, "BUG: a chamber index does not fit six bits"
+    descents = chamber_descents()
+    for ch in enumerate_chambers():
+        j = ch.index
+        rows, reach, cuts = tables[j]
+        # the root: y_i = 1 on the descent walls of j, 0 elsewhere, cut once
+        # here; _count_range cuts every later node
+        root, budget, key = (-2,) * 6 + (0,), budget_cap, 0
+        for row, step, unit, i in zip(rows, steps, units, order):
+            if descents[j] >> i & 1:
+                root = tuple(map(int_add, root, row))
+                budget -= step
+                key += unit
+        if budget < 0 or any(a * den + budget * num < 0 for a, (num, den) in zip(root, reach[0])):
+            continue
+
+        def descend(p: int, budget: int, mu: tuple, key: int):
+            # mu = sum over the levels so far of y_i row_i - 2 rho_c, and key
+            # packs those y_i
+            if p == RANK:
+                assert mu not in out, f"BUG: the scan found {mu} twice"
+                assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
+                # a field y_i = 0 borrows in key - ones and shows its top
+                # bit; when every y_i >= 1 nothing borrows
+                if (key - ones) & ~key & tops:
+                    entry = measured.get(key)
+                    if entry is None:
+                        entry = measured[key] = measure([y - 1 for y in _unpack(key, width)])
+                    h = entry[0]
+                else:
+                    h = budget_cap - budget - two_rho_norm
+                if h <= cap:
+                    out[mu] = key << 6 | j if codes else h
+                return
+            step = steps[p]
+            row = rows[p]
+            unit = units[p]
+            span = _count_range(mu, budget, step, cuts[p])
+            if span is None:
+                return
+            lo, hi = span
+            mu = tuple(m + lo * r for m, r in zip(mu, row))
+            budget -= lo * step
+            key += lo * unit
+            for _ in range(hi - lo + 1):
+                descend(p + 1, budget, mu, key)
+                mu = tuple(map(int_add, mu, row))
+                budget -= step
+                key += unit
+
+        descend(0, budget, root, key)
+        del descend  # a self-calling closure is a cycle that would keep `out` alive
+    return out, measured
+
+
 def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     """All K-types with atlas height <= cap, mapped to their heights.
 
@@ -878,56 +1040,39 @@ def enumerate_by_height(cap: int) -> dict[tuple[int, ...], int]:
     because projection only raises the pairing sum.  The scan is complete:
     it fixes y level by level in scan_order() and walks at each level only
     the counts of _count_range, which drops exactly the branches that the
-    prune bound (module docstring) shows to hold no K-type.  A height is
-    measured once per y, which the height invariance allows: the kernel's
-    result is kept for the call, keyed by y, so a K-type that a later
-    chamber finds again costs a lookup at most.  The result holds the
-    K-types in the order found: chamber by chamber, and within a chamber
-    lexicographic in y taken in scan order.
+    prune bound (module docstring) shows to hold no K-type.  Each K-type is
+    found once, in the first chamber where mu + 2 rho_c is dominant: a
+    chamber's scan starts at y_i = 1 on its chamber_descents() (module
+    docstring, first chamber in the scan).  A height is measured once per
+    y, which the height invariance allows: the kernel's result is kept for
+    the call, keyed by y, so a K-type of the same y as one measured before
+    costs a lookup.  The result holds the K-types in the order found:
+    chamber by chamber, and within a chamber lexicographic in y taken in
+    scan order.
     """
-    two_rho_norm = sum(height_steps())  # (rho, 2 rho), rho = sum of the zeta_i
-    assert two_rho_norm == 399, f"BUG: 2|rho|^2 = {two_rho_norm}"
-    order = scan_order()
-    steps = [height_steps()[i] for i in order]
-    # y is kept in scan order, as are steps and the tables: y[where[i]] is y_i
-    where = [order.index(i) for i in range(RANK)]
-    budget_cap = cap + two_rho_norm
-    out: dict[tuple[int, ...], int] = {}
-    heights: dict[tuple[int, ...], int] = {}  # y -> kernel height, this call only
-    tables = scan_tables()
-    for ch in enumerate_chambers():
-        rows, reach, cuts = tables[ch.index]
-        # the cut at the root, y = 0; _count_range cuts every later node
-        if any(-2 * den + budget_cap * num < 0 for num, den in reach[0]):
-            continue
+    # the height alone, through _kernel_height: these entries need no lambda
+    return _scan(cap, lambda c: (_kernel_height(c),), False)[0]
 
-        def descend(p: int, budget: int, mu: tuple, y: tuple):
-            # mu = sum over the levels so far of y_i row_i - 2 rho_c
-            if p == RANK:
-                if mu not in out:
-                    assert is_k_type(mu), f"BUG: scan produced non-K-type {mu}"
-                    if min(y) >= 1:
-                        h = budget_cap - budget - two_rho_norm
-                    else:
-                        h = heights.get(y)
-                        if h is None:
-                            h = heights[y] = _kernel_height([y[q] - 1 for q in where])
-                    if h <= cap:
-                        out[mu] = h
-                return
-            step = steps[p]
-            row = rows[p]
-            span = _count_range(mu, budget, step, cuts[p])
-            if span is None:
-                return
-            lo, hi = span
-            mu = tuple(m + lo * r for m, r in zip(mu, row))
-            budget -= lo * step
-            for count in range(lo, hi + 1):
-                descend(p + 1, budget, mu, y + (count,))
-                mu = tuple(map(int_add, mu, row))
-                budget -= step
 
-        descend(0, budget_cap, (-2,) * 6 + (0,), ())
-        del descend  # a self-calling closure is a cycle that would keep `out` alive
-    return out
+def height_witnesses(cap: int):
+    """(codes, witness) from one height scan: codes maps the K-types of
+    enumerate_by_height(cap), in the same order, to codes, and
+    witness(code) returns for a K-type what lambda_witness returns,
+    (n, d, j*) with |lambda_a|^2 = n / d, read off the scan instead of a
+    walk.  j* is the chamber the scan found the K-type in (module
+    docstring, first chamber in the scan).  Where some y_i = 0, n / d comes
+    from the _lambda_kernel call that gave the height; where every
+    y_i >= 1, c = y - 1 >= 0, so lambda_a = eta lies in the cone and
+    |lambda_a|^2 = c^T H c / 2 (infchar_norm_sq) with no face search."""
+    codes, measured = _scan(cap, _kernel_measure, True)
+    width = _field_width(cap)
+
+    def witness(code: int) -> tuple[int, int, int]:
+        key, j = code >> 6, code & 63
+        entry = measured.get(key)
+        if entry is not None:
+            return entry[1], entry[2], j
+        lam = infchar_norm_sq([y - 1 for y in _unpack(key, width)])
+        return lam.numerator, lam.denominator, j
+
+    return codes, witness

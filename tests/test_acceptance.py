@@ -37,7 +37,7 @@ def test_property_suite_reads_failed_on_a_faulty_kernel(ctx, monkeypatch):
     # height scan leaves no positive gap to see
     fast = criteria.lambda_norm_sq_fast
     monkeypatch.setattr(criteria, "lambda_norm_sq_fast", lambda mu: fast(mu) + Fraction(1, 12))
-    monkeypatch.setattr(criteria, "enumerate_by_height", lambda cap: {})
+    monkeypatch.setattr(criteria, "height_witnesses", lambda cap: ({}, None))
     ok, detail = criteria.property_suite(ctx)
     assert not ok
     assert "lambda-chamber-independent FAILED" in detail

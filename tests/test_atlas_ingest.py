@@ -186,6 +186,27 @@ def test_kgb_checks_match_plain_definitions(fixture_dir):
         crafted = [list(row) for row in IDENTITY]
         crafted[2 + s % 5][:2] = [1 << s, -1]
         cases.append((records[0], "empty", frozenset(), crafted))
+    # where RANK m^2 + 1 is the larger term of _probe's bound (m > 2 h):
+    # theta = 1 + P E_01 - 2 E_11 + Q E_12 + R E_02 + S E_03 + E_13, placed
+    # on rows and columns o..o+3, squares to 1 + (PQ + 2R) E_02 + (P + 2S)
+    # E_03 = 1 + B (E_03 - E_02) when P + 2S = 1 and PQ + 2R = -B.  With B
+    # the bound's other term alone, 2 RANK h m rounded up to a power of 2,
+    # that vanishes on (1, B, ..., B^6): a check sized without the m^2 term
+    # passes this non-involution
+    h = max(map(max, weight_gram2()))
+    for k, o in zip(range(10, 14), range(4)):
+        p = (1 << k) - 1
+        b = 1 << (2 * RANK * h * p).bit_length()
+        q = -2 * (b // (2 * p))
+        r, s = (-b - p * q) // 2, (1 - p) // 2
+        assert max(abs(q), abs(r), abs(s)) <= p and RANK * p * p + 1 > 2 * RANK * h * p
+        crafted = [list(row) for row in IDENTITY]
+        crafted[o][o:o + 4] = [1, p, r, s]
+        crafted[o + 1][o + 1:o + 4] = [-1, q, 1]
+        v = [b ** j for j in range(RANK)]
+        tv = [sum(map(mul, row, v)) for row in crafted]
+        assert [sum(map(mul, row, tv)) for row in crafted] == v
+        cases.append((records[0], "empty", frozenset(), crafted))
 
     branches = {"not an involution", "does not preserve the form", "exceeds the real rank",
                 "is not the split support"}

@@ -16,10 +16,12 @@ from e7dirac.norms import (
     _lambda_kernel,
     _project_in_chamber,
     _witness_c,
+    chamber_descents,
     chamber_weights,
     cone_project,
     dirac_inequality_holds,
     enumerate_by_height,
+    height_witnesses,
     is_usmall,
     ktype_ambient,
     lambda_datum,
@@ -178,14 +180,14 @@ def test_lambda_fast_agrees():
 
 
 @pytest.fixture(scope="module")
-def first_allowable(census, ularge):
-    """The first chamber where mu + 2 rho_c is dominant, by definition, for
-    every K-type of the census and of u-large."""
-    return {mu: next(_allowable_chambers(mu)) for mu in sorted(census) + ularge}
+def allowable(census, ularge):
+    """The chambers where mu + 2 rho_c is dominant, by definition, in
+    chamber order, for every K-type of the census and of u-large."""
+    return {mu: list(_allowable_chambers(mu)) for mu in sorted(census) + ularge}
 
 
 def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, datum, chambers,
-                                                              first_allowable):
+                                                              allowable):
     # the walk's c over census and u-large (32966 points), v = mu + 2 rho_c:
     # the zeta-coordinates of the W(G)-dominant representative of v, and
     # v's pairings with the simple roots of the first allowable chamber
@@ -194,10 +196,15 @@ def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, da
     # roots pairing negatively with v, all among the 27 noncompact ones
     # (module docstring: v pairs a_i + 2 >= 2 with each compact simple root).
     # The walk's word is dominant_rep's, and the chamber lambda_witness reads
-    # off it is the first allowable one
+    # off it is the first allowable one.  Of the allowable chambers, the
+    # first alone has no descent wall where y = c + 1 is 0, and the height
+    # scan finds each point there, with lambda_witness's lambda norm
     assert set(datum.positive_roots) == set(datum.compact_positive) | set(datum.pplus_roots)
     points = sorted(census) + ularge
     assert len(points) == 32966
+    scanned, witness = height_witnesses(400)
+    assert sorted(scanned) == sorted(points)
+    descents = chamber_descents()
     most = 0
     for mu in points:
         walked = []
@@ -206,8 +213,15 @@ def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, da
         dom, word = dominant_rep(v, "G")
         assert c == [y - 1 for y in from_ambient("zeta", dom)], f"BUG: walk of {mu}"
         assert [i + 1 for i in walked] == list(word), f"BUG: word of {mu}"
-        assert lambda_witness(mu)[2] == first_allowable[mu], f"BUG: chamber of {mu}"
-        simples = chambers[first_allowable[mu]].simples
+        first = allowable[mu][0]
+        n, d, j = lambda_witness(mu)
+        assert j == first, f"BUG: chamber of {mu}"
+        zeros = sum(1 << i for i, x in enumerate(c) if x == -1)
+        assert [k for k in allowable[mu] if not descents[k] & zeros] == [first], (
+            f"BUG: first-chamber table at {mu}")
+        n2, d2, j2 = witness(scanned[mu])
+        assert j2 == first and n * d2 == n2 * d, f"BUG: scan witness of {mu}"
+        simples = chambers[first].simples
         assert [dot(v, a) for a in simples] == [36 * (x + 1) for x in c], (
             f"BUG: chamber pairings of {mu}")
         negative = sum(dot(v, a) < 0 for a in datum.pplus_roots)
@@ -216,14 +230,14 @@ def test_witness_walk_against_dominant_rep_and_oracle_chamber(census, ularge, da
     assert most == 27
 
 
-def test_lambda_kernel_against_projection_over_census(census, chambers, first_allowable):
+def test_lambda_kernel_against_projection_over_census(census, chambers, allowable):
     # the integer kernel against the Fraction cone projection in the first
     # chamber where mu + 2 rho_c is dominant, for every u-small K-type; the
     # first-guess face is the one accepted throughout, as the kernel's
     # docstring states
     assert len(census) == USMALL_CENSUS_SIZE
     for mu in sorted(census):
-        j = first_allowable[mu]
+        j = allowable[mu][0]
         lam = _project_in_chamber(mu, j)
         assert lambda_norm_sq_fast(mu) == norm_sq(lam), f"BUG: lambda norm of {mu}"
         assert _kernel_height(_witness_c(mu)) == inner(lam, scale(2, chambers[j].rho_j)), (
@@ -700,11 +714,43 @@ def test_scan_heights_on_both_paths_match_the_projection(chambers):
         assert inner(ld.lambda_a, two_rho) == table[mu], f"BUG: scan height wrong for {mu}"
 
 
+def test_first_chamber_table_by_definition(datum, chambers):
+    # the chambers as a graph: chamber j's neighbour across wall i has rho
+    # = rho_j - w_j(alpha_i), and is one of the 56 iff the wall's root is
+    # noncompact (224 of the 392 walls are compact).  For each of the 128
+    # wall sets Z, the classes under the walls in Z, swept in chamber
+    # order: chamber j is the least of its class iff Z holds none of its
+    # chamber_descents(), the walls to a lower-numbered neighbour
+    index = {ch.rho_j: ch.index for ch in chambers}
+    nbr = [[index.get(sub(ch.rho_j, a)) for a in ch.simples] for ch in chambers]
+    compact = [[dot(a, datum.zeta) == 0 for a in ch.simples] for ch in chambers]
+    assert all((k is None) == flat for row, flats in zip(nbr, compact)
+               for k, flat in zip(row, flats))
+    assert sum(map(sum, compact)) == 224
+    descents = chamber_descents()
+    assert descents == tuple(sum(1 << i for i, k in enumerate(row) if k is not None and k < j)
+                             for j, row in enumerate(nbr))
+    for walls in range(1 << RANK):
+        seen, least = set(), []
+        for j in range(len(chambers)):
+            if j in seen:
+                continue
+            least.append(j)
+            seen.add(j)
+            todo = [j]
+            while todo:
+                for i, k in enumerate(nbr[todo.pop()]):
+                    if walls >> i & 1 and k is not None and k not in seen:
+                        seen.add(k)
+                        todo.append(k)
+        assert least == [j for j in range(len(chambers)) if not descents[j] & walls], walls
+
+
 def test_height_scan_work_at_cap_320(monkeypatch):
     # the scan's inner nodes, one _count_range call each, and its leaves:
     # the counts of the last level's intervals, the one level whose step is
     # the smallest (scan_order asserts the steps distinct).  In index order
-    # the scan made 32324 calls for the same 16002 leaves
+    # the scan makes 19053 calls for the same 7806 leaves
     count_range = norms._count_range
     last = height_steps()[scan_order()[-1]]
     calls = leaves = 0
@@ -719,7 +765,7 @@ def test_height_scan_work_at_cap_320(monkeypatch):
 
     monkeypatch.setattr(norms, "_count_range", counting)
     assert len(enumerate_by_height(320)) == 7682
-    assert (calls, leaves) == (17982, 16002)
+    assert (calls, leaves) == (9706, 7806)
 
 
 def test_height_scan_measures_each_ktype_once(monkeypatch, datum):
